@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import random
 import sys
+from enum import Enum
 from fractions import Fraction
 
 from . import densities as dn
@@ -24,14 +26,23 @@ from . import words as wd
 from . import zline as zl
 
 
-def _frac(v):
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+# Printed forms of the types whose output is not their dataclass fields.
+_WIRE_FORMS = {
+    gr.Group: lambda g: {"order": g.order, "table": [v for row in g.table for v in row], "label": g.label},
+    ms.FinSuppMeasure: lambda mu: {"carrier": mu.carrier.label if mu.carrier else None, "entries": mu.entries},
+    pm.FinSuppPermutation: lambda f: {"cycles": f.cycles()},
+    pt.PartitionVerdict: lambda v: {
+        "group": v.group_label, "n": v.cells_max, "bound": v.bound, "pass": v.passed,
+        "checked": v.partitions_checked, "worst_partition": v.worst_partition,
+        "worst_best_cov": v.worst_best_cov},
+}
 
 
 def jsonable(obj):
+    """The JSON value printed for obj: Fraction as "p/q", sets as sorted lists, Enum by
+    value, a dataclass by its _WIRE_FORMS entry or else field by field."""
     if isinstance(obj, Fraction):
-        return _frac(obj)
+        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     if isinstance(obj, dict):
@@ -39,13 +50,22 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
         return [jsonable(v) for v in seq]
-    if hasattr(obj, "to_json"):
-        return json.loads(obj.to_json())
+    if isinstance(obj, Enum):
+        return obj.value
+    form = _WIRE_FORMS.get(type(obj))
+    if form is not None:
+        return jsonable(form(obj))
+    if dataclasses.is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return repr(obj)
 
 
+def dumps(obj):
+    return json.dumps(jsonable(obj), sort_keys=True)
+
+
 def emit(payload):
-    print(json.dumps(jsonable(payload), sort_keys=True))
+    print(dumps(payload))
 
 
 def _parse_set(text):
@@ -101,7 +121,11 @@ def cmd_density(args):
 
 def cmd_game(args):
     if args.what == "solve":
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file) as fh:
+                text = fh.read()
         sol = gm.solve_game(gm.MatrixGame.from_json(text))
         emit(sol)
         return 0

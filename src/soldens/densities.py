@@ -7,7 +7,6 @@ search exists as an independent oracle for that closed form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -66,22 +65,6 @@ class BoundCertificate:
     def __post_init__(self):
         if self.verified_sup != self.bound:
             raise DensityError("certificate bound differs from verified supremum")
-
-    def to_json(self):
-        if isinstance(self.witness, ms.FinSuppMeasure):
-            witness = json.loads(self.witness.to_json())
-        else:
-            witness = list(self.witness)
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "direction": self.direction,
-                "bound": f"{self.bound.numerator}/{self.bound.denominator}",
-                "witness": witness,
-                "scope": self.scope,
-                "verified_sup": f"{self.verified_sup.numerator}/{self.verified_sup.denominator}",
-            }
-        )
 
 
 def density_closed_form(group, a, kind=DensityKind.SIGMA):

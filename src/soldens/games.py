@@ -36,15 +36,6 @@ class MatrixGame:
     def cols(self):
         return len(self.payoff[0])
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "rows": self.rows,
-                "cols": self.cols,
-                "payoff": [[f"{Fraction(v).numerator}/{Fraction(v).denominator}" for v in row] for row in self.payoff],
-            }
-        )
-
     @staticmethod
     def from_json(text):
         data = json.loads(text)
@@ -60,15 +51,6 @@ class GameSolution:
     value: Fraction
     row_strategy: ms.FinSuppMeasure  # over row indices
     col_strategy: ms.FinSuppMeasure  # over column indices
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "value": f"{self.value.numerator}/{self.value.denominator}",
-                "row_strategy": json.loads(self.row_strategy.to_json()),
-                "col_strategy": json.loads(self.col_strategy.to_json()),
-            }
-        )
 
 
 def solve_game(g):
@@ -124,7 +106,7 @@ def sigma_R_via_game(group, a):
     ]
     minimax = solve_game(game(payoff))
     transposed = [
-        [Fraction(1) if g in gr.left_translate(group, x, a).members else Fraction(0) for g in range(n)]
+        [Fraction(1) if group.mul(group.inverse[x], g) in a.members else Fraction(0) for g in range(n)]
         for x in range(n)
     ]
     maximin = solve_game(game(transposed))

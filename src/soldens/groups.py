@@ -79,11 +79,6 @@ class Group:
     def __repr__(self):
         return f"Group({self.label or 'order ' + str(self.order)})"
 
-    def to_json(self):
-        return json.dumps(
-            {"order": self.order, "table": [v for row in self.table for v in row], "label": self.label}
-        )
-
     @staticmethod
     def from_json(text):
         data = json.loads(text)
@@ -191,9 +186,6 @@ class GroupSubset:
     def complement(self):
         return GroupSubset(self.group, frozenset(self.group.elements()) - self.members)
 
-    def to_json(self):
-        return json.dumps(self.indices())
-
 
 def subset(group, indices):
     return GroupSubset(group, frozenset(indices))
@@ -288,9 +280,6 @@ class Homomorphism:
     def apply(self, g):
         return self.mapping[g]
 
-    def apply_set(self, a):
-        return GroupSubset(self.target, frozenset(self.mapping[g] for g in a.members))
-
     def preimage(self, b):
         return GroupSubset(
             self.source, frozenset(g for g in self.source.elements() if self.mapping[g] in b.members)
@@ -323,10 +312,6 @@ def quotient_map(group, n):
     ]
     q = from_table(table, label=f"{group.label}/N{len(n)}")
     return Homomorphism(group, q, tuple(coset_of[g] for g in group.elements()))
-
-
-def identity_map(group):
-    return Homomorphism(group, group, tuple(group.elements()))
 
 
 def build_group(spec, order_cap=DEFAULT_ORDER_CAP):

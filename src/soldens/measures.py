@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,12 +42,6 @@ class FinSuppMeasure:
     def measure_of(self, points):
         members = points.members if isinstance(points, GroupSubset) else set(points)
         return sum((w for p, w in self.entries if p in members), Fraction(0))
-
-    def to_json(self):
-        carrier = self.carrier.label if self.carrier is not None else None
-        return json.dumps(
-            {"carrier": carrier, "entries": [[p, f"{w.numerator}/{w.denominator}"] for p, w in self.entries]}
-        )
 
 
 def measure(carrier, weights):
@@ -93,10 +86,6 @@ def pushforward(hom, mu):
         q = hom.apply(p)
         out[q] = out.get(q, Fraction(0)) + w
     return measure(hom.target, out)
-
-
-def measure_of(mu, a):
-    return mu.measure_of(a)
 
 
 def sup_translates(mu, a, pattern="two-sided"):

@@ -5,7 +5,6 @@ groups. Everything exact; sizes are guarded, not truncated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,10 +98,6 @@ def pack(group, a, ideal=_trivial_ideal):
     return len(best), tuple(best)
 
 
-def ipack(group, a, ideal):
-    return pack(group, a, ideal)[0]
-
-
 def verify_prop122(group):
     """cov(AA^-1) <= pack(A) <= floor(|G|/|A|) for every nonempty A."""
     if group.order > 10:
@@ -155,19 +150,6 @@ class PartitionVerdict:
     partitions_checked: int
     worst_partition: tuple  # cells as index tuples
     worst_best_cov: int
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "group": self.group_label,
-                "n": self.cells_max,
-                "bound": self.bound,
-                "pass": self.passed,
-                "checked": self.partitions_checked,
-                "worst_partition": [list(c) for c in self.worst_partition],
-                "worst_best_cov": self.worst_best_cov,
-            }
-        )
 
 
 def _verify_partition_bound(group, n, bound):

@@ -47,9 +47,6 @@ class FinSuppPermutation:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def to_json(self):
-        return json.dumps({"cycles": [list(c) for c in self.cycles()]})
-
     @staticmethod
     def from_json(text):
         data = json.loads(text)
@@ -84,10 +81,6 @@ def perm_compose(f, g):
 
 def perm_invert(f):
     return perm({b: a for a, b in f.mapping})
-
-
-def perm_support(f):
-    return f.support()
 
 
 def perm_conjugate(f, g):
@@ -179,7 +172,7 @@ def conjugation_witness(perms, target):
     return {"f": f, "conjugates": conjugates}
 
 
-def solecki_one_witness(perms, target):
+def conjugation_pair(perms, target):
     """The witness pair (x, y) = (f, f^-1) translating the finite set into
     the subgroup supported on the target."""
     res = conjugation_witness(perms, target)

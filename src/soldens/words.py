@@ -184,7 +184,7 @@ def fgroup_nonsubadditivity_certificate(n, check_len=8):
     }
 
 
-def solecki_one_witness(a_oracle, f_words, max_len=6):
+def translate_pair_search(a_oracle, f_words, max_len=6):
     """Least (length-lex) pair (x, y) with x f y in A for every f in F, or a
     bounded-failure report."""
     candidates = all_reduced_words(max_len)

@@ -14,16 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .densities import EXACT, bounded
+
 
 class ZSetError(ValueError):
     pass
-
-
-EXACT = "EXACT"
-
-
-def bounded(horizon):
-    return f"BOUNDED({horizon})"
 
 
 @dataclass(frozen=True)
@@ -47,11 +42,6 @@ class ZSet:
 
     def is_finite(self):
         return not self.residues
-
-    def to_json(self):
-        return json.dumps(
-            {"m": self.m, "residues": sorted(self.residues), "add": sorted(self.add), "remove": sorted(self.remove)}
-        )
 
     @staticmethod
     def from_json(text):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import soldens.cli as cli
 import soldens.densities as dn
 import soldens.games as gm
 import soldens.groups as gr
@@ -131,5 +132,5 @@ def test_windowed_bound_scopes():
 
 def test_game_json_roundtrip():
     g = gm.game([[Fraction(1, 2), 0], [1, Fraction(-2, 3)]])
-    again = gm.MatrixGame.from_json(g.to_json())
+    again = gm.MatrixGame.from_json(cli.dumps(g))
     assert again == g

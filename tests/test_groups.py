@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import soldens.cli as cli
 import soldens.groups as gr
 
 
@@ -80,9 +81,9 @@ def test_subgroup_predicates():
 
 def test_json_roundtrip():
     g = gr.symmetric(3)
-    again = gr.Group.from_json(g.to_json())
+    again = gr.Group.from_json(cli.dumps(g))
     assert again.table == g.table
-    data = json.loads(g.to_json())
+    data = json.loads(cli.dumps(g))
     assert data["order"] == 6 and len(data["table"]) == 36
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import soldens.cli as cli
 import soldens.perms as pm
 
 
@@ -17,7 +18,7 @@ def test_perm_basics():
 def test_cycles_and_json_roundtrip():
     f = pm.perm({1: 2, 2: 3, 3: 1, 5: 6, 6: 5})
     assert f.cycles() == ((1, 2, 3), (5, 6))
-    assert pm.FinSuppPermutation.from_json(f.to_json()) == f
+    assert pm.FinSuppPermutation.from_json(cli.dumps(f)) == f
 
 
 def test_conjugate_moves_support():
@@ -61,8 +62,7 @@ def test_conjugation_witness_residue_class():
 
 
 def test_solecki_one_witness_pair():
-    rep = pm.solecki_one_witness([pm.transposition(1, 2), pm.transposition(3, 4)],
-                                 pm.tail(10))
+    rep = pm.conjugation_pair([pm.transposition(1, 2), pm.transposition(3, 4)], pm.tail(10))
     assert pm.perm_compose(rep["x"], rep["y"]) == pm.IDENTITY
     for c in rep["conjugates"]:
         assert all(x >= 10 for x in c.support())

@@ -78,10 +78,10 @@ def test_nonsubadditivity_certificate():
 
 def test_solecki_one_witness_search():
     in_a = lambda w: wd.partition_class(w) == "A"
-    rep = wd.solecki_one_witness(in_a, [wd.word("b")], max_len=2)
+    rep = wd.translate_pair_search(in_a, [wd.word("b")], max_len=2)
     x, y = rep["found"]
     assert in_a(wd.word_multiply(wd.word_multiply(x, wd.word("b")), y))
-    everything = wd.solecki_one_witness(lambda w: True, [wd.word("ab")], max_len=1)
+    everything = wd.translate_pair_search(lambda w: True, [wd.word("ab")], max_len=1)
     assert everything["found"] == (wd.EMPTY, wd.EMPTY)
-    impossible = wd.solecki_one_witness(lambda w: False, [wd.EMPTY], max_len=2)
+    impossible = wd.translate_pair_search(lambda w: False, [wd.EMPTY], max_len=2)
     assert impossible["found"] is None and impossible["horizon"] == 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import soldens.cli as cli
 import soldens.zline as zl
 
 
@@ -176,4 +177,4 @@ def test_sumset_density_monotone_random():
 
 def test_json_roundtrip():
     a = zl.zset(6, [0, 2], add=[3], remove=[6])
-    assert zl.z_equal(zl.ZSet.from_json(a.to_json()), a)
+    assert zl.z_equal(zl.ZSet.from_json(cli.dumps(a)), a)
