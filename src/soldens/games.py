@@ -69,10 +69,10 @@ def solve_game(g):
     col_strategy = ms.measure(None, {j: duals[j] * shifted_value for j in range(n) if duals[j] != 0})
     value = shifted_value - shift
     for j in range(n):
-        if sum(row_strategy.weight(i) * g.payoff[i][j] for i in range(m)) > value:
+        if sum(w * g.payoff[i][j] for i, w in row_strategy.entries) > value:
             raise GameError("row strategy fails its guarantee")
-    for i in range(m):
-        if sum(col_strategy.weight(j) * g.payoff[i][j] for j in range(n)) < value:
+    for row in g.payoff:
+        if sum(w * row[j] for j, w in col_strategy.entries) < value:
             raise GameError("column strategy fails its guarantee")
     return GameSolution(value, row_strategy, col_strategy)
 
@@ -290,8 +290,7 @@ def windowed_bound(kind, window_points, translate_sets, attestation, horizon=Non
         raise GameError("no translates supplied")
     payoff = [[Fraction(1) if p in c else Fraction(0) for c in cols] for p in window]
     sol = solve_game(game(payoff))
-    witness = ms.measure(None, {window[i]: sol.row_strategy.weight(i) for i in range(len(window))
-                                if sol.row_strategy.weight(i) != 0})
+    witness = ms.measure(None, {window[i]: w for i, w in sol.row_strategy.entries})
     scope = dn.EXACT if attestation == "structural" else dn.bounded(horizon)
     cert = dn.certificate_from_translates(kind, witness, cols, scope)
     if cert.bound != sol.value:

@@ -323,7 +323,10 @@ def build_group(spec, order_cap=DEFAULT_ORDER_CAP):
     spec = spec.strip().lower()
     if "*" in spec:
         left, right = spec.split("*", 1)
-        return direct_product(build_group(left, order_cap), build_group(right, order_cap))
+        g1, g2 = build_group(left, order_cap), build_group(right, order_cap)
+        if g1.order * g2.order > order_cap:
+            raise GroupError("product order exceeds cap")
+        return direct_product(g1, g2)
     if spec in ("s3", "s4", "s5"):
         return symmetric(int(spec[1]))
     if spec in ("d4", "d3", "d5"):

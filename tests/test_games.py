@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ import soldens.densities as dn
 import soldens.games as gm
 import soldens.groups as gr
 from soldens.simplex import solve_lp_max
+
+LP_PINNED = Path(__file__).parent / "data" / "lp_pinned.json"
 
 
 def test_simplex_basic_lp():
@@ -19,6 +23,27 @@ def test_simplex_basic_lp():
     )
     assert obj == 4
     assert sum(duals[i] * b for i, b in enumerate([2, 3, 4])) == obj  # strong duality
+
+
+def _pq(v):
+    return f"{v.numerator}/{v.denominator}"
+
+
+def test_simplex_pinned_corpus():
+    # tests/data/lp_pinned.json was solved by the Fraction tableau this kernel
+    # replaced: fractional and negative entries, degenerate ratio ties decided
+    # by the basis index, several optimal vertices, all-zero columns and the
+    # LPs solve_game builds. Never regenerate it to make a change pass.
+    corpus = json.loads(LP_PINNED.read_text())
+    assert len(corpus) >= 30
+    for lp in corpus:
+        obj, x, duals = solve_lp_max(
+            [Fraction(v) for v in lp["c"]],
+            [[Fraction(v) for v in row] for row in lp["a"]],
+            [Fraction(v) for v in lp["b"]],
+        )
+        got = {"objective": _pq(obj), "x": [_pq(v) for v in x], "duals": [_pq(v) for v in duals]}
+        assert got == {k: lp[k] for k in got}, lp["name"]
 
 
 def test_solve_game_matching_pennies_diagonal():

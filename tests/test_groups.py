@@ -96,6 +96,13 @@ def test_build_group_specs():
         gr.build_group("weird:9")
 
 
+def test_build_group_product_respects_order_cap():
+    # each factor fits the cap, the product does not
+    with pytest.raises(gr.GroupError):
+        gr.build_group("cyclic:8*cyclic:8", order_cap=32)
+    assert gr.build_group("cyclic:8*cyclic:8", order_cap=64).order == 64
+
+
 def test_conjugacy_and_inner_invariance():
     s3 = gr.symmetric(3)
     # transpositions form one conjugacy class of size 3
