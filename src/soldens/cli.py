@@ -263,7 +263,7 @@ def verify_all(max_order=8, seed=0, trials=5):
             fn()
             checks.append({"name": name, "ok": True})
         except Exception as e:  # report, never crash the battery
-            checks.append({"name": name, "ok": False, "detail": str(e)})
+            checks.append({"name": name, "ok": False, "detail": f"{type(e).__name__}: {e}"})
 
     groups = _catalog(max_order)
 

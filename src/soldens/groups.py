@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import permutations
+from math import factorial
 
 DEFAULT_ORDER_CAP = 64
 
@@ -101,9 +102,29 @@ def from_table(table, label="", order_cap=DEFAULT_ORDER_CAP):
     return Group(n, tuple(tuple(row) for row in table), tuple(inverse), label)
 
 
+def _check_order(kind, n, order_cap):
+    """Raise for a bad parameter of the group kind:n or an order above
+    order_cap; called before any table is built."""
+    if kind == "cyclic":
+        if n < 1:
+            raise GroupError("cyclic order must be positive")
+        order = n
+    elif kind == "dihedral":
+        if n < 1:
+            raise GroupError("dihedral parameter must be positive")
+        order = 2 * n
+    elif kind == "symmetric":
+        if not 1 <= n <= 5:
+            raise GroupError("symmetric group supported for 1 <= n <= 5")
+        order = factorial(n)
+    else:
+        raise GroupError(f"unknown group kind {kind!r}")
+    if order > order_cap:
+        raise GroupError(f"group order {order} exceeds cap {order_cap}")
+
+
 def cyclic(n):
-    if n < 1:
-        raise GroupError("cyclic order must be positive")
+    _check_order("cyclic", n, DEFAULT_ORDER_CAP)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return from_table(table, label=f"cyclic:{n}")
 
@@ -111,8 +132,7 @@ def cyclic(n):
 def dihedral(n):
     """Dihedral group of order 2n: rotations r^i (indices 0..n-1) then
     reflections s*r^i (indices n..2n-1)."""
-    if n < 1:
-        raise GroupError("dihedral parameter must be positive")
+    _check_order("dihedral", n, DEFAULT_ORDER_CAP)
 
     def mul(a, b):
         ra, fa = a % n, a // n
@@ -129,8 +149,7 @@ def dihedral(n):
 def symmetric(n):
     """Symmetric group on n letters, elements in lexicographic order of the
     permutation tuples (identity first)."""
-    if not 1 <= n <= 5:
-        raise GroupError("symmetric group supported for 1 <= n <= 5")
+    _check_order("symmetric", n, DEFAULT_ORDER_CAP)
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [
@@ -318,8 +337,14 @@ def build_group(spec, order_cap=DEFAULT_ORDER_CAP):
     """Build a group from a short spec string.
 
     Formats: "cyclic:N", "dihedral:N", "symmetric:N", "s3"-style aliases,
-    and products "A x B" written as "spec*spec".
+    and products "A x B" written as "spec*spec". The order of a single group
+    is checked against order_cap before its table is built; order_cap may
+    lower the default cap but not raise it.
     """
+    if order_cap > DEFAULT_ORDER_CAP:
+        raise GroupError(
+            f"order_cap {order_cap} exceeds the largest supported cap {DEFAULT_ORDER_CAP}"
+        )
     spec = spec.strip().lower()
     if "*" in spec:
         left, right = spec.split("*", 1)
@@ -328,21 +353,13 @@ def build_group(spec, order_cap=DEFAULT_ORDER_CAP):
             raise GroupError("product order exceeds cap")
         return direct_product(g1, g2)
     if spec in ("s3", "s4", "s5"):
-        return symmetric(int(spec[1]))
-    if spec in ("d4", "d3", "d5"):
-        return dihedral(int(spec[1]))
-    if ":" in spec:
+        kind, n = "symmetric", int(spec[1])
+    elif spec in ("d4", "d3", "d5"):
+        kind, n = "dihedral", int(spec[1])
+    elif ":" in spec:
         kind, arg = spec.split(":", 1)
         n = int(arg)
-        if kind == "cyclic":
-            g = cyclic(n)
-        elif kind == "dihedral":
-            g = dihedral(n)
-        elif kind == "symmetric":
-            g = symmetric(n)
-        else:
-            raise GroupError(f"unknown group kind {kind!r}")
-        if g.order > order_cap:
-            raise GroupError(f"group order {g.order} exceeds cap {order_cap}")
-        return g
-    raise GroupError(f"cannot parse group spec {spec!r}")
+    else:
+        raise GroupError(f"cannot parse group spec {spec!r}")
+    _check_order(kind, n, order_cap)
+    return {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind](n)

@@ -1,6 +1,14 @@
 """The free group on two generators as reduced words over {a, A, b, B}
 (capital = inverse), with the structural right-density certificates for the
 class-A / class-B partition and its non-subadditivity exhibit.
+
+Trust boundary: the public ``ReducedWord(...)`` constructor and ``word()``
+validate (letters, reducedness, the ``MAX_WORD_LEN`` cap); ``word_power``
+checks its letter and the cap. The internal builders (``all_reduced_words``,
+``word_multiply``, ``word_invert``, ``_prefix_decompose``) make words that are
+reduced by construction and skip validation. ``word_multiply`` cancels only at
+the junction, which for two reduced words is the whole free reduction, and
+checks the cap.
 """
 
 from __future__ import annotations
@@ -12,15 +20,20 @@ from itertools import product
 from . import densities as dn
 
 MAX_WORD_LEN = 64
+MAX_CHECK_LEN = 10  # fgroup certificate enumerates 2*3^check_len words
 
 _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
+_INVERT = str.maketrans(_INV)
+# letters that may follow the last letter of a reduced word, in ascending order
+_NEXT = {x: "".join(c for c in "ABab" if c != _INV.get(x)) for x in ("", *_INV)}
+_CAP_MESSAGE = f"word length exceeds cap {MAX_WORD_LEN}"
 
 
 class WordError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedWord:
     letters: str
 
@@ -32,7 +45,7 @@ class ReducedWord:
             if _INV[x] == y:
                 raise WordError(f"not reduced at {x}{y}")
         if len(self.letters) > MAX_WORD_LEN:
-            raise WordError(f"word length exceeds cap {MAX_WORD_LEN}")
+            raise WordError(_CAP_MESSAGE)
 
     def __len__(self):
         return len(self.letters)
@@ -41,33 +54,56 @@ class ReducedWord:
         return self.letters or "e"
 
 
+def _trusted(letters):
+    """A ReducedWord without validation, for letters that are reduced and
+    within MAX_WORD_LEN by construction."""
+    w = object.__new__(ReducedWord)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def word(text):
     """Free reduction of an arbitrary letter string."""
     out = []
     for c in text:
+        if c not in _INV:
+            raise WordError(f"bad letter {c!r}")
         if out and _INV[out[-1]] == c:
             out.pop()
         else:
             out.append(c)
-    return ReducedWord("".join(out))
+    if len(out) > MAX_WORD_LEN:
+        raise WordError(_CAP_MESSAGE)
+    return _trusted("".join(out))
 
 
 EMPTY = word("")
 
 
 def word_multiply(u, v):
-    return word(u.letters + v.letters)
+    """u v, cancelling the junction: for reduced u and v, the longest suffix of
+    u that is the inverse of a prefix of v is all that free reduction removes."""
+    a, b = u.letters, v.letters
+    k, top = 0, min(len(a), len(b))
+    while k < top and _INV[a[-1 - k]] == b[k]:
+        k += 1
+    letters = a[:len(a) - k] + b[k:]
+    if len(letters) > MAX_WORD_LEN:
+        raise WordError(_CAP_MESSAGE)
+    return _trusted(letters)
 
 
 def word_invert(u):
-    return ReducedWord("".join(_INV[c] for c in reversed(u.letters)))
+    return _trusted(u.letters[::-1].translate(_INVERT))
 
 
 def word_power(letter, k):
     """letter^k for k in Z."""
-    if k >= 0:
-        return ReducedWord(letter * k)
-    return ReducedWord(_INV[letter] * (-k))
+    if letter not in _INV:
+        raise WordError(f"bad letter {letter!r}")
+    if abs(k) > MAX_WORD_LEN:
+        raise WordError(_CAP_MESSAGE)
+    return _trusted(letter * k if k >= 0 else _INV[letter] * -k)
 
 
 def partition_class(w):
@@ -78,16 +114,22 @@ def partition_class(w):
 
 
 def all_reduced_words(max_len):
-    """All reduced words of length <= max_len, in length-lex order."""
+    """All reduced words of length <= max_len, in length-lex order.
+
+    Each frontier is lex-sorted because its parents are and each parent's
+    extensions come out in ascending letter order.
+    """
+    # Keeps _trusted's invariant (no unvalidated word longer than the cap);
+    # it is not a runtime bound, since 3^max_len grows long before the cap.
+    if max_len > MAX_WORD_LEN:
+        raise WordError(_CAP_MESSAGE)
     out = [EMPTY]
     frontier = [EMPTY]
     for _ in range(max_len):
         nxt = []
         for w in frontier:
-            for c in "ABab":
-                if not w.letters or _INV[w.letters[-1]] != c:
-                    nxt.append(ReducedWord(w.letters + c))
-        nxt.sort(key=lambda w: w.letters)
+            s = w.letters
+            nxt.extend([_trusted(s + c) for c in _NEXT[s[-1:]]])
         out.extend(nxt)
         frontier = nxt
     return out
@@ -96,18 +138,13 @@ def all_reduced_words(max_len):
 def _prefix_decompose(y, letter):
     """y = letter^j * w with j maximal in absolute value and w not starting
     with letter or its inverse."""
-    j = 0
-    rest = y.letters
-    inv = _INV[letter]
-    if rest.startswith(letter):
-        while rest.startswith(letter):
-            j += 1
-            rest = rest[1:]
-    elif rest.startswith(inv):
-        while rest.startswith(inv):
-            j -= 1
-            rest = rest[1:]
-    return j, ReducedWord(rest)
+    n = len(y.letters)
+    rest = y.letters.lstrip(letter)
+    j = n - len(rest)
+    if not j:
+        rest = y.letters.lstrip(_INV[letter])
+        j = len(rest) - n
+    return j, _trusted(rest)
 
 
 def fgroup_row_count(y, n, cross_check=True):
@@ -160,6 +197,8 @@ def fgroup_nonsubadditivity_certificate(n, check_len=8):
     """
     if n < 1 or check_len < 1:
         raise WordError("n and check_len must be >= 1")
+    if check_len > MAX_CHECK_LEN:
+        raise WordError(f"check_len {check_len} exceeds cap {MAX_CHECK_LEN}")
     worst = 0
     for y in all_reduced_words(check_len):
         worst = max(worst, fgroup_row_count(y, n), fgroup_col_count(y, n))

@@ -32,6 +32,9 @@ def test_size_guard_exits_3(capsys):
     assert json.loads(out)["kind"] == "size-guard"
     code, _ = run_capture(capsys, ["group", "--spec", "cyclic:100"])
     assert code == 3
+    for check in (["--n", "3", "--check-len", "11"], ["--n", "65", "--check-len", "1"]):
+        code, out = run_capture(capsys, ["words", "fgroup-cert", *check])
+        assert code == 3 and json.loads(out)["kind"] == "size-guard"
 
 
 def test_primes_csv(capsys):
@@ -73,6 +76,17 @@ def test_verify_all_small(capsys):
     code, out = run_capture(capsys, ["verify-all", "--max-order", "4", "--seed", "1"])
     assert code == 0
     assert json.loads(out)["pass"]
+
+
+def test_verify_all_reports_exception_type(monkeypatch):
+    def broken(hom, mu):
+        raise AssertionError  # what a bare assert in the battery raises
+
+    monkeypatch.setattr(cli.ms, "pushforward", broken)
+    checks = {c["name"]: c for c in cli.verify_all(max_order=4, seed=1, trials=1)}
+    failed = [name for name, c in checks.items() if not c["ok"]]
+    assert failed == ["pushforward-invariance"]
+    assert checks["pushforward-invariance"]["detail"] == "AssertionError: "
 
 
 def test_suite_reruns_are_byte_identical(tmp_path, capsys):

@@ -103,6 +103,28 @@ def test_build_group_product_respects_order_cap():
     assert gr.build_group("cyclic:8*cyclic:8", order_cap=64).order == 64
 
 
+def test_build_group_checks_order_before_building_tables(monkeypatch):
+    built = []
+
+    def spy(table, label="", order_cap=gr.DEFAULT_ORDER_CAP):
+        built.append(label)
+        return real(table, label, order_cap)
+
+    real = gr.from_table
+    monkeypatch.setattr(gr, "from_table", spy)
+    over_cap = [("dihedral:800", 64, "group order 1600 exceeds cap 64"),
+                ("cyclic:65", 64, "group order 65 exceeds cap 64"),
+                ("symmetric:5", 64, "group order 120 exceeds cap 64"),
+                ("s4", 20, "group order 24 exceeds cap 20")]
+    for spec, cap, message in over_cap:
+        with pytest.raises(gr.GroupError, match=message):
+            gr.build_group(spec, order_cap=cap)
+    assert built == []
+    # a cap above the default is refused, not silently lowered to it
+    with pytest.raises(gr.GroupError, match="order_cap 200 exceeds"):
+        gr.build_group("cyclic:8", order_cap=200)
+
+
 def test_conjugacy_and_inner_invariance():
     s3 = gr.symmetric(3)
     # transpositions form one conjugacy class of size 3

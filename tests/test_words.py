@@ -21,6 +21,14 @@ def test_reduced_word_validation():
         wd.ReducedWord("xy")
     with pytest.raises(wd.WordError):
         wd.word("a" * 100)
+    with pytest.raises(wd.WordError, match="bad letter 'x'"):
+        wd.word("xa")
+    with pytest.raises(wd.WordError, match="bad letter 'x'"):
+        wd.word_power("x", -2)
+    with pytest.raises(wd.WordError, match="cap 64"):
+        wd.word_power("b", 65)
+    with pytest.raises(wd.WordError, match="cap 64"):
+        wd.word_multiply(wd.word("a" * 40), wd.word("a" * 40))
 
 
 def test_invert_is_antihomomorphism():
@@ -74,6 +82,14 @@ def test_nonsubadditivity_certificate():
     assert rep["max_row_count_checked"] <= 1
     vacuous = wd.fgroup_nonsubadditivity_certificate(1, check_len=3)
     assert vacuous["cert_class_a"].bound == 1
+
+
+def test_nonsubadditivity_certificate_check_len_guard():
+    # refused before any word is enumerated
+    with pytest.raises(wd.WordError, match="cap"):
+        wd.fgroup_nonsubadditivity_certificate(3, check_len=wd.MAX_CHECK_LEN + 1)
+    rep = wd.fgroup_nonsubadditivity_certificate(1, check_len=wd.MAX_CHECK_LEN)
+    assert rep["max_row_count_checked"] <= 1
 
 
 def test_solecki_one_witness_search():
