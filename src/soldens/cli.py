@@ -373,6 +373,17 @@ def cmd_suite(args):
     return worst
 
 
+def _positive_int(text):
+    """argparse type for counts that must be >= 1; anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="soldens", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -421,8 +432,8 @@ def build_parser():
 
     w = sub.add_parser("words", help="free-group certificates")
     w.add_argument("action", choices=["fgroup-cert"])
-    w.add_argument("--n", type=int, default=4)
-    w.add_argument("--check-len", type=int, default=8, dest="check_len")
+    w.add_argument("--n", type=_positive_int, default=4)
+    w.add_argument("--check-len", type=_positive_int, default=8, dest="check_len")
     w.set_defaults(fn=cmd_words)
 
     pe = sub.add_parser("perms", help="finitely supported permutations")

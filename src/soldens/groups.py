@@ -114,8 +114,10 @@ def _check_order(kind, n, order_cap):
             raise GroupError("dihedral parameter must be positive")
         order = 2 * n
     elif kind == "symmetric":
-        if not 1 <= n <= 5:
+        if n < 1:
             raise GroupError("symmetric group supported for 1 <= n <= 5")
+        if n > 5:  # n! > 120 exceeds every cap; n! itself is never computed
+            raise GroupError(f"group order {n}! exceeds cap {order_cap}")
         order = factorial(n)
     else:
         raise GroupError(f"unknown group kind {kind!r}")

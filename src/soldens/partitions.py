@@ -20,15 +20,30 @@ class SizeGuardError(PartitionError):
 
 
 def cov(group, a):
-    """(minimal |F| with F*A = G, lexicographically least optimal F)."""
+    """(minimal |F| with F*A = G, lexicographically least optimal F).
+
+    Branch and bound on int bitmasks: translate x is the mask of xA read off
+    group.table. Each node branches on the least uncovered point, trying the
+    translates that cover it by ascending index, and prunes once |F| reaches
+    the best size found. Every optimal F is reached this way and the least
+    sorted one is kept, so F is the first cover of minimal size in
+    itertools.combinations order. The partition scans memoize this per
+    distinct cell for the duration of one scan call only (_cell_cov).
+    """
     if not a.members:
         raise PartitionError("cov of an empty set")
     n = group.order
-    masks = [frozenset(gr.left_translate(group, x, a).members) for x in range(n)]
-    full = frozenset(range(n))
+    translates = []
+    for row in group.table:
+        mask = 0
+        for g in a.members:
+            mask |= 1 << row[g]
+        translates.append(mask)
+    covering = [[x for x in range(n) if translates[x] >> p & 1] for p in range(n)]
+    full = (1 << n) - 1
     best = None
 
-    def search(chosen, covered, start):
+    def search(chosen, covered):
         nonlocal best
         if covered == full:
             cand = sorted(chosen)
@@ -38,13 +53,22 @@ def cov(group, a):
         if best is not None and len(chosen) + 1 > len(best):
             return
         # branch on the least uncovered point: some translate must grab it
-        missing = min(full - covered)
-        for x in range(n):
-            if missing in masks[x] and x not in chosen:
-                search(chosen + [x], covered | masks[x], 0)
+        free = full ^ covered
+        for x in covering[(free & -free).bit_length() - 1]:
+            search(chosen + [x], covered | translates[x])
 
-    search([], frozenset(), 0)
-    return len(best), tuple(sorted(best))
+    search([], 0)
+    return len(best), tuple(best)
+
+
+def _cell_cov(group, cell, memo):
+    """cov(A A^-1) of the cell A, computed once per distinct cell: memo maps
+    each cell already seen by the calling scan to its result."""
+    key = tuple(cell)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = cov(group, gr.difference_set(group, gr.subset(group, cell)))
+    return result
 
 
 def _trivial_ideal(members):
@@ -158,12 +182,10 @@ def _verify_partition_bound(group, n, bound):
     worst = None
     worst_val = -1
     checked = 0
+    memo = {}
     for cells in _partitions_into(group.order, n):
         checked += 1
-        best_cov = min(
-            cov(group, gr.difference_set(group, gr.subset(group, cell)))[0]
-            for cell in cells
-        )
+        best_cov = min(_cell_cov(group, cell, memo)[0] for cell in cells)
         if best_cov > worst_val:
             worst_val = best_cov
             worst = tuple(tuple(c) for c in cells)
@@ -189,8 +211,9 @@ def protasov_search(group, n):
     so it is returned with full certificates instead of raising."""
     if n > 4 or group.order > 8:
         raise SizeGuardError("partition scan guarded to n <= 4, |G| <= 8")
+    memo = {}
     for cells in _partitions_into(group.order, n):
-        covs = [cov(group, gr.difference_set(group, gr.subset(group, cell))) for cell in cells]
+        covs = [_cell_cov(group, cell, memo) for cell in cells]
         if all(c > n for c, _ in covs):
             return {"counterexample": [list(c) for c in cells], "covs": covs}
     return None

@@ -30,11 +30,18 @@ def test_size_guard_exits_3(capsys):
     code, out = run_capture(capsys, ["partitions", "verify", "--group", "cyclic:6", "--cells", "5"])
     assert code == 3
     assert json.loads(out)["kind"] == "size-guard"
-    code, _ = run_capture(capsys, ["group", "--spec", "cyclic:100"])
-    assert code == 3
+    for spec in ("cyclic:100", "symmetric:6"):
+        code, out = run_capture(capsys, ["group", "--spec", spec])
+        assert code == 3 and json.loads(out)["kind"] == "size-guard", spec
     for check in (["--n", "3", "--check-len", "11"], ["--n", "65", "--check-len", "1"]):
         code, out = run_capture(capsys, ["words", "fgroup-cert", *check])
         assert code == 3 and json.loads(out)["kind"] == "size-guard"
+
+
+def test_fgroup_cert_nonpositive_counts_exit_2(capsys):
+    for check in (["--n", "0"], ["--check-len", "0"], ["--n", "-2"], ["--check-len", "x"]):
+        code, out = run_capture(capsys, ["words", "fgroup-cert", *check])
+        assert code == 2 and out == "", check
 
 
 def test_primes_csv(capsys):

@@ -94,6 +94,8 @@ def test_build_group_specs():
     assert gr.build_group("cyclic:2*cyclic:4").order == 8
     with pytest.raises(gr.GroupError):
         gr.build_group("weird:9")
+    with pytest.raises(gr.GroupError, match="symmetric group supported for 1 <= n <= 5"):
+        gr.build_group("symmetric:0")
 
 
 def test_build_group_product_respects_order_cap():
@@ -115,6 +117,8 @@ def test_build_group_checks_order_before_building_tables(monkeypatch):
     over_cap = [("dihedral:800", 64, "group order 1600 exceeds cap 64"),
                 ("cyclic:65", 64, "group order 65 exceeds cap 64"),
                 ("symmetric:5", 64, "group order 120 exceeds cap 64"),
+                ("symmetric:6", 64, "group order 6! exceeds cap 64"),
+                ("symmetric:10000000000", 64, "group order 10000000000! exceeds cap 64"),
                 ("s4", 20, "group order 24 exceeds cap 20")]
     for spec, cap, message in over_cap:
         with pytest.raises(gr.GroupError, match=message):

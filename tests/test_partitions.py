@@ -1,7 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 
+import soldens.cli as cli
 import soldens.groups as gr
 import soldens.partitions as pt
+
+PARTITIONS_PINNED = Path(__file__).parent / "data" / "partitions_pinned.json"
 
 
 def test_cov_examples():
@@ -94,3 +100,28 @@ def test_subadditivity_partition_consequence():
     for cells in pt._partitions_into(g.order, 3):
         best = max(Fraction(len(c), g.order) for c in cells)
         assert best >= Fraction(1, len(cells))
+
+
+def test_partitions_pinned_corpus():
+    # tests/data/partitions_pinned.json was computed by the frozenset cov
+    # kernel and the unmemoized scans this code replaced: the printed
+    # verify_thm137/verify_thm139/protasov_search results on the order-8
+    # catalog for n = 2, 3, and cov/pack of every nonempty subset of C8, D4
+    # and S3 and of its difference set. Never regenerate it to make a change
+    # pass.
+    corpus = json.loads(PARTITIONS_PINNED.read_text())
+    scans = {"verify_thm137": pt.verify_thm137, "verify_thm139": pt.verify_thm139,
+             "protasov_search": pt.protasov_search}
+    assert len(corpus["scans"]) == 72
+    for entry in corpus["scans"]:
+        g = gr.build_group(entry["group"])
+        assert cli.dumps(scans[entry["fn"]](g, entry["n"])) == entry["out"], entry
+    assert len(corpus["subsets"]) == 255 + 255 + 63
+    for entry in corpus["subsets"]:
+        g = gr.build_group(entry["group"])
+        a = gr.subset(g, entry["set"])
+        d = gr.difference_set(g, a)
+        got = {"cov": pt.cov(g, a), "pack": pt.pack(g, a),
+               "cov_diff": pt.cov(g, d), "pack_diff": pt.pack(g, d)}
+        assert {k: [v[0], list(v[1])] for k, v in got.items()} == \
+            {k: entry[k] for k in got}, entry

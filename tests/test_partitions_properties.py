@@ -1,0 +1,44 @@
+"""Properties of the covering number on random groups and subsets.
+
+cov's branch and bound is checked against a brute-force oracle that tries
+every set of translates in itertools.combinations order.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import soldens.groups as gr
+import soldens.partitions as pt
+
+_SPECS = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "s3",
+          "cyclic:7", "cyclic:8", "d4", "cyclic:2*cyclic:2", "cyclic:2*cyclic:4",
+          "cyclic:2*cyclic:2*cyclic:2")
+_GROUPS = {spec: gr.build_group(spec) for spec in _SPECS}
+
+
+@st.composite
+def _group_and_set(draw):
+    """A nonempty A, or the difference set AA^-1 that the partition scans cover."""
+    g = _GROUPS[draw(st.sampled_from(_SPECS))]
+    a = gr.subset(g, draw(st.sets(st.integers(0, g.order - 1), min_size=1)))
+    return g, gr.difference_set(g, a) if draw(st.booleans()) else a
+
+
+def _covers(g, f, a):
+    return {g.table[x][y] for x in f for y in a.members} == set(g.elements())
+
+
+def _first_cover(g, a, size):
+    return next((f for f in combinations(g.elements(), size) if _covers(g, f, a)), None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_group_and_set())
+def test_cov_is_the_first_minimal_cover(case):
+    g, a = case
+    size, f = pt.cov(g, a)
+    assert size == len(f) and _covers(g, f, a)
+    assert _first_cover(g, a, size - 1) is None
+    assert f == _first_cover(g, a, size)
