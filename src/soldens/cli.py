@@ -1,7 +1,12 @@
 """Command-line driver.
 
-Exit codes: 0 ok, 1 invariant/verification failure (the counterexample is
-serialized on stdout), 2 unknown subcommand or bad arguments, 3 size guard.
+Exit codes: 0 ok; otherwise the kind of the SoldensError raised, through
+errors.EXIT_CODES: 1 invariant-failure (a certificate or re-verification
+failed; the counterexample is serialized on stdout), 2 bad-input (malformed,
+unknown, out-of-range or empty values), 3 size-guard (a well-formed value
+above an enforced cap). Errors print {"error": ..., "kind": ...} on stdout,
+except that argparse rejects unparsable arguments with exit 2 and an empty
+stdout. A bare ValueError or AssertionError counts as an invariant failure.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from . import partitions as pt
 from . import perms as pm
 from . import words as wd
 from . import zline as zl
+from .errors import BAD_INPUT, EXIT_CODES, INVARIANT_FAILURE, SoldensError
 
 
 # Printed forms of the types whose output is not their dataclass fields.
@@ -69,15 +75,42 @@ def emit(payload):
 
 
 def _parse_set(text):
-    if not text:
-        return []
-    return [int(t) for t in text.replace(",", " ").split()]
+    """argparse type for comma- or space-separated integers."""
+    try:
+        return [int(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
 
 
-def _zset_from_args(prefix, args):
-    get = lambda name: getattr(args, f"{prefix}{name}" if prefix else name)
-    return zl.zset(get("m"), _parse_set(get("residues")),
-                   add=_parse_set(get("add") or ""), remove=_parse_set(get("remove") or ""))
+def _fraction(text):
+    """argparse type for an exact rational p/q."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from None
+
+
+def _target(text):
+    """argparse type for a conjugation target: tail:N or mod:R/M."""
+    kind, _, arg = text.partition(":")
+    try:
+        if kind == "tail":
+            return pm.tail(int(arg))
+        if kind == "mod":
+            r, m = arg.split("/")
+            return pm.residue_class(int(r), int(m))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not tail:N or mod:R/M")
+
+
+def _read(path):
+    """The text of a file named on the command line; an unreadable one is bad input."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SoldensError(f"cannot read {path}: {e}", kind=BAD_INPUT) from None
 
 
 def cmd_group(args):
@@ -93,9 +126,12 @@ def cmd_group(args):
 def cmd_measure(args):
     g = gr.build_group(args.group)
     if args.kind == "uniform":
-        mu = ms.uniform_on(gr.subset(g, _parse_set(args.set)))
+        mu = ms.uniform_on(gr.subset(g, args.set))
     elif args.kind == "dirac":
-        mu = ms.dirac(_parse_set(args.set)[0], g)
+        if len(args.set) != 1:
+            raise ms.MeasureError("dirac takes exactly one index", kind=BAD_INPUT)
+        (x,) = gr.subset(g, args.set)
+        mu = ms.dirac(x, g)
     else:
         mu = ms.haar_uniform(g)
     emit(mu)
@@ -104,7 +140,7 @@ def cmd_measure(args):
 
 def cmd_density(args):
     g = gr.build_group(args.group)
-    a = gr.subset(g, _parse_set(args.set))
+    a = gr.subset(g, args.set)
     kind = dn.DensityKind(args.kind)
     if args.mode == "exact":
         emit({"value": dn.density_closed_form(g, a, kind)})
@@ -112,25 +148,22 @@ def cmd_density(args):
         value, witness = dn.density_bruteforce(g, a, kind)
         closed = dn.density_closed_form(g, a, kind)
         if value != closed:
-            emit({"error": "brute force disagrees with the closed form",
+            emit({"error": "brute force disagrees with the closed form", "kind": INVARIANT_FAILURE,
                   "brute": value, "closed": closed, "witness": witness})
-            return 1
+            return EXIT_CODES[INVARIANT_FAILURE]
         emit({"value": value, "witness": witness})
     return 0
 
 
 def cmd_game(args):
     if args.what == "solve":
-        if args.file == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.file) as fh:
-                text = fh.read()
-        sol = gm.solve_game(gm.MatrixGame.from_json(text))
-        emit(sol)
+        text = sys.stdin.read() if args.file == "-" else _read(args.file)
+        emit(gm.solve_game(gm.MatrixGame.from_json(text)))
         return 0
+    if args.group is None:
+        raise gm.GameError(f"game {args.what} needs --group", kind=BAD_INPUT)
     g = gr.build_group(args.group)
-    a = gr.subset(g, _parse_set(args.set))
+    a = gr.subset(g, args.set)
     if args.what == "sigma-r":
         value, minimax, maximin = gm.sigma_R_via_game(g, a)
         emit({"value": value, "minimax": minimax, "maximin": maximin})
@@ -138,14 +171,12 @@ def cmd_game(args):
     if args.what == "sigma":
         emit({"value": gm.sigma_via_game(g, a)})
         return 0
-    if args.what == "extremal":
-        shape, result = gm.eval_extremal(gm.ExtremalPattern.parse(args.pattern), g, a)
-        if shape == "exact":
-            emit({"pattern": args.pattern, "exact": result})
-        else:
-            emit({"pattern": args.pattern, "interval": list(result)})
-        return 0
-    raise ValueError(f"unknown game action {args.what}")
+    shape, result = gm.eval_extremal(gm.ExtremalPattern.parse(args.pattern), g, a)
+    if shape == "exact":
+        emit({"pattern": args.pattern, "exact": result})
+    else:
+        emit({"pattern": args.pattern, "interval": list(result)})
+    return 0
 
 
 def cmd_zline(args):
@@ -162,25 +193,20 @@ def cmd_zline(args):
         else:
             emit({"rows": rows})
         return 0
+    a = zl.zset(args.m, args.residues, add=args.add, remove=args.remove)
     if args.what == "ip":
-        a = _zset_from_args("", args)
         emit(zl.ip_witness_search(a, args.k, args.bound))
-        return 0
-    a = _zset_from_args("", args)
-    if args.what == "dstar":
+    elif args.what == "dstar":
         emit({"dstar": zl.dstar(a)})
     elif args.what == "delta":
-        eps = Fraction(args.eps) if args.eps is not None else zl.dstar(a)
+        eps = args.eps if args.eps is not None else zl.dstar(a)
         emit({"eps": eps, "delta": zl.delta_eps(a, eps)})
     elif args.what == "classify":
         emit(zl.classify(a))
     elif args.what == "ergodic":
         emit(zl.ergodic_sup_check(a))
-    elif args.what == "jin":
-        b = zl.zset(args.bm, _parse_set(args.bresidues))
-        emit(zl.jin_witness(a, b))
     else:
-        raise ValueError(f"unknown zline action {args.what}")
+        emit(zl.jin_witness(a, zl.zset(args.bm, args.bresidues)))
     return 0
 
 
@@ -192,14 +218,7 @@ def cmd_words(args):
 
 def cmd_perms(args):
     perms = [pm.FinSuppPermutation.from_json(t) for t in args.perm]
-    if args.target.startswith("tail:"):
-        target = pm.tail(int(args.target.split(":")[1]))
-    elif args.target.startswith("mod:"):
-        r, m = args.target.split(":")[1].split("/")
-        target = pm.residue_class(int(r), int(m))
-    else:
-        raise ValueError(f"unknown target {args.target!r}")
-    emit(pm.conjugation_witness(perms, target))
+    emit(pm.conjugation_witness(perms, args.target))
     return 0
 
 
@@ -215,13 +234,11 @@ def cmd_partitions(args):
         emit({"counterexample": hit})
         return 1 if hit else 0
     elif args.what == "cov":
-        value, f = pt.cov(g, gr.subset(g, _parse_set(args.set)))
+        value, f = pt.cov(g, gr.subset(g, args.set))
         emit({"cov": value, "f": f})
-    elif args.what == "pack":
-        value, e = pt.pack(g, gr.subset(g, _parse_set(args.set)))
-        emit({"pack": value, "e": e})
     else:
-        raise ValueError(f"unknown partitions action {args.what}")
+        value, e = pt.pack(g, gr.subset(g, args.set))
+        emit({"pack": value, "e": e})
     return 0
 
 
@@ -352,12 +369,19 @@ def cmd_verify_all(args):
 
 
 def cmd_suite(args):
-    with open(args.config) as fh:
-        config = json.load(fh)
+    text = _read(args.config)
+    try:
+        config = json.loads(text)
+        commands = [(entry.get("id", i), entry["argv"])
+                    for i, entry in enumerate(config.get("commands", []))]
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise SoldensError(f"malformed suite config: {e!r}", kind=BAD_INPUT) from None
+    if not all(isinstance(argv, list) and all(isinstance(a, str) for a in argv)
+               for _, argv in commands):
+        raise SoldensError("suite argv must be lists of strings", kind=BAD_INPUT)
     results = []
     worst = 0
-    for i, entry in enumerate(config.get("commands", [])):
-        argv = entry["argv"]
+    for ident, argv in commands:
         buf = io.StringIO()
         old = sys.stdout
         sys.stdout = buf
@@ -365,7 +389,7 @@ def cmd_suite(args):
             code = run(argv)
         finally:
             sys.stdout = old
-        results.append({"id": entry.get("id", i), "argv": argv, "code": code,
+        results.append({"id": ident, "argv": argv, "code": code,
                         "output": buf.getvalue().strip()})
         worst = max(worst, code)
     emit({"suite": config.get("name", args.config), "seed": config.get("seed"),
@@ -396,13 +420,13 @@ def build_parser():
     m = sub.add_parser("measure", help="construct a measure")
     m.add_argument("kind", choices=["uniform", "dirac", "haar"])
     m.add_argument("--group", required=True)
-    m.add_argument("--set", default="")
+    m.add_argument("--set", type=_parse_set, default="")
     m.set_defaults(fn=cmd_measure)
 
     d = sub.add_parser("density", help="density of a subset")
     d.add_argument("mode", choices=["exact", "brute"])
     d.add_argument("--group", required=True)
-    d.add_argument("--set", required=True)
+    d.add_argument("--set", type=_parse_set, required=True)
     d.add_argument("--kind", default="sigma", choices=[k.value for k in dn.ALL_KINDS])
     d.set_defaults(fn=cmd_density)
 
@@ -410,19 +434,19 @@ def build_parser():
     ga.add_argument("what", choices=["solve", "sigma-r", "sigma", "extremal"])
     ga.add_argument("--file", default="-")
     ga.add_argument("--group")
-    ga.add_argument("--set", default="")
+    ga.add_argument("--set", type=_parse_set, default="")
     ga.add_argument("--pattern", default="is12")
     ga.set_defaults(fn=cmd_game)
 
     z = sub.add_parser("zline", help="eventually periodic integer sets")
     z.add_argument("what", choices=["dstar", "delta", "classify", "ergodic", "jin", "primes", "ip"])
     z.add_argument("--m", type=int, default=1)
-    z.add_argument("--residues", default="")
-    z.add_argument("--add", default="")
-    z.add_argument("--remove", default="")
-    z.add_argument("--eps")
+    z.add_argument("--residues", type=_parse_set, default="")
+    z.add_argument("--add", type=_parse_set, default="")
+    z.add_argument("--remove", type=_parse_set, default="")
+    z.add_argument("--eps", type=_fraction)
     z.add_argument("--bm", type=int, default=1)
-    z.add_argument("--bresidues", default="")
+    z.add_argument("--bresidues", type=_parse_set, default="")
     z.add_argument("--kmax", type=int, default=6)
     z.add_argument("--horizon", type=int, default=10 ** 6)
     z.add_argument("--csv", action="store_true")
@@ -440,15 +464,15 @@ def build_parser():
     pe.add_argument("action", choices=["conjugate-witness"])
     pe.add_argument("--perm", action="append", required=True,
                     help='cycle JSON, e.g. {"cycles": [[1, 2]]}; repeatable')
-    pe.add_argument("--target", required=True, help="tail:N or mod:R/M")
+    pe.add_argument("--target", type=_target, required=True, help="tail:N or mod:R/M")
     pe.set_defaults(fn=cmd_perms)
 
     pa = sub.add_parser("partitions", help="covering and partition theorems")
     pa.add_argument("what", choices=["verify", "odd", "protasov", "cov", "pack"])
     pa.add_argument("--group", required=True)
-    pa.add_argument("--cells", type=int, default=2)
+    pa.add_argument("--cells", type=_positive_int, default=2)
     pa.add_argument("--theorem", default="13.7", choices=["13.7", "13.9"])
-    pa.add_argument("--set", default="")
+    pa.add_argument("--set", type=_parse_set, default="")
     pa.set_defaults(fn=cmd_partitions)
 
     s = sub.add_parser("suite", help="run a JSON experiment suite")
@@ -463,9 +487,6 @@ def build_parser():
     return p
 
 
-_GUARD_MARKERS = ("cap", "guard", "k_max must", "horizon too small", "must be in 1..")
-
-
 def run(argv):
     parser = build_parser()
     try:
@@ -474,15 +495,12 @@ def run(argv):
         return 2 if e.code else 0
     try:
         return args.fn(args)
-    except pt.SizeGuardError as e:
-        emit({"error": str(e), "kind": "size-guard"})
-        return 3
-    except (ValueError, AssertionError) as e:
-        if any(marker in str(e) for marker in _GUARD_MARKERS):
-            emit({"error": str(e), "kind": "size-guard"})
-            return 3
-        emit({"error": str(e), "kind": "invariant-failure"})
-        return 1
+    except SoldensError as e:
+        error, kind = e, e.kind
+    except (ValueError, AssertionError) as e:  # a bare assert is an invariant check
+        error, kind = e, INVARIANT_FAILURE
+    emit({"error": str(error), "kind": kind})
+    return EXIT_CODES[kind]
 
 
 def main():

@@ -14,9 +14,10 @@ from itertools import combinations
 
 from . import groups as gr
 from . import measures as ms
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 
-class DensityError(ValueError):
+class DensityError(SoldensError):
     pass
 
 
@@ -110,7 +111,7 @@ def density_bruteforce(group, a, kind=DensityKind.SIGMA, max_witness_size=None):
     if max_witness_size is None:
         max_witness_size = n
     if not 1 <= max_witness_size <= n:
-        raise DensityError("max_witness_size out of range")
+        raise DensityError("max_witness_size out of range", kind=BAD_INPUT)
     if not a.members:
         return Fraction(0), (0,)
     target = density_closed_form(group, a, kind)
@@ -135,7 +136,7 @@ def certificate_from_witness(group, a, witness, kind=DensityKind.SIGMA):
     else:
         points = list(witness)
         if not points:
-            raise DensityError("empty witness")
+            raise DensityError("empty witness", kind=BAD_INPUT)
         mu = ms.uniform_on(points, carrier=group)
     sup, _ = ms.sup_translates(mu, a, kind.pattern)
     return BoundCertificate(kind, "upper", sup, mu, EXACT, sup)
@@ -146,7 +147,7 @@ def certificate_from_translates(kind, witness_mu, translate_sets, scope):
     translate enumeration (sets of points) and attests to its completeness
     via the scope tag."""
     if not witness_mu.entries:
-        raise DensityError("empty witness")
+        raise DensityError("empty witness", kind=BAD_INPUT)
     sup = Fraction(0)
     for s in translate_sets:
         v = witness_mu.measure_of(s)
@@ -159,12 +160,12 @@ def combine_certificates(group, a, b, cert_a, cert_b):
     """Union certificate via the convolution of the two witnesses; the stored
     bound is the re-verified supremum, which may beat the sum."""
     if cert_a.kind != cert_b.kind or cert_a.kind != DensityKind.SIGMA:
-        raise DensityError("combination requires two sigma certificates")
+        raise DensityError("combination requires two sigma certificates", kind=BAD_INPUT)
     wa, wb = cert_a.witness, cert_b.witness
     if not (isinstance(wa, ms.FinSuppMeasure) and isinstance(wb, ms.FinSuppMeasure)):
-        raise DensityError("combination requires measure witnesses")
+        raise DensityError("combination requires measure witnesses", kind=BAD_INPUT)
     if wa.carrier is not group or wb.carrier is not group:
-        raise DensityError("witness carrier mismatch")
+        raise DensityError("witness carrier mismatch", kind=BAD_INPUT)
     mu = ms.convolve(wa, wb)
     union = a.union(b)
     sup, _ = ms.sup_translates(mu, union, "two-sided")
@@ -181,7 +182,7 @@ def subadditivize(density_oracle, a, ground, candidates=None, max_evals=2 ** 20)
     aset = frozenset(a)
     if candidates is None:
         if 2 ** len(ground) > max_evals:
-            raise DensityError("ground too large; pass an explicit candidate family")
+            raise DensityError("ground too large; pass an explicit candidate family", kind=SIZE_GUARD)
         candidates = []
         for size in range(len(ground) + 1):
             candidates.extend(frozenset(c) for c in combinations(ground, size))
@@ -197,7 +198,7 @@ def subadditivize(density_oracle, a, ground, candidates=None, max_evals=2 ** 20)
 def relative_density(group, h, a, kind=DensityKind.SIGMA_CAP_R):
     """Density of A inside the subgroup H, computed in H itself."""
     if not gr.is_subgroup(group, h):
-        raise DensityError("relative density requires a subgroup")
+        raise DensityError("relative density requires a subgroup", kind=BAD_INPUT)
     elems = h.indices()
     pos = {g: i for i, g in enumerate(elems)}
     table = [[pos[group.mul(x, y)] for y in elems] for x in elems]

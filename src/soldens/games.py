@@ -13,10 +13,11 @@ from fractions import Fraction
 from . import densities as dn
 from . import groups as gr
 from . import measures as ms
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 from .simplex import solve_lp_max
 
 
-class GameError(ValueError):
+class GameError(SoldensError):
     pass
 
 
@@ -26,7 +27,9 @@ class MatrixGame:
 
     def __post_init__(self):
         if not self.payoff or not self.payoff[0]:
-            raise GameError("empty payoff matrix")
+            raise GameError("empty payoff matrix", kind=BAD_INPUT)
+        if any(len(row) != len(self.payoff[0]) for row in self.payoff):
+            raise GameError("payoff rows differ in length", kind=BAD_INPUT)
 
     @property
     def rows(self):
@@ -38,8 +41,11 @@ class MatrixGame:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        return game([[Fraction(v) for v in row] for row in data["payoff"]])
+        try:
+            rows = [[Fraction(v) for v in row] for row in json.loads(text)["payoff"]]
+        except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as e:
+            raise GameError(f"malformed game JSON: {e!r}", kind=BAD_INPUT) from None
+        return game(rows)
 
 
 def game(rows):
@@ -82,7 +88,7 @@ def intersection_number(family, universe=None):
     the game (family member vs point, membership payoff)."""
     family = [frozenset(b) for b in family]
     if not family:
-        raise GameError("empty family")
+        raise GameError("empty family", kind=BAD_INPUT)
     if universe is None:
         universe = set().union(*family)
     points = sorted(universe)
@@ -146,19 +152,22 @@ class ExtremalPattern:
     def __post_init__(self):
         n = len(self.quantifiers)
         if n < 1:
-            raise GameError("empty pattern")
+            raise GameError("empty pattern", kind=BAD_INPUT)
         if any(q not in "isIS" for q in self.quantifiers):
-            raise GameError("quantifiers must be drawn from i, s, I, S")
+            raise GameError("quantifiers must be drawn from i, s, I, S", kind=BAD_INPUT)
         if sum(1 for q in self.quantifiers if q in "IS") > 1:
-            raise GameError("at most one capital quantifier")
+            raise GameError("at most one capital quantifier", kind=BAD_INPUT)
         if sorted(self.substitution) != list(range(1, n + 1)):
-            raise GameError("substitution must be a permutation of 1..n")
+            raise GameError("substitution must be a permutation of 1..n", kind=BAD_INPUT)
 
     @staticmethod
     def parse(text):
         head = "".join(c for c in text if c in "isIS")
-        tail = text[len(head):]
-        return ExtremalPattern(head, tuple(int(c) for c in tail))
+        try:
+            substitution = tuple(int(c) for c in text[len(head):])
+        except ValueError:
+            raise GameError(f"cannot parse pattern {text!r}", kind=BAD_INPUT) from None
+        return ExtremalPattern(head, substitution)
 
     def kinds(self):
         return self.quantifiers.lower()
@@ -202,7 +211,7 @@ def eval_extremal(pattern, group, a):
     """
     n = len(pattern.quantifiers)
     if n > 3:
-        raise GameError("patterns longer than 3 are unsupported")
+        raise GameError("patterns longer than 3 are unsupported", kind=SIZE_GUARD)
     kinds = pattern.kinds()
     if "s" not in kinds:
         return "exact", Fraction(1) if len(a) == group.order else Fraction(0)
@@ -284,10 +293,10 @@ def windowed_bound(kind, window_points, translate_sets, attestation, horizon=Non
     (structural attestation) or complete up to a horizon."""
     window = sorted(set(window_points))
     if not window:
-        raise GameError("empty window")
+        raise GameError("empty window", kind=BAD_INPUT)
     cols = [frozenset(s) for s in translate_sets]
     if not cols:
-        raise GameError("no translates supplied")
+        raise GameError("no translates supplied", kind=BAD_INPUT)
     payoff = [[Fraction(1) if p in c else Fraction(0) for c in cols] for p in window]
     sol = solve_game(game(payoff))
     witness = ms.measure(None, {window[i]: w for i, w in sol.row_strategy.entries})

@@ -11,10 +11,12 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
 
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
+
 DEFAULT_ORDER_CAP = 64
 
 
-class GroupError(ValueError):
+class GroupError(SoldensError):
     pass
 
 
@@ -82,20 +84,26 @@ class Group:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        n = data["order"]
-        flat = data["table"]
+        try:
+            data = json.loads(text)
+            n, flat = data["order"], list(data["table"])
+            label = data.get("label", "")
+        except (ValueError, TypeError, KeyError, AttributeError) as e:
+            raise GroupError(f"malformed group JSON: {e!r}", kind=BAD_INPUT) from None
+        if not all(type(v) is int for v in (n, *flat)) or n < 1 or len(flat) != n * n:
+            raise GroupError("group JSON needs an order n >= 1 and n*n integer table entries",
+                             kind=BAD_INPUT)
         table = [flat[i * n : (i + 1) * n] for i in range(n)]
-        return from_table(table, label=data.get("label", ""))
+        return from_table(table, label=label)
 
 
 def from_table(table, label="", order_cap=DEFAULT_ORDER_CAP):
     n = len(table)
     if n > order_cap:
-        raise GroupError(f"group order {n} exceeds cap {order_cap}")
+        raise GroupError(f"group order {n} exceeds cap {order_cap}", kind=SIZE_GUARD)
     bad = validate_table(table)
     if bad is not None:
-        raise GroupError(f"invalid table: {bad}")
+        raise GroupError(f"invalid table: {bad}", kind=BAD_INPUT)
     inverse = []
     for g in range(n):
         inverse.append(next(h for h in range(n) if table[g][h] == 0))
@@ -107,22 +115,22 @@ def _check_order(kind, n, order_cap):
     order_cap; called before any table is built."""
     if kind == "cyclic":
         if n < 1:
-            raise GroupError("cyclic order must be positive")
+            raise GroupError("cyclic order must be positive", kind=BAD_INPUT)
         order = n
     elif kind == "dihedral":
         if n < 1:
-            raise GroupError("dihedral parameter must be positive")
+            raise GroupError("dihedral parameter must be positive", kind=BAD_INPUT)
         order = 2 * n
     elif kind == "symmetric":
         if n < 1:
-            raise GroupError("symmetric group supported for 1 <= n <= 5")
+            raise GroupError("symmetric group supported for 1 <= n <= 5", kind=BAD_INPUT)
         if n > 5:  # n! > 120 exceeds every cap; n! itself is never computed
-            raise GroupError(f"group order {n}! exceeds cap {order_cap}")
+            raise GroupError(f"group order {n}! exceeds cap {order_cap}", kind=SIZE_GUARD)
         order = factorial(n)
     else:
-        raise GroupError(f"unknown group kind {kind!r}")
+        raise GroupError(f"unknown group kind {kind!r}", kind=BAD_INPUT)
     if order > order_cap:
-        raise GroupError(f"group order {order} exceeds cap {order_cap}")
+        raise GroupError(f"group order {order} exceeds cap {order_cap}", kind=SIZE_GUARD)
 
 
 def cyclic(n):
@@ -164,7 +172,7 @@ def symmetric(n):
 def direct_product(g1, g2):
     n1, n2 = g1.order, g2.order
     if n1 * n2 > DEFAULT_ORDER_CAP:
-        raise GroupError("product order exceeds cap")
+        raise GroupError("product order exceeds cap", kind=SIZE_GUARD)
 
     def mul(a, b):
         a1, a2 = divmod(a, n2)
@@ -184,7 +192,7 @@ class GroupSubset:
     def __post_init__(self):
         for g in self.members:
             if not 0 <= g < self.group.order:
-                raise GroupError(f"index {g} out of range")
+                raise GroupError(f"index {g} out of range", kind=BAD_INPUT)
 
     def __contains__(self, g):
         return g in self.members
@@ -263,7 +271,7 @@ def is_subgroup(group, h):
 
 def subgroup_generated(group, s):
     if not s.members:
-        raise GroupError("cannot generate from an empty set")
+        raise GroupError("cannot generate from an empty set", kind=BAD_INPUT)
     closure = {0} | set(s.members) | {group.inverse[g] for g in s.members}
     frontier = list(closure)
     while frontier:
@@ -278,7 +286,7 @@ def subgroup_generated(group, s):
 
 def index_of(group, h):
     if not is_subgroup(group, h):
-        raise GroupError("index requires a subgroup")
+        raise GroupError("index requires a subgroup", kind=BAD_INPUT)
     assert group.order % len(h) == 0  # Lagrange
     return group.order // len(h)
 
@@ -311,7 +319,7 @@ def quotient_map(group, n):
     """Quotient by a normal subgroup; coset representatives are least indices,
     sorted so that the identity coset gets index 0."""
     if not is_normal(group, n):
-        raise GroupError("subgroup is not normal")
+        raise GroupError("subgroup is not normal", kind=BAD_INPUT)
     cosets = []
     seen = set()
     for g in group.elements():
@@ -345,23 +353,24 @@ def build_group(spec, order_cap=DEFAULT_ORDER_CAP):
     """
     if order_cap > DEFAULT_ORDER_CAP:
         raise GroupError(
-            f"order_cap {order_cap} exceeds the largest supported cap {DEFAULT_ORDER_CAP}"
-        )
+            f"order_cap {order_cap} exceeds the largest supported cap {DEFAULT_ORDER_CAP}",
+            kind=SIZE_GUARD)
     spec = spec.strip().lower()
     if "*" in spec:
         left, right = spec.split("*", 1)
         g1, g2 = build_group(left, order_cap), build_group(right, order_cap)
         if g1.order * g2.order > order_cap:
-            raise GroupError("product order exceeds cap")
+            raise GroupError("product order exceeds cap", kind=SIZE_GUARD)
         return direct_product(g1, g2)
     if spec in ("s3", "s4", "s5"):
         kind, n = "symmetric", int(spec[1])
     elif spec in ("d4", "d3", "d5"):
         kind, n = "dihedral", int(spec[1])
-    elif ":" in spec:
-        kind, arg = spec.split(":", 1)
-        n = int(arg)
     else:
-        raise GroupError(f"cannot parse group spec {spec!r}")
+        kind, _, arg = spec.partition(":")
+        try:
+            n = int(arg)
+        except ValueError:
+            raise GroupError(f"cannot parse group spec {spec!r}", kind=BAD_INPUT) from None
     _check_order(kind, n, order_cap)
     return {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind](n)

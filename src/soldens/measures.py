@@ -5,20 +5,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BAD_INPUT, SoldensError
 from .groups import Group, GroupSubset
 
 
-class MeasureError(ValueError):
+class MeasureError(SoldensError):
     pass
 
 
 def _normalize(weights):
     total = sum(weights.values(), Fraction(0))
     if total != 1:
-        raise MeasureError(f"weights sum to {total}, not 1")
+        raise MeasureError(f"weights sum to {total}, not 1", kind=BAD_INPUT)
     items = tuple(sorted((p, Fraction(w)) for p, w in weights.items() if w != 0))
     if any(w < 0 for _, w in items):
-        raise MeasureError("negative weight")
+        raise MeasureError("negative weight", kind=BAD_INPUT)
     return items
 
 
@@ -58,7 +59,7 @@ def uniform_on(points, carrier=None):
         points = points.indices()
     points = sorted(set(points))
     if not points:
-        raise MeasureError("uniform_on requires a nonempty set")
+        raise MeasureError("uniform_on requires a nonempty set", kind=BAD_INPUT)
     w = Fraction(1, len(points))
     return FinSuppMeasure(carrier, tuple((p, w) for p in points))
 
@@ -70,7 +71,7 @@ def haar_uniform(group):
 
 def convolve(mu, nu):
     if mu.carrier is None or mu.carrier is not nu.carrier:
-        raise MeasureError("convolution requires a common group carrier")
+        raise MeasureError("convolution requires a common group carrier", kind=BAD_INPUT)
     g = mu.carrier
     out = {}
     for a, wa in mu.entries:
@@ -96,7 +97,7 @@ def sup_translates(mu, a, pattern="two-sided"):
     """
     g = mu.carrier
     if g is None:
-        raise MeasureError("sup_translates requires a group carrier")
+        raise MeasureError("sup_translates requires a group carrier", kind=BAD_INPUT)
     t = g.table
     members = a.members
     best = Fraction(-1)
@@ -121,5 +122,5 @@ def sup_translates(mu, a, pattern="two-sided"):
             if v > best:
                 best, arg = v, (y,)
     else:
-        raise MeasureError(f"unknown pattern {pattern!r}")
+        raise MeasureError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
     return best, arg

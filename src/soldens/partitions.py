@@ -9,14 +9,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groups as gr
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 
-class PartitionError(ValueError):
+class PartitionError(SoldensError):
     pass
 
 
 class SizeGuardError(PartitionError):
-    pass
+    kind = SIZE_GUARD
 
 
 def cov(group, a):
@@ -31,7 +32,7 @@ def cov(group, a):
     distinct cell for the duration of one scan call only (_cell_cov).
     """
     if not a.members:
-        raise PartitionError("cov of an empty set")
+        raise PartitionError("cov of an empty set", kind=BAD_INPUT)
     n = group.order
     translates = []
     for row in group.table:
@@ -95,7 +96,7 @@ def pack(group, a, ideal=_trivial_ideal):
     ideal, lexicographically least optimal E). Exact branch and bound on the
     conflict graph."""
     if not a.members:
-        raise PartitionError("pack of an empty set")
+        raise PartitionError("pack of an empty set", kind=BAD_INPUT)
     n = group.order
     if n > 24:
         raise SizeGuardError("pack guarded to |G| <= 24")
@@ -176,9 +177,16 @@ class PartitionVerdict:
     worst_best_cov: int
 
 
-def _verify_partition_bound(group, n, bound):
+def _check_scan(group, n):
+    """The partition scans take 1 <= n <= 4 cells on groups of order <= 8."""
+    if n < 1:
+        raise PartitionError("cell count must be >= 1", kind=BAD_INPUT)
     if n > 4 or group.order > 8:
         raise SizeGuardError("partition scan guarded to n <= 4, |G| <= 8")
+
+
+def _verify_partition_bound(group, n, bound):
+    _check_scan(group, n)
     worst = None
     worst_val = -1
     checked = 0
@@ -209,8 +217,7 @@ def protasov_search(group, n):
     """Hunt for a partition where every cell has cov(A A^-1) > n. Expected
     empty on finite groups; a hit would be a loud surprise worth publishing,
     so it is returned with full certificates instead of raising."""
-    if n > 4 or group.order > 8:
-        raise SizeGuardError("partition scan guarded to n <= 4, |G| <= 8")
+    _check_scan(group, n)
     memo = {}
     for cells in _partitions_into(group.order, n):
         covs = [_cell_cov(group, cell, memo) for cell in cells]
@@ -260,8 +267,8 @@ def odd_group_check(group):
 def difference_power_subgroup(group, a, n):
     """Iterate D -> D*D from D = A A^-1 until stable; for |A|/|G| >= 1/n the
     limit is a subgroup of index <= n reached at exponent <= 4^(n-1)."""
-    if not a.members or Fraction(len(a), group.order) < Fraction(1, n):
-        raise PartitionError("density precondition |A|/|G| >= 1/n violated")
+    if n < 1 or not a.members or Fraction(len(a), group.order) < Fraction(1, n):
+        raise PartitionError("density precondition |A|/|G| >= 1/n violated", kind=BAD_INPUT)
     d = gr.difference_set(group, a)
     exponent = 1
     while True:
@@ -286,7 +293,7 @@ def difference_power_subgroup(group, a, n):
 def thm43_search(group, a):
     """cov-optimal F for A A^-1 with the density cardinality bound."""
     if not a.members:
-        raise PartitionError("empty set")
+        raise PartitionError("empty set", kind=BAD_INPUT)
     size, f = cov(group, gr.difference_set(group, a))
     cap = group.order // len(a)
     if size > cap:

@@ -8,8 +8,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .errors import BAD_INPUT, SoldensError
 
-class PermError(ValueError):
+
+class PermError(SoldensError):
     pass
 
 
@@ -49,20 +51,24 @@ class FinSuppPermutation:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
         mapping = {}
-        for cyc in data["cycles"]:
-            for i, x in enumerate(cyc):
-                mapping[x] = cyc[(i + 1) % len(cyc)]
+        try:
+            for cyc in json.loads(text)["cycles"]:
+                for i, x in enumerate(cyc):
+                    mapping[x] = cyc[(i + 1) % len(cyc)]
+        except (ValueError, TypeError, KeyError) as e:
+            raise PermError(f"malformed permutation JSON: {e!r}", kind=BAD_INPUT) from None
+        if not all(type(x) is int for x in mapping):
+            raise PermError("points must be natural numbers", kind=BAD_INPUT)
         return perm(mapping)
 
 
 def perm(mapping):
     mapping = {x: y for x, y in dict(mapping).items() if x != y}
     if sorted(mapping) != sorted(mapping.values()):
-        raise PermError("mapping is not a bijection on its support")
+        raise PermError("mapping is not a bijection on its support", kind=BAD_INPUT)
     if any(x < 0 for x in mapping):
-        raise PermError("points must be natural numbers")
+        raise PermError("points must be natural numbers", kind=BAD_INPUT)
     return FinSuppPermutation(tuple(sorted(mapping.items())))
 
 
@@ -107,7 +113,7 @@ class TargetPattern:
             return x >= self.start
         if self.kind == "residue":
             return x >= 0 and x % self.modulus == self.residue
-        raise PermError(f"unknown pattern kind {self.kind!r}")
+        raise PermError(f"unknown pattern kind {self.kind!r}", kind=BAD_INPUT)
 
     def enumerate(self):
         if self.kind == "tail":
@@ -121,7 +127,7 @@ class TargetPattern:
                 yield x
                 x += self.modulus
         else:
-            raise PermError(f"unknown pattern kind {self.kind!r}")
+            raise PermError(f"unknown pattern kind {self.kind!r}", kind=BAD_INPUT)
 
 
 def tail(start):
@@ -130,7 +136,7 @@ def tail(start):
 
 def residue_class(r, m):
     if m < 1:
-        raise PermError("modulus must be >= 1")
+        raise PermError("modulus must be >= 1", kind=BAD_INPUT)
     return TargetPattern("residue", modulus=m, residue=r % m)
 
 

@@ -36,8 +36,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .errors import SoldensError
 
-class SimplexError(RuntimeError):
+
+class SimplexError(SoldensError):
     pass
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import densities as dn
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 MAX_WORD_LEN = 64
 MAX_CHECK_LEN = 10  # fgroup certificate enumerates 2*3^check_len words
@@ -26,11 +27,14 @@ _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _INVERT = str.maketrans(_INV)
 # letters that may follow the last letter of a reduced word, in ascending order
 _NEXT = {x: "".join(c for c in "ABab" if c != _INV.get(x)) for x in ("", *_INV)}
-_CAP_MESSAGE = f"word length exceeds cap {MAX_WORD_LEN}"
 
 
-class WordError(ValueError):
+class WordError(SoldensError):
     pass
+
+
+def _too_long():
+    return WordError(f"word length exceeds cap {MAX_WORD_LEN}", kind=SIZE_GUARD)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,12 +44,12 @@ class ReducedWord:
     def __post_init__(self):
         for c in self.letters:
             if c not in _INV:
-                raise WordError(f"bad letter {c!r}")
+                raise WordError(f"bad letter {c!r}", kind=BAD_INPUT)
         for x, y in zip(self.letters, self.letters[1:]):
             if _INV[x] == y:
-                raise WordError(f"not reduced at {x}{y}")
+                raise WordError(f"not reduced at {x}{y}", kind=BAD_INPUT)
         if len(self.letters) > MAX_WORD_LEN:
-            raise WordError(_CAP_MESSAGE)
+            raise _too_long()
 
     def __len__(self):
         return len(self.letters)
@@ -67,13 +71,13 @@ def word(text):
     out = []
     for c in text:
         if c not in _INV:
-            raise WordError(f"bad letter {c!r}")
+            raise WordError(f"bad letter {c!r}", kind=BAD_INPUT)
         if out and _INV[out[-1]] == c:
             out.pop()
         else:
             out.append(c)
     if len(out) > MAX_WORD_LEN:
-        raise WordError(_CAP_MESSAGE)
+        raise _too_long()
     return _trusted("".join(out))
 
 
@@ -89,7 +93,7 @@ def word_multiply(u, v):
         k += 1
     letters = a[:len(a) - k] + b[k:]
     if len(letters) > MAX_WORD_LEN:
-        raise WordError(_CAP_MESSAGE)
+        raise _too_long()
     return _trusted(letters)
 
 
@@ -100,9 +104,9 @@ def word_invert(u):
 def word_power(letter, k):
     """letter^k for k in Z."""
     if letter not in _INV:
-        raise WordError(f"bad letter {letter!r}")
+        raise WordError(f"bad letter {letter!r}", kind=BAD_INPUT)
     if abs(k) > MAX_WORD_LEN:
-        raise WordError(_CAP_MESSAGE)
+        raise _too_long()
     return _trusted(letter * k if k >= 0 else _INV[letter] * -k)
 
 
@@ -122,7 +126,7 @@ def all_reduced_words(max_len):
     # Keeps _trusted's invariant (no unvalidated word longer than the cap);
     # it is not a runtime bound, since 3^max_len grows long before the cap.
     if max_len > MAX_WORD_LEN:
-        raise WordError(_CAP_MESSAGE)
+        raise _too_long()
     out = [EMPTY]
     frontier = [EMPTY]
     for _ in range(max_len):
@@ -156,7 +160,7 @@ def fgroup_row_count(y, n, cross_check=True):
     never more than 1 for any y.
     """
     if n < 1:
-        raise WordError("n must be >= 1")
+        raise WordError("n must be >= 1", kind=BAD_INPUT)
     j, w = _prefix_decompose(y, "b")
     structural = 1 if (1 <= -j <= n and w.letters and w.letters[0] in "aA") else 0
     if cross_check:
@@ -173,7 +177,7 @@ def fgroup_col_count(y, n):
     """Mirror count for class B with F = {a, ..., a^n}; same case analysis
     with the roles of the generators swapped."""
     if n < 1:
-        raise WordError("n must be >= 1")
+        raise WordError("n must be >= 1", kind=BAD_INPUT)
     j, w = _prefix_decompose(y, "a")
     structural = 1 if (1 <= -j <= n and (not w.letters or w.letters[0] in "bB")) else 0
     direct = sum(
@@ -196,9 +200,9 @@ def fgroup_nonsubadditivity_certificate(n, check_len=8):
     reported.
     """
     if n < 1 or check_len < 1:
-        raise WordError("n and check_len must be >= 1")
+        raise WordError("n and check_len must be >= 1", kind=BAD_INPUT)
     if check_len > MAX_CHECK_LEN:
-        raise WordError(f"check_len {check_len} exceeds cap {MAX_CHECK_LEN}")
+        raise WordError(f"check_len {check_len} exceeds cap {MAX_CHECK_LEN}", kind=SIZE_GUARD)
     worst = 0
     for y in all_reduced_words(check_len):
         worst = max(worst, fgroup_row_count(y, n), fgroup_col_count(y, n))

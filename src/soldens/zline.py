@@ -12,12 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .densities import EXACT, bounded
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 
-class ZSetError(ValueError):
+class ZSetError(SoldensError):
     pass
 
 
@@ -45,15 +46,22 @@ class ZSet:
 
     @staticmethod
     def from_json(text):
-        d = json.loads(text)
-        return zset(d["m"], d["residues"], d.get("add", ()), d.get("remove", ()))
+        try:
+            d = json.loads(text)
+            m = d["m"]
+            parts = [list(d["residues"]), list(d.get("add", ())), list(d.get("remove", ()))]
+        except (ValueError, TypeError, KeyError, AttributeError) as e:
+            raise ZSetError(f"malformed ZSet JSON: {e!r}", kind=BAD_INPUT) from None
+        if not all(type(x) is int for x in [m, *chain(*parts)]):
+            raise ZSetError("ZSet JSON holds a non-integer", kind=BAD_INPUT)
+        return zset(m, *parts)
 
 
 def zset(m, residues, add=(), remove=()):
     """Normalized constructor: membership is computed from the raw data and
     the patches are re-derived, so equal sets get equal normal forms."""
     if m < 1:
-        raise ZSetError("modulus must be >= 1")
+        raise ZSetError("modulus must be >= 1", kind=BAD_INPUT)
     res = frozenset(r % m for r in residues)
     add, remove = set(add), set(remove)
 
@@ -79,7 +87,7 @@ Z_EMPTY = zset(1, ())
 
 def lift(a, new_m):
     if new_m % a.m != 0:
-        raise ZSetError("can only lift to a multiple of the modulus")
+        raise ZSetError("can only lift to a multiple of the modulus", kind=BAD_INPUT)
     res = frozenset(r + k * a.m for r in a.residues for k in range(new_m // a.m))
     return ZSet(new_m, res, a.add, a.remove)
 
@@ -139,7 +147,7 @@ def folner_density(member, depth, start=0):
     at the deepest level and is a float on purpose: this op is the only
     approximate one in the module."""
     if depth < 1:
-        raise ZSetError("depth must be >= 1")
+        raise ZSetError("depth must be >= 1", kind=BAD_INPUT)
     trace = []
     count = 0
     for n in range(1, depth + 1):
@@ -277,7 +285,7 @@ def _min_cover(universe_size, base_residues):
     t + base covering Z/universe: iterative deepening over the cover size."""
     base = frozenset(base_residues)
     if not base:
-        raise ZSetError("cannot cover with an empty base")
+        raise ZSetError("cannot cover with an empty base", kind=BAD_INPUT)
     full = frozenset(range(universe_size))
     masks = [frozenset((r + t) % universe_size for r in base) for t in range(universe_size)]
     floor_size = -(-universe_size // len(base))
@@ -294,9 +302,9 @@ def jin_witness(a, b):
     bound asserted."""
     da, db = dstar(a), dstar(b)
     if da == 0 or db == 0:
-        raise ZSetError("jin witness needs positive densities")
+        raise ZSetError("jin witness needs positive densities", kind=BAD_INPUT)
     if not (a.is_periodic() and b.is_periodic()):
-        raise ZSetError("jin witness needs exact sumsets (no remove patches)")
+        raise ZSetError("jin witness needs exact sumsets (no remove patches)", kind=BAD_INPUT)
     s, scope = sumset(a, b)
     assert scope == EXACT
     f = _min_cover(s.m, s.residues)
@@ -344,7 +352,7 @@ def ergodic_sup_check(a):
 def bohr_congruence(m, residues):
     """Rational-frequency Bohr set on Z: a union of congruence classes."""
     if not residues:
-        raise ZSetError("a nonempty Bohr set needs residues")
+        raise ZSetError("a nonempty Bohr set needs residues", kind=BAD_INPUT)
     return zset(m, residues)
 
 
@@ -400,6 +408,9 @@ def finitely_embeddable(a, b, depth=None):
 
 
 _PRIMES8 = (2, 3, 5, 7, 11, 13, 17, 19)
+# The sieve costs about 9 bytes per integer up to verify_horizon + n_k. The cap
+# still admits k_max = 8: its window period n_8 = 9 699 690 must fit in the horizon.
+MAX_VERIFY_HORIZON = 10 ** 7
 
 
 def _sieve(limit):
@@ -418,8 +429,12 @@ def primes_bound_table(k_max, verify_horizon=10 ** 6):
     that no length-n_k window ever holds more than k + 2*phi(n_k) primes."""
     import numpy as np
 
-    if not 1 <= k_max <= 8:
-        raise ZSetError("k_max must be in 1..8")
+    if k_max < 1:
+        raise ZSetError("k_max must be >= 1", kind=BAD_INPUT)
+    if k_max > len(_PRIMES8):
+        raise ZSetError(f"k_max {k_max} exceeds cap {len(_PRIMES8)}", kind=SIZE_GUARD)
+    if verify_horizon > MAX_VERIFY_HORIZON:
+        raise ZSetError(f"horizon {verify_horizon} exceeds cap {MAX_VERIFY_HORIZON}", kind=SIZE_GUARD)
     rows = []
     n = 1
     phi = 1
@@ -430,7 +445,7 @@ def primes_bound_table(k_max, verify_horizon=10 ** 6):
         phi *= p - 1
         horizon_needed = n
     if verify_horizon < horizon_needed:
-        raise ZSetError("horizon too small to cover one full window period")
+        raise ZSetError("horizon too small to cover one full window period", kind=BAD_INPUT)
     flags = _sieve(verify_horizon + horizon_needed)
     counts = np.concatenate(([0], np.cumsum(flags.astype(np.int64))))
     n = 1
@@ -489,7 +504,7 @@ class BlockSet:
 
 def disjoint_thick_family(n):
     if n < 1:
-        raise ZSetError("need at least one lane")
+        raise ZSetError("need at least one lane", kind=BAD_INPUT)
     return [BlockSet(lane, n) for lane in range(n)]
 
 
@@ -497,8 +512,10 @@ def ip_witness_search(member, k, bound):
     """Generators x1 < ... < xk in [1, bound] whose finite subset-sums all lie
     in the set, found depth-first; None means the search space is exhausted,
     not a nonexistence proof."""
-    if not 1 <= k <= 20:
-        raise ZSetError("k must be in 1..20")
+    if k < 1:
+        raise ZSetError("k must be >= 1", kind=BAD_INPUT)
+    if k > 20:
+        raise ZSetError(f"k {k} exceeds cap 20", kind=SIZE_GUARD)
     if not callable(member):
         zs = member
         member = lambda x: x in zs

@@ -1,6 +1,17 @@
+import importlib
+import inspect
 import json
+import pkgutil
 
+import pytest
+
+import soldens
 import soldens.cli as cli
+import soldens.games as gm
+import soldens.groups as gr
+import soldens.perms as pm
+import soldens.zline as zl
+from soldens.errors import EXIT_CODES, SoldensError
 
 
 def run_capture(capsys, argv):
@@ -122,3 +133,97 @@ def test_suite_propagates_failure(tmp_path, capsys):
     code, out = run_capture(capsys, ["suite", str(config)])
     assert code == 3
     assert not json.loads(out)["pass"]
+
+
+_PERM = '{"cycles": [[1, 2]]}'
+_HORIZON_OVER_CAP = str(zl.MAX_VERIFY_HORIZON + 1)
+
+# argv -> (exit code, printed kind); kind None means argparse rejected the argv
+# and stdout is empty. "{tmp}" stands for a per-test directory.
+EXIT_TABLE = [
+    (["game", "extremal", "--pattern", "IS12", "--group", "s3", "--set", "0,1"], 2, "bad-input"),
+    (["density", "exact", "--group", "foo", "--set", "0"], 2, "bad-input"),
+    (["density", "exact", "--group", "cyclic:4", "--set", "9"], 2, "bad-input"),
+    (["group", "--spec", "cyclic:0"], 2, "bad-input"),
+    (["group", "--spec", "dihedral:0"], 2, "bad-input"),
+    (["group", "--spec", "symmetric:0"], 2, "bad-input"),
+    (["group", "--spec", "cyclic:x"], 2, "bad-input"),
+    (["density", "exact", "--group", "cyclic:4", "--set", "0,x"], 2, None),
+    (["zline", "delta", "--m", "2", "--residues", "0", "--eps", "abc"], 2, None),
+    (["zline", "delta", "--m", "2", "--residues", "0", "--eps", "1/0"], 2, None),
+    (["game", "extremal", "--pattern", "xx", "--group", "s3", "--set", "0"], 2, "bad-input"),
+    (["perms", "conjugate-witness", "--perm", _PERM, "--target", "tail:x"], 2, None),
+    (["perms", "conjugate-witness", "--perm", _PERM, "--target", "mod:1"], 2, None),
+    (["perms", "conjugate-witness", "--perm", _PERM, "--target", "bogus"], 2, None),
+    (["perms", "conjugate-witness", "--perm", "{bad", "--target", "tail:3"], 2, "bad-input"),
+    (["perms", "conjugate-witness", "--perm", "[1]", "--target", "tail:3"], 2, "bad-input"),
+    (["game", "solve", "--file", "{tmp}/missing.json"], 2, "bad-input"),
+    (["game", "solve", "--file", "{tmp}/not_json.json"], 2, "bad-input"),
+    (["game", "solve", "--file", "{tmp}/no_payoff.json"], 2, "bad-input"),
+    (["suite", "{tmp}/missing.json"], 2, "bad-input"),
+    (["game", "sigma-r"], 2, "bad-input"),
+    (["game", "sigma"], 2, "bad-input"),
+    (["game", "extremal"], 2, "bad-input"),
+    (["measure", "dirac", "--group", "cyclic:4"], 2, "bad-input"),
+    (["measure", "dirac", "--group", "cyclic:4", "--set", "7"], 2, "bad-input"),
+    (["measure", "dirac", "--group", "cyclic:4", "--set", "1,2"], 2, "bad-input"),
+    (["partitions", "verify", "--group", "cyclic:4", "--cells", "0"], 2, None),
+    (["partitions", "protasov", "--group", "cyclic:4", "--cells", "-1"], 2, None),
+    (["zline", "primes", "--kmax", "0"], 2, "bad-input"),
+    (["zline", "primes", "--kmax", "4", "--horizon", "100"], 2, "bad-input"),
+    (["zline", "ip", "--m", "2", "--residues", "0", "--k", "0"], 2, "bad-input"),
+    (["zline", "primes", "--kmax", "9"], 3, "size-guard"),
+    (["zline", "primes", "--kmax", "1", "--horizon", _HORIZON_OVER_CAP], 3, "size-guard"),
+    (["zline", "ip", "--m", "2", "--residues", "0", "--k", "21"], 3, "size-guard"),
+    (["game", "extremal", "--pattern", "isis1234", "--group", "s3", "--set", "0"], 3, "size-guard"),
+    (["measure", "dirac", "--group", "cyclic:4", "--set", "3"], 0, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, kind", EXIT_TABLE, ids=[" ".join(argv) for argv, _, _ in EXIT_TABLE])
+def test_exit_code_table(tmp_path, capsys, argv, code, kind):
+    (tmp_path / "not_json.json").write_text("{payoff")
+    (tmp_path / "no_payoff.json").write_text('{"rows": [[1]]}')
+    got, out = run_capture(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert got == code
+    if code == 0:
+        return
+    if kind is None:
+        assert out == ""
+    else:
+        assert json.loads(out)["kind"] == kind
+        assert EXIT_CODES[kind] == code
+
+
+def test_horizon_cap_is_checked_before_the_sieve(monkeypatch):
+    def sieve(limit):
+        raise AssertionError(f"sieve of {limit} allocated")
+
+    monkeypatch.setattr(zl, "_sieve", sieve)
+    with pytest.raises(zl.ZSetError, match="exceeds cap") as info:
+        zl.primes_bound_table(1, verify_horizon=zl.MAX_VERIFY_HORIZON + 1)
+    assert info.value.kind == "size-guard"
+
+
+def test_every_error_class_is_a_soldens_error():
+    errors = []
+    for info in pkgutil.iter_modules(soldens.__path__):
+        module = importlib.import_module(f"{soldens.__name__}.{info.name}")
+        errors += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                   if cls.__module__ == module.__name__ and issubclass(cls, BaseException)]
+    assert len(errors) >= 10
+    assert [cls.__name__ for cls in errors if not issubclass(cls, SoldensError)] == []
+
+
+# one JSON object that is malformed for each of the four parsers
+_MIXED = ('{"order": 2, "table": ["a"], "payoff": [[1, 2], [3]], "cycles": [["a", 1]],'
+          ' "m": "x", "residues": 5}')
+
+
+@pytest.mark.parametrize("parse", [gr.Group.from_json, gm.MatrixGame.from_json,
+                                   pm.FinSuppPermutation.from_json, zl.ZSet.from_json])
+@pytest.mark.parametrize("text", ["{bad", "[1]", "null", "{}", _MIXED])
+def test_from_json_rejects_malformed_input_as_bad_input(parse, text):
+    with pytest.raises(SoldensError) as info:
+        parse(text)
+    assert info.value.kind == "bad-input"

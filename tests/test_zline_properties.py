@@ -1,0 +1,64 @@
+"""Properties of the ZSet normal form on random inputs.
+
+``zset`` re-derives the patches from membership, so building a set again from
+its own normal form changes nothing, and two sets are ``z_equal`` exactly when
+they hold the same integers. Outside its patches a set is periodic, so
+agreement on a window that covers every patch plus a full common period on
+each side is agreement everywhere.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import soldens.zline as zl
+
+SPAN = 12
+_POINTS = st.lists(st.integers(-SPAN, SPAN), max_size=6)
+
+
+@st.composite
+def zsets(draw):
+    m = draw(st.integers(1, 6))
+    return zl.zset(m, draw(st.lists(st.integers(-10, 10), max_size=m)), draw(_POINTS), draw(_POINTS))
+
+
+@st.composite
+def rewritten(draw, a):
+    """a over a multiple of its modulus, its patches spelled out point by point
+    on a window, with at most one point of that window flipped."""
+    big = a.m * draw(st.integers(1, 3))
+    far = big * (SPAN + 1)  # beyond every patch, only the residues decide
+    residues = [r for r in range(big) if r + far in a]
+    window = range(-SPAN - 1, SPAN + 2)
+    members = {x for x in window if x in a}
+    flip = draw(st.none() | st.sampled_from(window))
+    if flip is not None:
+        members ^= {flip}
+    return zl.zset(big, residues, add=members, remove=set(window) - members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zsets())
+def test_normal_form_is_idempotent(a):
+    assert zl.zset(a.m, a.residues, a.add, a.remove) == a
+
+
+def _agree_on_window(a, b):
+    period = math.lcm(a.m, b.m)
+    w = max(a.patch_span(), b.patch_span()) + 2 * period
+    return all((x in a) == (x in b) for x in range(-w, w + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zsets(), zsets())
+def test_z_equal_is_pointwise_equality_on_random_pairs(a, b):
+    assert zl.z_equal(a, b) == _agree_on_window(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zsets().flatmap(lambda a: st.tuples(st.just(a), rewritten(a))))
+def test_z_equal_is_pointwise_equality_on_near_copies(pair):
+    a, b = pair
+    assert zl.z_equal(a, b) == _agree_on_window(a, b)
