@@ -270,8 +270,13 @@ def _random_subset(rng, g, allow_empty=False):
 
 
 def verify_all(max_order=8, seed=0, trials=5):
-    """The exact invariant battery; returns a list of named check results and
-    raises nothing (failures are reported, the caller picks the exit code)."""
+    """The exact invariant battery; returns a list of named check results. A
+    failed check is reported, not raised (the caller picks the exit code).
+    max_order below 2 is refused: the catalog would be empty and every check
+    would pass vacuously."""
+    if max_order < 2:
+        raise SoldensError(f"max_order {max_order} is below 2, the smallest catalog order",
+                           kind=BAD_INPUT)
     rng = random.Random(seed)
     checks = []
 
@@ -379,6 +384,8 @@ def cmd_suite(args):
     if not all(isinstance(argv, list) and all(isinstance(a, str) for a in argv)
                for _, argv in commands):
         raise SoldensError("suite argv must be lists of strings", kind=BAD_INPUT)
+    if any(argv[:1] == ["suite"] for _, argv in commands):
+        raise SoldensError("a suite entry cannot run suite", kind=BAD_INPUT)
     results = []
     worst = 0
     for ident, argv in commands:

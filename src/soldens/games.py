@@ -1,7 +1,10 @@
 """Exact zero-sum matrix games: minimax densities, intersection numbers, the
 extremal-density hierarchy, and windowed upper bounds for infinite models.
 
-Row player minimizes, column player maximizes, everywhere.
+Row player minimizes, column player maximizes, everywhere. Internally a
+payoff is an int matrix over one positive denominator (0/1 with
+denominator 1 for every game built here); Fractions appear only in
+MatrixGame, the public input, and GameSolution, the output.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import densities as dn
 from . import groups as gr
@@ -62,24 +66,36 @@ class GameSolution:
 def solve_game(g):
     """Exact value and both optimal strategies, verified against the
     minimax inequalities before returning."""
-    m, n = g.rows, g.cols
-    shift = 1 - min(min(row) for row in g.payoff)
-    shifted = [[g.payoff[i][j] + shift for j in range(n)] for i in range(m)]
-    # Row player's LP in normalized form: maximize sum(x) s.t. M^T x <= 1.
-    a_rows = [[shifted[i][j] for i in range(m)] for j in range(n)]
-    objective, x, duals = solve_lp_max([Fraction(1)] * m, a_rows, [Fraction(1)] * n)
+    den = lcm(*(v.denominator for row in g.payoff for v in row))
+    return _solve([[v.numerator * (den // v.denominator) for v in row] for row in g.payoff], den)
+
+
+def _numerators(mu):
+    """The weights of mu as ints over their common denominator."""
+    den = lcm(*(w.denominator for _, w in mu.entries))
+    return [(p, w.numerator * (den // w.denominator)) for p, w in mu.entries], den
+
+
+def _solve(ints, den):
+    """solve_game for the payoff ints/den: int rows and an int den > 0."""
+    m, n = len(ints), len(ints[0])
+    lift = den - min(min(row) for row in ints)  # den * (1 - min payoff)
+    # Row player's LP scaled by den: maximize sum(x) s.t. den (M + shift)^T x <= den.
+    # Bland's rule pivots as without the scaling, which divides the duals by den.
+    a_rows = [[v + lift for v in col] for col in zip(*ints)]
+    objective, x, duals = solve_lp_max([1] * m, a_rows, [den] * n)
     if objective <= 0:
         raise GameError("degenerate LP objective")
-    shifted_value = 1 / objective
-    row_strategy = ms.measure(None, {i: x[i] * shifted_value for i in range(m) if x[i] != 0})
-    col_strategy = ms.measure(None, {j: duals[j] * shifted_value for j in range(n) if duals[j] != 0})
-    value = shifted_value - shift
-    for j in range(n):
-        if sum(w * g.payoff[i][j] for i, w in row_strategy.entries) > value:
-            raise GameError("row strategy fails its guarantee")
-    for row in g.payoff:
-        if sum(w * row[j] for j, w in col_strategy.entries) < value:
-            raise GameError("column strategy fails its guarantee")
+    row_strategy = ms.measure(None, {i: x[i] / objective for i in range(m) if x[i]})
+    col_strategy = ms.measure(None, {j: duals[j] * den / objective for j in range(n) if duals[j]})
+    value = 1 / objective - Fraction(lift, den)
+    # sum_i (r_i/R) (ints_ij/den) <= p/q  iff  q sum_i r_i ints_ij <= p R den.
+    (rows, r_den), (cols, c_den) = _numerators(row_strategy), _numerators(col_strategy)
+    p, q = value.numerator, value.denominator
+    if any(q * sum(r * ints[i][j] for i, r in rows) > p * r_den * den for j in range(n)):
+        raise GameError("row strategy fails its guarantee")
+    if any(q * sum(c * row[j] for j, c in cols) < p * c_den * den for row in ints):
+        raise GameError("column strategy fails its guarantee")
     return GameSolution(value, row_strategy, col_strategy)
 
 
@@ -94,8 +110,7 @@ def intersection_number(family, universe=None):
     points = sorted(universe)
     if not points:
         return Fraction(0)
-    payoff = [[Fraction(1) if p in b else Fraction(0) for p in points] for b in family]
-    return solve_game(game(payoff)).value
+    return _solve([[int(p in b) for p in points] for b in family], 1).value
 
 
 def sigma_R_via_game(group, a):
@@ -103,19 +118,13 @@ def sigma_R_via_game(group, a):
     maximin game; both values must agree exactly (LP duality)."""
     n = group.order
     if not a.members:
-        zero = Fraction(0)
-        trivial = solve_game(game([[zero]]))
-        return zero, trivial, trivial
-    payoff = [
-        [Fraction(1) if group.mul(g, y) in a.members else Fraction(0) for y in range(n)]
-        for g in range(n)
-    ]
-    minimax = solve_game(game(payoff))
-    transposed = [
-        [Fraction(1) if group.mul(group.inverse[x], g) in a.members else Fraction(0) for g in range(n)]
-        for x in range(n)
-    ]
-    maximin = solve_game(game(transposed))
+        trivial = _solve([[0]], 1)
+        return trivial.value, trivial, trivial
+    payoff = [[int(group.mul(g, y) in a.members) for y in range(n)] for g in range(n)]
+    minimax = _solve(payoff, 1)
+    transposed = [[int(group.mul(group.inverse[x], g) in a.members) for g in range(n)]
+                  for x in range(n)]
+    maximin = _solve(transposed, 1)
     if minimax.value != maximin.value:
         raise GameError("minimax and maximin values disagree")
     return minimax.value, minimax, maximin
@@ -133,10 +142,8 @@ def sigma_via_game(group, a):
             tr = gr.translate(group, a, group.inverse[x], group.inverse[y])
             columns.setdefault(tr.members, None)
     cols = sorted(columns, key=sorted)
-    payoff = [[Fraction(1) if g in c else Fraction(0) for c in cols] for g in range(n)]
-    value = solve_game(game(payoff)).value
-    expected = dn.density_closed_form(group, a)
-    if value != expected:
+    value = _solve([[int(g in c) for c in cols] for g in range(n)], 1).value
+    if value != dn.density_closed_form(group, a):
         raise GameError("sigma game value differs from closed form")
     return value
 
@@ -188,7 +195,7 @@ def _tuples(group, k):
 
 
 def _pure_payoff(group, a, pattern, assignment):
-    return Fraction(1) if _word_product(group, assignment, pattern.substitution) in a.members else Fraction(0)
+    return int(_word_product(group, assignment, pattern.substitution) in a.members)
 
 
 def _blocks(kinds):
@@ -228,9 +235,7 @@ def eval_extremal(pattern, group, a):
 
         def payoff(o, v):
             elems = [0] * n
-            for q, g in zip(outer_idx, o):
-                elems[q] = g
-            for q, g in zip(inner_idx, v):
+            for q, g in zip(outer_idx + inner_idx, o + v):
                 elems[q] = g
             return _pure_payoff(group, a, pattern, elems)
 
@@ -238,43 +243,38 @@ def eval_extremal(pattern, group, a):
             payload = [[payoff(o, v) for v in inner] for o in outer]
         else:
             payload = [[payoff(o, v) for o in outer] for v in inner]
-        value = solve_game(game(payload)).value
+        value = _solve(payload, 1).value
         if value != uniform_value:
             raise GameError("mixed pattern failed the uniform collapse")
         return "exact", value
 
     # Three alternating blocks: certified interval only.
     q0, q1, q2 = 0, 1, 2
-    candidates = [ms.dirac(g, group) for g in group.elements()] + [ms.haar_uniform(group)]
+    els = group.elements()
+    # Each Dirac and the Haar measure, as int weights over one denominator.
+    candidates = [_numerators(ms.dirac(g)) for g in els] + [_numerators(ms.haar_uniform(group))]
 
-    def expect(mu, fixed_q, g_other, g_inner):
-        total = Fraction(0)
-        for h, w in mu.entries:
-            elems = [0] * 3
+    def hits(weights, fixed_q, g_other, g_inner):
+        # The candidate's measure of the hits, times its denominator.
+        elems = [0] * 3
+        elems[q1 if fixed_q == q0 else q0], elems[q2] = g_other, g_inner
+        total = 0
+        for h, w in weights:
             elems[fixed_q] = h
-            other_q = q1 if fixed_q == q0 else q0
-            elems[other_q] = g_other
-            elems[q2] = g_inner
             total += w * _pure_payoff(group, a, pattern, elems)
         return total
 
-    def two_block_value(mu_outer):
+    def two_block_value(outer):
         # Remaining middle-vs-inner game with the outer measure folded in.
-        payload = [
-            [expect(mu_outer, q0, g1, g2) for g2 in group.elements()]
-            for g1 in group.elements()
-        ]
+        weights, den = outer
+        payload = [[hits(weights, q0, g1, g2) for g2 in els] for g1 in els]
         if kinds[q1] == "s":
             payload = [list(col) for col in zip(*payload)]
-        return solve_game(game(payload)).value
+        return _solve(payload, den).value
 
-    def pure_sweep(mu_mid, optimum):
-        vals = [
-            expect(mu_mid, q1, g0, g2)
-            for g0 in group.elements()
-            for g2 in group.elements()
-        ]
-        return optimum(vals)
+    def pure_sweep(mid, optimum):
+        weights, den = mid
+        return Fraction(optimum(hits(weights, q1, g0, g2) for g0 in els for g2 in els), den)
 
     if kinds[q0] == "s":
         lo = max(two_block_value(c) for c in candidates)
@@ -297,8 +297,7 @@ def windowed_bound(kind, window_points, translate_sets, attestation, horizon=Non
     cols = [frozenset(s) for s in translate_sets]
     if not cols:
         raise GameError("no translates supplied", kind=BAD_INPUT)
-    payoff = [[Fraction(1) if p in c else Fraction(0) for c in cols] for p in window]
-    sol = solve_game(game(payoff))
+    sol = _solve([[int(p in c) for c in cols] for p in window], 1)
     witness = ms.measure(None, {window[i]: w for i, w in sol.row_strategy.entries})
     scope = dn.EXACT if attestation == "structural" else dn.bounded(horizon)
     cert = dn.certificate_from_translates(kind, witness, cols, scope)

@@ -286,6 +286,9 @@ def _min_cover(universe_size, base_residues):
     base = frozenset(base_residues)
     if not base:
         raise ZSetError("cannot cover with an empty base", kind=BAD_INPUT)
+    if universe_size > MAX_COVER_MODULUS:
+        raise ZSetError(f"cover modulus {universe_size} exceeds cap {MAX_COVER_MODULUS}",
+                        kind=SIZE_GUARD)
     full = frozenset(range(universe_size))
     masks = [frozenset((r + t) % universe_size for r in base) for t in range(universe_size)]
     floor_size = -(-universe_size // len(base))
@@ -411,6 +414,9 @@ _PRIMES8 = (2, 3, 5, 7, 11, 13, 17, 19)
 # The sieve costs about 9 bytes per integer up to verify_horizon + n_k. The cap
 # still admits k_max = 8: its window period n_8 = 9 699 690 must fit in the horizon.
 MAX_VERIFY_HORIZON = 10 ** 7
+# _min_cover tries every shift set of each size in turn, so its work grows
+# about 4x per +2 in the modulus: about a second at most at 20, hours at 40.
+MAX_COVER_MODULUS = 20
 
 
 def _sieve(limit):

@@ -172,10 +172,14 @@ EXIT_TABLE = [
     (["zline", "primes", "--kmax", "0"], 2, "bad-input"),
     (["zline", "primes", "--kmax", "4", "--horizon", "100"], 2, "bad-input"),
     (["zline", "ip", "--m", "2", "--residues", "0", "--k", "0"], 2, "bad-input"),
+    (["verify-all", "--max-order", "0"], 2, "bad-input"),
+    (["verify-all", "--max-order", "1"], 2, "bad-input"),
     (["zline", "primes", "--kmax", "9"], 3, "size-guard"),
     (["zline", "primes", "--kmax", "1", "--horizon", _HORIZON_OVER_CAP], 3, "size-guard"),
     (["zline", "ip", "--m", "2", "--residues", "0", "--k", "21"], 3, "size-guard"),
     (["game", "extremal", "--pattern", "isis1234", "--group", "s3", "--set", "0"], 3, "size-guard"),
+    (["zline", "ergodic", "--m", "40", "--residues", "0,1"], 3, "size-guard"),
+    (["zline", "jin", "--m", "7", "--residues", "0", "--bm", "3", "--bresidues", "0"], 3, "size-guard"),
     (["measure", "dirac", "--group", "cyclic:4", "--set", "3"], 0, None),
 ]
 
@@ -193,6 +197,35 @@ def test_exit_code_table(tmp_path, capsys, argv, code, kind):
     else:
         assert json.loads(out)["kind"] == kind
         assert EXIT_CODES[kind] == code
+
+
+def test_suite_that_runs_suite_is_rejected_before_any_command(tmp_path, capsys):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"commands": [
+        {"argv": ["density", "exact", "--group", "cyclic:4", "--set", "0,1"]},
+        {"argv": ["suite", str(config)]},
+    ]}))
+    code, out = run_capture(capsys, ["suite", str(config)])
+    assert code == 2
+    assert out.count("\n") == 1  # the error line only; the density entry never ran
+    assert set(json.loads(out)) == {"error", "kind"} and json.loads(out)["kind"] == "bad-input"
+
+
+def test_cover_modulus_cap_is_checked_before_the_search(monkeypatch):
+    def combinations(*args):
+        raise AssertionError("cover search started")
+
+    monkeypatch.setattr(zl, "combinations", combinations)
+    for a, b in ((zl.zset(40, [0, 1]), None), (zl.zset(7, [0]), zl.zset(3, [0]))):
+        with pytest.raises(zl.ZSetError, match="exceeds cap 20") as info:
+            zl.ergodic_sup_check(a) if b is None else zl.jin_witness(a, b)
+        assert info.value.kind == "size-guard"
+
+
+def test_cover_modulus_cap_admits_its_bound(capsys):
+    code, out = run_capture(capsys, ["zline", "ergodic", "--m", str(zl.MAX_COVER_MODULUS),
+                                     "--residues", "0,1"])
+    assert code == 0 and len(json.loads(out)["f"]) == zl.MAX_COVER_MODULUS // 2
 
 
 def test_horizon_cap_is_checked_before_the_sieve(monkeypatch):

@@ -12,6 +12,7 @@ import soldens.groups as gr
 from soldens.simplex import solve_lp_max
 
 LP_PINNED = Path(__file__).parent / "data" / "lp_pinned.json"
+GAMES_PINNED = Path(__file__).parent / "data" / "games_pinned.json"
 
 
 def test_simplex_basic_lp():
@@ -44,6 +45,21 @@ def test_simplex_pinned_corpus():
         )
         got = {"objective": _pq(obj), "x": [_pq(v) for v in x], "duals": [_pq(v) for v in duals]}
         assert got == {k: lp[k] for k in got}, lp["name"]
+
+
+def test_solve_game_pinned_corpus():
+    # tests/data/games_pinned.json was solved by the Fraction game layer that
+    # the int kernel replaced: mixed denominators, negative entries, duplicate
+    # rows and columns, ties with several optimal strategies, single rows and
+    # columns. Never regenerate it to make a change pass.
+    corpus = json.loads(GAMES_PINNED.read_text())
+    assert len(corpus) >= 20
+    for case in corpus:
+        sol = gm.solve_game(gm.game([[Fraction(v) for v in row] for row in case["payoff"]]))
+        got = {"value": _pq(sol.value),
+               "row_strategy": [[i, _pq(w)] for i, w in sol.row_strategy.entries],
+               "col_strategy": [[j, _pq(w)] for j, w in sol.col_strategy.entries]}
+        assert got == {k: case[k] for k in got}, case["name"]
 
 
 def test_solve_game_matching_pennies_diagonal():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import soldens.cli as cli
 import soldens.games as gm
 from soldens.simplex import SimplexError, solve_lp_max
 
@@ -53,6 +54,20 @@ def test_game_value_is_the_guarantee_of_both_strategies(payoff):
     # the row player minimizes: its worst case over columns is the value
     assert max(sum(sol.row_strategy.weight(i) * payoff[i][j] for i in rows) for j in cols) == sol.value
     assert min(sum(sol.col_strategy.weight(j) * payoff[i][j] for j in cols) for i in rows) == sol.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_RATIONAL, min_size=n, max_size=n), min_size=1, max_size=4)),
+    _RATIONAL)
+def test_adding_a_constant_moves_only_the_value(payoff, c):
+    # The shift makes M and M + c the same LP up to a row scale, so Bland's
+    # rule pivots alike and the duals must be unscaled exactly.
+    base = gm.solve_game(gm.game(payoff))
+    moved = gm.solve_game(gm.game([[v + c for v in row] for row in payoff]))
+    assert moved.value == base.value + c
+    assert cli.dumps(moved.row_strategy) == cli.dumps(base.row_strategy)
+    assert cli.dumps(moved.col_strategy) == cli.dumps(base.col_strategy)
 
 
 @settings(max_examples=50, deadline=None)
