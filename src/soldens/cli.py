@@ -351,7 +351,7 @@ def verify_all(max_order=8, seed=0, trials=5):
                 a = _random_subset(rng, g, allow_empty=True)
                 inv = gr.invert_set(g, a)
                 assert dn.density_closed_form(g, inv) == dn.density_closed_form(g, a)
-                if g.order <= 6 and a.members:
+                if g.order <= 6 and a.mask:
                     va, _, _ = gm.sigma_R_via_game(g, a)
                     vi, _, _ = gm.sigma_R_via_game(g, inv)
                     assert va == vi, f"inversion broke the game value on {g.label}"

@@ -74,32 +74,6 @@ def density_closed_form(group, a, kind=DensityKind.SIGMA):
     return Fraction(len(a), group.order)
 
 
-def _uniform_sup(group, f_indices, a, pattern):
-    """Translate supremum of uniform_on(F), computed by counting."""
-    t = group.table
-    members = a.members
-    fset = set(f_indices)
-    size = len(fset)
-    best = 0
-    if pattern == "left":
-        for x in group.elements():
-            c = sum(1 for q in members if t[x][q] in fset)
-            if c > best:
-                best = c
-    elif pattern == "right":
-        for y in group.elements():
-            c = sum(1 for q in members if t[q][y] in fset)
-            if c > best:
-                best = c
-    else:
-        for x in group.elements():
-            for y in group.elements():
-                c = sum(1 for q in members if t[t[x][q]][y] in fset)
-                if c > best:
-                    best = c
-    return Fraction(best, size)
-
-
 def density_bruteforce(group, a, kind=DensityKind.SIGMA, max_witness_size=None):
     """Minimum translate supremum over uniform witnesses F with
     1 <= |F| <= max_witness_size, enumerated by size then lexicographically.
@@ -112,15 +86,17 @@ def density_bruteforce(group, a, kind=DensityKind.SIGMA, max_witness_size=None):
         max_witness_size = n
     if not 1 <= max_witness_size <= n:
         raise DensityError("max_witness_size out of range", kind=BAD_INPUT)
-    if not a.members:
+    if not a.mask:
         return Fraction(0), (0,)
     target = density_closed_form(group, a, kind)
-    pattern = kind.pattern
+    translates = {mask for _, mask in gr.translate_masks(group, a, kind.pattern)}
     best = None
     best_f = None
     for size in range(1, max_witness_size + 1):
         for f in combinations(range(n), size):
-            v = _uniform_sup(group, f, a, pattern)
+            f_mask = sum(1 << p for p in f)
+            # the translate supremum of uniform_on(F), by counting
+            v = Fraction(max((mask & f_mask).bit_count() for mask in translates), size)
             if best is None or v < best:
                 best, best_f = v, f
                 if best == target:
@@ -203,5 +179,5 @@ def relative_density(group, h, a, kind=DensityKind.SIGMA_CAP_R):
     pos = {g: i for i, g in enumerate(elems)}
     table = [[pos[group.mul(x, y)] for y in elems] for x in elems]
     sub = gr.from_table(table, label=f"{group.label}|H{len(elems)}")
-    a_in_h = gr.subset(sub, [pos[g] for g in a.members & h.members])
+    a_in_h = gr.subset(sub, [pos[g] for g in a.intersect(h)])
     return density_closed_form(sub, a_in_h, kind)

@@ -117,13 +117,13 @@ def sigma_R_via_game(group, a):
     """Right density via the shift game, cross-checked against the transposed
     maximin game; both values must agree exactly (LP duality)."""
     n = group.order
-    if not a.members:
+    m = a.mask
+    if not m:
         trivial = _solve([[0]], 1)
         return trivial.value, trivial, trivial
-    payoff = [[int(group.mul(g, y) in a.members) for y in range(n)] for g in range(n)]
+    payoff = [[m >> group.mul(g, y) & 1 for y in range(n)] for g in range(n)]
     minimax = _solve(payoff, 1)
-    transposed = [[int(group.mul(group.inverse[x], g) in a.members) for g in range(n)]
-                  for x in range(n)]
+    transposed = [[m >> group.mul(group.inverse[x], g) & 1 for g in range(n)] for x in range(n)]
     maximin = _solve(transposed, 1)
     if minimax.value != maximin.value:
         raise GameError("minimax and maximin values disagree")
@@ -133,16 +133,11 @@ def sigma_R_via_game(group, a):
 def sigma_via_game(group, a):
     """Two-sided density via the game with columns deduplicated by the
     translate they induce; asserted equal to the closed form."""
-    n = group.order
-    if not a.members:
+    if not a.mask:
         return Fraction(0)
-    columns = {}
-    for x in range(n):
-        for y in range(n):
-            tr = gr.translate(group, a, group.inverse[x], group.inverse[y])
-            columns.setdefault(tr.members, None)
-    cols = sorted(columns, key=sorted)
-    value = _solve([[int(g in c) for c in cols] for g in range(n)], 1).value
+    masks = {mask for _, mask in gr.translate_masks(group, a, "two-sided")}
+    cols = sorted(masks, key=lambda mask: gr.GroupSubset(group, mask).indices())
+    value = _solve([[c >> g & 1 for c in cols] for g in group.elements()], 1).value
     if value != dn.density_closed_form(group, a):
         raise GameError("sigma game value differs from closed form")
     return value
@@ -195,7 +190,7 @@ def _tuples(group, k):
 
 
 def _pure_payoff(group, a, pattern, assignment):
-    return int(_word_product(group, assignment, pattern.substitution) in a.members)
+    return a.mask >> _word_product(group, assignment, pattern.substitution) & 1
 
 
 def _blocks(kinds):
@@ -223,7 +218,7 @@ def eval_extremal(pattern, group, a):
     if "s" not in kinds:
         return "exact", Fraction(1) if len(a) == group.order else Fraction(0)
     if "i" not in kinds:
-        return "exact", Fraction(1) if a.members else Fraction(0)
+        return "exact", Fraction(1) if a.mask else Fraction(0)
 
     blocks = _blocks(kinds)
     uniform_value = dn.density_closed_form(group, a)

@@ -7,7 +7,7 @@ All values are immutable, so they can be shared freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
@@ -184,81 +184,157 @@ def direct_product(g1, g2):
     return from_table(table, label=label)
 
 
+# _BYTE_BITS[b] is the tuple of the set bits of the byte b, ascending: adding
+# bit k to each of the first 2^k entries gives the next 2^k
+_BYTE_BITS = [()]
+for _bit in range(8):
+    _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
+
+
+def _bits(mask):
+    """The set bits of mask, ascending: one _BYTE_BITS lookup per byte."""
+    out = list(_BYTE_BITS[mask & 255])
+    base = 8
+    mask >>= 8
+    while mask:
+        out += [base + i for i in _BYTE_BITS[mask & 255]]
+        mask >>= 8
+        base += 8
+    return out
+
+
+def _mask(points):
+    """The mask with the bit of each point set."""
+    mask = 0
+    for p in points:
+        mask |= 1 << p
+    return mask
+
+
 @dataclass(frozen=True)
 class GroupSubset:
+    """A subset of a group as an int bitmask: element g is a member when bit
+    g of mask is set. The constructor checks the whole mask at once; subset()
+    checks index by index."""
+
     group: Group
-    members: frozenset = field(default_factory=frozenset)
+    mask: int = 0
 
     def __post_init__(self):
-        for g in self.members:
-            if not 0 <= g < self.group.order:
-                raise GroupError(f"index {g} out of range", kind=BAD_INPUT)
+        m = self.mask
+        if type(m) is not int or m < 0 or m >> self.group.order:
+            raise GroupError(f"mask {m!r} is not a subset of a group of order {self.group.order}",
+                             kind=BAD_INPUT)
+
+    @property
+    def members(self):
+        """The members as a frozenset, built from the mask on each access."""
+        return frozenset(_bits(self.mask))
 
     def __contains__(self, g):
-        return g in self.members
+        return isinstance(g, int) and g >= 0 and self.mask >> g & 1 == 1
 
     def __len__(self):
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(self.indices())
 
     def indices(self):
-        return sorted(self.members)
+        return _bits(self.mask)
 
     def union(self, other):
-        return GroupSubset(self.group, self.members | other.members)
+        return GroupSubset(self.group, self.mask | other.mask)
 
     def intersect(self, other):
-        return GroupSubset(self.group, self.members & other.members)
+        return GroupSubset(self.group, self.mask & other.mask)
 
     def complement(self):
-        return GroupSubset(self.group, frozenset(self.group.elements()) - self.members)
+        return GroupSubset(self.group, ((1 << self.group.order) - 1) ^ self.mask)
 
 
 def subset(group, indices):
-    return GroupSubset(group, frozenset(indices))
+    """The subset with the given element indices, each checked to be in range."""
+    mask = 0
+    for g in indices:
+        if not (isinstance(g, int) and 0 <= g < group.order):
+            raise GroupError(f"index {g} out of range", kind=BAD_INPUT)
+        mask |= 1 << g
+    return GroupSubset(group, mask)
+
+
+PATTERNS = ("left", "right", "two-sided")
+
+
+def _images(maps, members):
+    """For each list m in maps, the mask of {m[q] : q in members}."""
+    out = []
+    for m in maps:
+        mask = 0
+        for q in members:
+            mask |= 1 << m[q]
+        out.append(mask)
+    return out
+
+
+def translate_masks(group, a, pattern):
+    """Every translate of A with its mask, as [(translate, mask)] in
+    lexicographic order of the translate: (x,) for xA when pattern is "left",
+    (y,) for Ay when "right", (x, y) for xAy when "two-sided"."""
+    t = group.table
+    members = a.indices()
+    if pattern == "left":  # row x of the table maps q to xq
+        return [((x,), mask) for x, mask in enumerate(_images(t, members))]
+    columns = list(zip(*t))  # column y maps q to qy
+    if pattern == "right":
+        return [((y,), mask) for y, mask in enumerate(_images(columns, members))]
+    if pattern == "two-sided":
+        return [((x, y), mask) for x, row in enumerate(t)
+                for y, mask in enumerate(_images(columns, [row[q] for q in members]))]
+    raise GroupError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
 
 
 def translate(group, a, x, y):
     """xAy as a GroupSubset."""
     t = group.table
-    return GroupSubset(group, frozenset(t[t[x][g]][y] for g in a.members))
+    return GroupSubset(group, _mask(t[t[x][g]][y] for g in a))
 
 
 def left_translate(group, x, a):
-    t = group.table
-    return GroupSubset(group, frozenset(t[x][g] for g in a.members))
+    return translate(group, a, x, 0)
 
 
 def right_translate(group, a, y):
-    t = group.table
-    return GroupSubset(group, frozenset(t[g][y] for g in a.members))
+    return translate(group, a, 0, y)
 
 
 def invert_set(group, a):
-    return GroupSubset(group, frozenset(group.inverse[g] for g in a.members))
+    return GroupSubset(group, _mask(group.inverse[g] for g in a))
+
+
+def _product(group, left, right):
+    """{gh : g in left, h in right} for two lists of indices."""
+    t = group.table
+    return GroupSubset(group, _mask({t[g][h] for g in left for h in right}))
 
 
 def product_set(group, a, b):
-    t = group.table
-    return GroupSubset(group, frozenset(t[g][h] for g in a.members for h in b.members))
+    return _product(group, a.indices(), b.indices())
 
 
 def difference_set(group, a):
     """AA^-1"""
-    return product_set(group, a, invert_set(group, a))
+    members = a.indices()
+    return _product(group, members, [group.inverse[g] for g in members])
 
 
 def conjugacy_class(group, x):
-    return GroupSubset(group, frozenset(group.conjugate(g, x) for g in group.elements()))
+    return GroupSubset(group, _mask(group.conjugate(g, x) for g in group.elements()))
 
 
 def is_inner_invariant(group, a):
-    return all(
-        frozenset(group.conjugate(g, x) for x in a.members) == a.members
-        for g in group.elements()
-    )
+    members = a.indices()
+    return all(_mask(group.conjugate(g, x) for x in members) == a.mask for g in group.elements())
 
 
 def is_subgroup(group, h):
@@ -270,9 +346,9 @@ def is_subgroup(group, h):
 
 
 def subgroup_generated(group, s):
-    if not s.members:
+    if not s.mask:
         raise GroupError("cannot generate from an empty set", kind=BAD_INPUT)
-    closure = {0} | set(s.members) | {group.inverse[g] for g in s.members}
+    closure = {0} | s.members | {group.inverse[g] for g in s}
     frontier = list(closure)
     while frontier:
         g = frontier.pop()
@@ -281,7 +357,7 @@ def subgroup_generated(group, s):
                 if p not in closure:
                     closure.add(p)
                     frontier.append(p)
-    return GroupSubset(group, frozenset(closure))
+    return GroupSubset(group, _mask(closure))
 
 
 def index_of(group, h):
@@ -292,12 +368,7 @@ def index_of(group, h):
 
 
 def is_normal(group, n):
-    if not is_subgroup(group, n):
-        return False
-    return all(
-        frozenset(group.conjugate(g, x) for x in n.members) == n.members
-        for g in group.elements()
-    )
+    return is_subgroup(group, n) and is_inner_invariant(group, n)
 
 
 @dataclass(frozen=True)
@@ -311,7 +382,7 @@ class Homomorphism:
 
     def preimage(self, b):
         return GroupSubset(
-            self.source, frozenset(g for g in self.source.elements() if self.mapping[g] in b.members)
+            self.source, _mask(g for g in self.source.elements() if b.mask >> self.mapping[g] & 1)
         )
 
 
@@ -320,27 +391,13 @@ def quotient_map(group, n):
     sorted so that the identity coset gets index 0."""
     if not is_normal(group, n):
         raise GroupError("subgroup is not normal", kind=BAD_INPUT)
-    cosets = []
-    seen = set()
-    for g in group.elements():
-        if g in seen:
-            continue
-        coset = frozenset(group.mul(g, x) for x in n.members)
-        cosets.append(coset)
-        seen |= coset
-    reps = sorted(min(c) for c in cosets)
-    rep_index = {r: i for i, r in enumerate(reps)}
-    coset_of = {}
-    for c in cosets:
-        r = min(c)
-        for g in c:
-            coset_of[g] = rep_index[r]
-    table = [
-        [coset_of[group.mul(reps[i], reps[j])] for j in range(len(reps))]
-        for i in range(len(reps))
-    ]
+    # the cosets gN are the left translates of N; each is named by its least element
+    least = [(mask & -mask).bit_length() - 1 for _, mask in translate_masks(group, n, "left")]
+    reps = sorted(set(least))
+    coset_of = tuple(reps.index(r) for r in least)
+    table = [[coset_of[group.mul(r, s)] for s in reps] for r in reps]
     q = from_table(table, label=f"{group.label}/N{len(n)}")
-    return Homomorphism(group, q, tuple(coset_of[g] for g in group.elements()))
+    return Homomorphism(group, q, coset_of)
 
 
 def build_group(spec, order_cap=DEFAULT_ORDER_CAP):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BAD_INPUT, SoldensError
-from .groups import Group, GroupSubset
+from .groups import PATTERNS, Group, GroupSubset, translate_masks
 
 
 class MeasureError(SoldensError):
@@ -41,7 +41,7 @@ class FinSuppMeasure:
         return [p for p, _ in self.entries]
 
     def measure_of(self, points):
-        members = points.members if isinstance(points, GroupSubset) else set(points)
+        members = points if isinstance(points, GroupSubset) else set(points)
         return sum((w for p, w in self.entries if p in members), Fraction(0))
 
 
@@ -98,29 +98,14 @@ def sup_translates(mu, a, pattern="two-sided"):
     g = mu.carrier
     if g is None:
         raise MeasureError("sup_translates requires a group carrier", kind=BAD_INPUT)
-    t = g.table
-    members = a.members
+    if pattern not in PATTERNS:
+        raise MeasureError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
+    # a point outside the carrier lies in no translate
+    atoms = [(p, w) for p, w in mu.entries if p in range(g.order)]
     best = Fraction(-1)
     arg = None
-    if pattern == "two-sided":
-        for x in g.elements():
-            for y in g.elements():
-                v = sum((w for p, w in mu.entries if p in
-                         {t[t[x][q]][y] for q in members}), Fraction(0))
-                if v > best:
-                    best, arg = v, (x, y)
-    elif pattern == "left":
-        for x in g.elements():
-            xa = {t[x][q] for q in members}
-            v = sum((w for p, w in mu.entries if p in xa), Fraction(0))
-            if v > best:
-                best, arg = v, (x,)
-    elif pattern == "right":
-        for y in g.elements():
-            ay = {t[q][y] for q in members}
-            v = sum((w for p, w in mu.entries if p in ay), Fraction(0))
-            if v > best:
-                best, arg = v, (y,)
-    else:
-        raise MeasureError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
+    for translate, mask in translate_masks(g, a, pattern):
+        v = sum((w for p, w in atoms if mask >> p & 1), Fraction(0))
+        if v > best:
+            best, arg = v, translate
     return best, arg

@@ -23,23 +23,18 @@ class SizeGuardError(PartitionError):
 def cov(group, a):
     """(minimal |F| with F*A = G, lexicographically least optimal F).
 
-    Branch and bound on int bitmasks: translate x is the mask of xA read off
-    group.table. Each node branches on the least uncovered point, trying the
-    translates that cover it by ascending index, and prunes once |F| reaches
-    the best size found. Every optimal F is reached this way and the least
-    sorted one is kept, so F is the first cover of minimal size in
-    itertools.combinations order. The partition scans memoize this per
-    distinct cell for the duration of one scan call only (_cell_cov).
+    Branch and bound on the masks of the left translates xA. Each node
+    branches on the least uncovered point, trying the translates that cover
+    it by ascending index, and prunes once |F| reaches the best size found.
+    Every optimal F is reached this way and the least sorted one is kept, so
+    F is the first cover of minimal size in itertools.combinations order. The
+    partition scans memoize this per distinct cell for the duration of one
+    scan call only (_cell_cov).
     """
-    if not a.members:
+    if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
     n = group.order
-    translates = []
-    for row in group.table:
-        mask = 0
-        for g in a.members:
-            mask |= 1 << row[g]
-        translates.append(mask)
+    translates = [mask for _, mask in gr.translate_masks(group, a, "left")]
     covering = [[x for x in range(n) if translates[x] >> p & 1] for p in range(n)]
     full = (1 << n) - 1
     best = None
@@ -72,39 +67,34 @@ def _cell_cov(group, cell, memo):
     return result
 
 
-def _trivial_ideal(members):
-    return len(members) == 0
+def _trivial_ideal(s):
+    return not s.mask
 
 
 def delta_I_finite(group, a, ideal=_trivial_ideal):
-    """Shifts x with A intersect xA outside the ideal; with the trivial ideal
-    this is exactly A A^-1."""
-    out = set()
-    for x in group.elements():
-        inter = a.members & gr.left_translate(group, x, a).members
-        if not ideal(inter):
-            out.add(x)
-    result = gr.subset(group, out)
-    if ideal is _trivial_ideal and a.members:
-        if result.members != gr.difference_set(group, a).members:
+    """Shifts x with A intersect xA outside the ideal, a predicate on
+    GroupSubsets; with the trivial ideal this is exactly A A^-1."""
+    out = 0
+    for (x,), mask in gr.translate_masks(group, a, "left"):
+        if not ideal(gr.GroupSubset(group, a.mask & mask)):
+            out |= 1 << x
+    result = gr.GroupSubset(group, out)
+    if ideal is _trivial_ideal and a.mask:
+        if result != gr.difference_set(group, a):
             raise PartitionError("delta with trivial ideal must equal AA^-1")
     return result
 
 
-def pack(group, a, ideal=_trivial_ideal):
-    """(maximal number of translates xA pairwise intersecting inside the
-    ideal, lexicographically least optimal E). Exact branch and bound on the
-    conflict graph."""
-    if not a.members:
+def pack(group, a):
+    """(maximal number of pairwise disjoint translates xA, lexicographically
+    least optimal E). Exact branch and bound on the conflict graph."""
+    if not a.mask:
         raise PartitionError("pack of an empty set", kind=BAD_INPUT)
     n = group.order
     if n > 24:
         raise SizeGuardError("pack guarded to |G| <= 24")
-    masks = [frozenset(gr.left_translate(group, x, a).members) for x in range(n)]
-    conflict = [
-        frozenset(y for y in range(n) if y != x and not ideal(masks[x] & masks[y]))
-        for x in range(n)
-    ]
+    masks = [mask for _, mask in gr.translate_masks(group, a, "left")]
+    conflict = [frozenset(y for y in range(n) if y != x and masks[x] & masks[y]) for x in range(n)]
     best = []
 
     def search(chosen, candidates):
@@ -129,7 +119,7 @@ def verify_prop122(group):
         raise SizeGuardError("exhaustive subsets guarded to |G| <= 10")
     tight = []
     for bits in range(1, 2 ** group.order):
-        a = gr.subset(group, [i for i in range(group.order) if bits >> i & 1])
+        a = gr.GroupSubset(group, bits)
         c, _ = cov(group, gr.difference_set(group, a))
         p, _ = pack(group, a)
         cap = group.order // len(a)
@@ -245,15 +235,12 @@ def odd_group_check(group):
         raise SizeGuardError("2-partition scan guarded to |G| <= 16")
     odd = is_odd_group(group)
     witness = None
-    full = frozenset(group.elements())
+    full = (1 << group.order) - 1
+    # bits stays below 2^(|G|-1), so the last element is always in the complement
     for bits in range(1, 2 ** (group.order - 1)):
-        a = gr.subset(group, [i for i in range(group.order) if bits >> i & 1])
+        a = gr.GroupSubset(group, bits)
         b = a.complement()
-        if not b.members:
-            continue
-        da = gr.difference_set(group, a).members
-        db = gr.difference_set(group, b).members
-        if da != full and db != full:
+        if gr.difference_set(group, a).mask != full and gr.difference_set(group, b).mask != full:
             witness = (a.indices(), b.indices())
             break
     property_holds = witness is None
@@ -267,13 +254,13 @@ def odd_group_check(group):
 def difference_power_subgroup(group, a, n):
     """Iterate D -> D*D from D = A A^-1 until stable; for |A|/|G| >= 1/n the
     limit is a subgroup of index <= n reached at exponent <= 4^(n-1)."""
-    if n < 1 or not a.members or Fraction(len(a), group.order) < Fraction(1, n):
+    if n < 1 or not a.mask or Fraction(len(a), group.order) < Fraction(1, n):
         raise PartitionError("density precondition |A|/|G| >= 1/n violated", kind=BAD_INPUT)
     d = gr.difference_set(group, a)
     exponent = 1
     while True:
         nxt = gr.product_set(group, d, d)
-        if nxt.members == d.members:
+        if nxt == d:
             break
         d = nxt
         exponent *= 2
@@ -285,14 +272,14 @@ def difference_power_subgroup(group, a, n):
     if index > n:
         raise PartitionError(f"index {index} exceeds {n}")
     closure = gr.subgroup_generated(group, gr.difference_set(group, a))
-    if closure.members != d.members:
+    if closure != d:
         raise PartitionError("stabilized set differs from the generated subgroup")
     return d, exponent, index
 
 
 def thm43_search(group, a):
     """cov-optimal F for A A^-1 with the density cardinality bound."""
-    if not a.members:
+    if not a.mask:
         raise PartitionError("empty set", kind=BAD_INPUT)
     size, f = cov(group, gr.difference_set(group, a))
     cap = group.order // len(a)

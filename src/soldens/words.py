@@ -151,42 +151,38 @@ def _prefix_decompose(y, letter):
     return j, _trusted(rest)
 
 
-def fgroup_row_count(y, n, cross_check=True):
-    """|{i in [1, n] : b^i y in class A}| by the prefix case analysis.
+def _fgroup_count(y, n, gen, cls, cross_check):
+    """|{i in [1, n] : gen^i y in class cls}|, where words starting gen-type
+    lie outside class cls, by the prefix case analysis.
 
-    Write y = b^j w with w empty or starting with a-type. Then b^i y = b^{i+j} w,
-    which starts with a-type exactly when i + j = 0 and w is nonempty; so the
-    count is 1 when -j lands in [1, n] and w starts a-type, else 0, and is
-    never more than 1 for any y.
+    Write y = gen^j w with w not starting gen-type. Then gen^i y = gen^{i+j} w
+    lies outside cls unless i + j = 0; so the count is 1 when -j lands in
+    [1, n] and w is in class cls, else 0, and never more than 1 for any y.
     """
     if n < 1:
         raise WordError("n must be >= 1", kind=BAD_INPUT)
-    j, w = _prefix_decompose(y, "b")
-    structural = 1 if (1 <= -j <= n and w.letters and w.letters[0] in "aA") else 0
+    j, w = _prefix_decompose(y, gen)
+    structural = 1 if 1 <= -j <= n and partition_class(w) == cls else 0
     if cross_check:
         direct = sum(
             1 for i in range(1, n + 1)
-            if partition_class(word_multiply(word_power("b", i), y)) == "A"
+            if partition_class(word_multiply(word_power(gen, i), y)) == cls
         )
         if direct != structural:
             raise WordError(f"case analysis disagrees with direct product at y={y}")
     return structural
 
 
+def fgroup_row_count(y, n, cross_check=True):
+    """|{i in [1, n] : b^i y in class A}| by the prefix case analysis: 1 when
+    y = b^-i w for some i in [1, n] with w starting a-type, else 0."""
+    return _fgroup_count(y, n, "b", "A", cross_check)
+
+
 def fgroup_col_count(y, n):
     """Mirror count for class B with F = {a, ..., a^n}; same case analysis
-    with the roles of the generators swapped."""
-    if n < 1:
-        raise WordError("n must be >= 1", kind=BAD_INPUT)
-    j, w = _prefix_decompose(y, "a")
-    structural = 1 if (1 <= -j <= n and (not w.letters or w.letters[0] in "bB")) else 0
-    direct = sum(
-        1 for i in range(1, n + 1)
-        if partition_class(word_multiply(word_power("a", i), y)) == "B"
-    )
-    if direct != structural:
-        raise WordError(f"case analysis disagrees with direct product at y={y}")
-    return structural
+    with the roles of the generators swapped, always cross-checked."""
+    return _fgroup_count(y, n, "a", "B", True)
 
 
 def fgroup_nonsubadditivity_certificate(n, check_len=8):

@@ -4,6 +4,7 @@ import pytest
 
 import soldens.cli as cli
 import soldens.groups as gr
+from soldens.errors import BAD_INPUT
 
 
 def test_cyclic_table_and_inverse():
@@ -137,3 +138,26 @@ def test_conjugacy_and_inner_invariance():
     assert cls.members == frozenset(transpositions)
     assert gr.is_inner_invariant(s3, cls)
     assert not gr.is_inner_invariant(s3, gr.subset(s3, [transpositions[0]]))
+
+
+def test_subset_masks_and_indices_are_range_checked():
+    g = gr.cyclic(5)
+    # a non-int mask, a negative mask, a bit at or above the order
+    for mask in (3.0, "3", None, frozenset({1}), -1, 1 << 5, (1 << 6) - 1):
+        with pytest.raises(gr.GroupError) as e:
+            gr.GroupSubset(g, mask)
+        assert e.value.kind == BAD_INPUT
+    assert gr.GroupSubset(g, (1 << 5) - 1).indices() == [0, 1, 2, 3, 4]
+    # checked before any shift: 1 << -1 would be a bare ValueError (exit 1)
+    for indices in ([-1], [g.order], [0, 7], [1.0]):
+        with pytest.raises(gr.GroupError) as e:
+            gr.subset(g, indices)
+        assert e.value.kind == BAD_INPUT
+
+
+def test_indices_read_every_byte_of_the_mask():
+    g = gr.cyclic(64)
+    for idx in ([], [63], [0, 7, 8, 15, 16, 40, 63], list(range(64))):
+        a = gr.subset(g, idx)
+        assert a.indices() == idx and list(a) == idx and a.members == frozenset(idx)
+        assert len(a) == len(idx) and all(i in a for i in idx)

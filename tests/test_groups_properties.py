@@ -1,0 +1,67 @@
+"""Properties of the bitmask subset algebra on random groups and subsets.
+
+Every set operation and every entry of translate_masks is checked against a
+frozenset recomputation made straight from group.table.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import soldens.groups as gr
+from test_partitions_properties import _GROUPS, _SPECS
+
+
+@st.composite
+def _case(draw):
+    """A group, two index sets A and B (possibly empty) and two elements x, y."""
+    g = _GROUPS[draw(st.sampled_from(_SPECS))]
+    points = st.frozensets(st.integers(0, g.order - 1))
+    element = st.integers(0, g.order - 1)
+    return g, draw(points), draw(points), draw(element), draw(element)
+
+
+def _members(s):
+    assert s.members == frozenset(s.indices()) == frozenset(s)
+    assert s.indices() == sorted(s.members) and len(s) == len(s.members)
+    return s.members
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case())
+def test_set_algebra_matches_frozensets(case):
+    g, a_pts, b_pts, x, y = case
+    t, inv = g.table, g.inverse
+    a, b = gr.subset(g, a_pts), gr.subset(g, b_pts)
+    assert _members(a) == a_pts
+    assert _members(gr.translate(g, a, x, y)) == {t[t[x][q]][y] for q in a_pts}
+    assert _members(gr.left_translate(g, x, a)) == {t[x][q] for q in a_pts}
+    assert _members(gr.right_translate(g, a, y)) == {t[q][y] for q in a_pts}
+    assert _members(gr.invert_set(g, a)) == {inv[q] for q in a_pts}
+    assert _members(gr.product_set(g, a, b)) == {t[p][q] for p in a_pts for q in b_pts}
+    assert _members(gr.difference_set(g, a)) == {t[p][inv[q]] for p in a_pts for q in a_pts}
+    assert _members(a.union(b)) == a_pts | b_pts
+    assert _members(a.intersect(b)) == a_pts & b_pts
+    assert _members(a.complement()) == frozenset(g.elements()) - a_pts
+    assert all((q in a) == (q in a_pts) for q in g.elements())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case())
+def test_translate_masks_match_frozensets(case):
+    g, a_pts, _, _, _ = case
+    t = g.table
+    a = gr.subset(g, a_pts)
+    expected = {
+        "left": {(x,): {t[x][q] for q in a_pts} for x in g.elements()},
+        "right": {(y,): {t[q][y] for q in a_pts} for y in g.elements()},
+        "two-sided": {(x, y): {t[t[x][q]][y] for q in a_pts}
+                      for x, y in product(g.elements(), repeat=2)},
+    }
+    for pattern, oracle in expected.items():
+        entries = gr.translate_masks(g, a, pattern)
+        keys = [key for key, _ in entries]
+        assert keys == sorted(oracle) == list(product(g.elements(), repeat=len(keys[0])))
+        for key, mask in entries:
+            assert _members(gr.GroupSubset(g, mask)) == oracle[key]

@@ -73,3 +73,39 @@ def test_sup_translates_patterns_and_argmax():
     assert best2 >= best
     with pytest.raises(ms.MeasureError):
         ms.sup_translates(mu, a, "diagonal")
+
+
+def _direct_sup(mu, a, pattern):
+    """The maximum of mu over the translates of A and the least translate
+    reaching it, recomputed from the group table."""
+    g = mu.carrier
+    t, elems = g.table, list(g.elements())
+    if pattern == "two-sided":
+        keys = [(x, y) for x in elems for y in elems]
+    else:
+        keys = [(z,) for z in elems]
+    image = {"left": lambda k, q: t[k[0]][q], "right": lambda k, q: t[q][k[0]],
+             "two-sided": lambda k, q: t[t[k[0]][q]][k[1]]}[pattern]
+    values = {k: sum((mu.weight(p) for p in {image(k, q) for q in a.indices()}), Fraction(0))
+              for k in keys}
+    best = max(values.values())
+    return best, min(k for k, v in values.items() if v == best)
+
+
+def test_sup_translates_pins_value_and_least_translate():
+    s3 = gr.symmetric(3)
+    a = gr.subset(s3, [1, 2])
+    mu = ms.measure(s3, {0: Fraction(1, 2), 3: Fraction(1, 3), 5: Fraction(1, 6)})
+    assert ms.sup_translates(mu, a, "left") == (Fraction(5, 6), (2,))
+    assert ms.sup_translates(mu, a, "right") == (Fraction(5, 6), (1,))
+    assert ms.sup_translates(mu, a, "two-sided") == (Fraction(5, 6), (0, 1))
+    rng = random.Random(3)
+    for spec in ("cyclic:5", "s3", "d4", "cyclic:2*cyclic:4"):
+        g = gr.build_group(spec)
+        for _ in range(8):
+            a = gr.subset(g, rng.sample(range(g.order), rng.randint(1, g.order)))
+            support = rng.sample(range(g.order), rng.randint(1, g.order))
+            weights = [rng.randint(1, 4) for _ in support]
+            mu = ms.measure(g, {p: Fraction(w, sum(weights)) for p, w in zip(support, weights)})
+            for pattern in ("left", "right", "two-sided"):
+                assert ms.sup_translates(mu, a, pattern) == _direct_sup(mu, a, pattern)

@@ -1,7 +1,7 @@
-"""Properties of the covering number on random groups and subsets.
+"""Properties of the covering and packing numbers on random groups and subsets.
 
-cov's branch and bound is checked against a brute-force oracle that tries
-every set of translates in itertools.combinations order.
+The branch and bound of cov and of pack is each checked against a brute-force
+oracle that tries every set of translates in itertools.combinations order.
 """
 
 from itertools import combinations
@@ -42,3 +42,21 @@ def test_cov_is_the_first_minimal_cover(case):
     assert size == len(f) and _covers(g, f, a)
     assert _first_cover(g, a, size - 1) is None
     assert f == _first_cover(g, a, size)
+
+
+def _first_packing(g, a):
+    """The largest pairwise-disjoint family of left translates, the first of
+    its size in itertools.combinations order."""
+    translates = [frozenset(g.table[x][y] for y in a.members) for x in g.elements()]
+    for size in range(g.order, 0, -1):
+        for e in combinations(g.elements(), size):
+            if all(translates[x].isdisjoint(translates[y]) for x, y in combinations(e, 2)):
+                return e
+
+
+@settings(max_examples=400, deadline=None)
+@given(_group_and_set())
+def test_pack_is_the_first_maximal_packing(case):
+    g, a = case
+    e = _first_packing(g, a)
+    assert pt.pack(g, a) == (len(e), e)
