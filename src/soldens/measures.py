@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BAD_INPUT, SoldensError
-from .groups import PATTERNS, Group, GroupSubset, translate_masks
+from .groups import PATTERNS, Group, GroupSubset, subset, translate_masks
 
 
 class MeasureError(SoldensError):
@@ -26,10 +26,15 @@ def _normalize(weights):
 @dataclass(frozen=True)
 class FinSuppMeasure:
     """Probability measure on a Group (or an abstract indexed point set when
-    carrier is None). Structural equality holds after normalization."""
+    carrier is None). Structural equality holds after normalization. On a
+    Group every point is an element index, by the rule of groups.subset."""
 
     carrier: Group | None
     entries: tuple  # sorted ((point, Fraction), ...), all weights > 0
+
+    def __post_init__(self):
+        if self.carrier is not None:
+            subset(self.carrier, [p for p, _ in self.entries])
 
     def weight(self, point):
         for p, w in self.entries:
@@ -100,12 +105,10 @@ def sup_translates(mu, a, pattern="two-sided"):
         raise MeasureError("sup_translates requires a group carrier", kind=BAD_INPUT)
     if pattern not in PATTERNS:
         raise MeasureError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
-    # a point outside the carrier lies in no translate
-    atoms = [(p, w) for p, w in mu.entries if p in range(g.order)]
     best = Fraction(-1)
     arg = None
     for translate, mask in translate_masks(g, a, pattern):
-        v = sum((w for p, w in atoms if mask >> p & 1), Fraction(0))
+        v = sum((w for p, w in mu.entries if mask >> p & 1), Fraction(0))
         if v > best:
             best, arg = v, translate
     return best, arg

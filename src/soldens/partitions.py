@@ -20,22 +20,17 @@ class SizeGuardError(PartitionError):
     kind = SIZE_GUARD
 
 
-def cov(group, a):
-    """(minimal |F| with F*A = G, lexicographically least optimal F).
+def least_cover(n, translates):
+    """The first minimum-size cover of range(n) by the given masks, as the
+    tuple of their indices in itertools.combinations order.
 
-    Branch and bound on the masks of the left translates xA. Each node
-    branches on the least uncovered point, trying the translates that cover
-    it by ascending index, and prunes once |F| reaches the best size found.
-    Every optimal F is reached this way and the least sorted one is kept, so
-    F is the first cover of minimal size in itertools.combinations order. The
-    partition scans memoize this per distinct cell for the duration of one
-    scan call only (_cell_cov).
+    Branch and bound: each node branches on the least uncovered point, trying
+    the masks that cover it by ascending index, and prunes once |F| reaches
+    the best size found. Every optimal F is reached this way and the least
+    sorted one is kept, so F is the first cover of minimal size in
+    itertools.combinations order.
     """
-    if not a.mask:
-        raise PartitionError("cov of an empty set", kind=BAD_INPUT)
-    n = group.order
-    translates = [mask for _, mask in gr.translate_masks(group, a, "left")]
-    covering = [[x for x in range(n) if translates[x] >> p & 1] for p in range(n)]
+    covering = [[x for x in range(len(translates)) if translates[x] >> p & 1] for p in range(n)]
     full = (1 << n) - 1
     best = None
 
@@ -54,7 +49,20 @@ def cov(group, a):
             search(chosen + [x], covered | translates[x])
 
     search([], 0)
-    return len(best), tuple(best)
+    if best is None:
+        raise PartitionError("the masks do not cover")
+    return tuple(best)
+
+
+def cov(group, a):
+    """(minimal |F| with F*A = G, lexicographically least optimal F), by
+    least_cover over the left translates xA. The partition scans memoize this
+    per distinct cell for the duration of one scan call only (_cell_cov).
+    """
+    if not a.mask:
+        raise PartitionError("cov of an empty set", kind=BAD_INPUT)
+    f = least_cover(group.order, [mask for _, mask in gr.translate_masks(group, a, "left")])
+    return len(f), f
 
 
 def _cell_cov(group, cell, memo):

@@ -212,10 +212,10 @@ def test_suite_that_runs_suite_is_rejected_before_any_command(tmp_path, capsys):
 
 
 def test_cover_modulus_cap_is_checked_before_the_search(monkeypatch):
-    def combinations(*args):
+    def least_cover(*args):
         raise AssertionError("cover search started")
 
-    monkeypatch.setattr(zl, "combinations", combinations)
+    monkeypatch.setattr(zl.pt, "least_cover", least_cover)
     for a, b in ((zl.zset(40, [0, 1]), None), (zl.zset(7, [0]), zl.zset(3, [0]))):
         with pytest.raises(zl.ZSetError, match="exceeds cap 20") as info:
             zl.ergodic_sup_check(a) if b is None else zl.jin_witness(a, b)

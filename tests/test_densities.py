@@ -6,6 +6,7 @@ import pytest
 import soldens.densities as dn
 import soldens.groups as gr
 import soldens.measures as ms
+from soldens.errors import BAD_INPUT, SoldensError
 
 
 def test_closed_form():
@@ -41,6 +42,25 @@ def test_certificate_from_witness_and_post_check():
     with pytest.raises(dn.DensityError):
         dn.BoundCertificate(dn.DensityKind.SIGMA, "upper", Fraction(1, 3),
                             cert.witness, dn.EXACT, Fraction(1, 2))
+
+
+def test_witness_points_must_be_elements_of_the_group():
+    # a point outside the group lies in no translate, so it used to certify bound 0
+    g = gr.cyclic(4)
+    a = gr.subset(g, [0, 1])
+    bad = [
+        lambda: dn.certificate_from_witness(g, a, [9]),
+        lambda: dn.certificate_from_witness(g, a, [-1, 0]),
+        lambda: dn.certificate_from_witness(g, a, ms.measure(g, {0: Fraction(1, 2), 4: Fraction(1, 2)})),
+        lambda: ms.dirac(4, g),
+        lambda: ms.FinSuppMeasure(g, ((9, Fraction(1)),)),
+        lambda: ms.uniform_on([0, 1.0], carrier=g),
+    ]
+    for build in bad:
+        with pytest.raises(SoldensError) as info:
+            build()
+        assert info.value.kind == BAD_INPUT
+    assert dn.certificate_from_witness(g, a, [0, 2]).bound == Fraction(1, 2)
 
 
 def test_certificate_from_translates_scope_tagging():

@@ -4,10 +4,12 @@
 its own normal form changes nothing, and two sets are ``z_equal`` exactly when
 they hold the same integers. Outside its patches a set is periodic, so
 agreement on a window that covers every patch plus a full common period on
-each side is agreement everywhere.
+each side is agreement everywhere. The Jin and ergodic covers are the first
+minimum covers in itertools.combinations order.
 """
 
 import math
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,3 +64,26 @@ def test_z_equal_is_pointwise_equality_on_random_pairs(a, b):
 def test_z_equal_is_pointwise_equality_on_near_copies(pair):
     a, b = pair
     assert zl.z_equal(a, b) == _agree_on_window(a, b)
+
+
+def _first_min_cover(m, residues):
+    """Exhaustive oracle: the first shift set, in itertools.combinations
+    order, whose translates of the residues cover Z/m."""
+    for size in range(1, m + 1):
+        for shifts in combinations(range(m), size):
+            if {(r + t) % m for r in residues for t in shifts} == set(range(m)):
+                return shifts
+
+
+_PERIODIC = st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.just(m), st.sets(st.integers(0, m - 1), min_size=1), st.sets(st.integers(0, m - 1), min_size=1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PERIODIC)
+def test_ergodic_and_jin_covers_are_the_first_minimum_covers(inp):
+    m, ra, rb = inp
+    a, b = zl.zset(m, ra), zl.zset(m, rb)
+    assert zl.ergodic_sup_check(a)["f"] == _first_min_cover(m, a.residues)
+    jin = zl.jin_witness(a, b)
+    assert jin["f"] == _first_min_cover(m, jin["sumset"].residues)
