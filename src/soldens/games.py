@@ -4,7 +4,9 @@ extremal-density hierarchy, and windowed upper bounds for infinite models.
 Row player minimizes, column player maximizes, everywhere. Internally a
 payoff is an int matrix over one positive denominator (0/1 with
 denominator 1 for every game built here); Fractions appear only in
-MatrixGame, the public input, and GameSolution, the output.
+MatrixGame, the public input, and GameSolution, the output. The extremal
+patterns read every payoff from one hit table: for each assignment in G^n,
+the 0/1 bit "the product in substitution order lies in A".
 """
 
 from __future__ import annotations
@@ -121,10 +123,9 @@ def sigma_R_via_game(group, a):
     if not m:
         trivial = _solve([[0]], 1)
         return trivial.value, trivial, trivial
-    payoff = [[m >> group.mul(g, y) & 1 for y in range(n)] for g in range(n)]
-    minimax = _solve(payoff, 1)
-    transposed = [[m >> group.mul(group.inverse[x], g) & 1 for g in range(n)] for x in range(n)]
-    maximin = _solve(transposed, 1)
+    t = group.table
+    minimax = _solve([[m >> h & 1 for h in t[g]] for g in range(n)], 1)
+    maximin = _solve([[m >> h & 1 for h in t[group.inverse[x]]] for x in range(n)], 1)
     if minimax.value != maximin.value:
         raise GameError("minimax and maximin values disagree")
     return minimax.value, minimax, maximin
@@ -175,32 +176,15 @@ class ExtremalPattern:
         return self.quantifiers.lower()
 
 
-def _word_product(group, elems, substitution):
-    prod = 0
+def _hit_table(group, a, substitution):
+    """For every assignment in G^n, flat in itertools.product order, the bit
+    "the product in substitution order lies in A"."""
+    t, size, n = group.table, group.order, len(substitution)
+    prods = [0] * size ** n
     for pos in substitution:
-        prod = group.mul(prod, elems[pos - 1])
-    return prod
-
-
-def _tuples(group, k):
-    out = [()]
-    for _ in range(k):
-        out = [t + (g,) for t in out for g in group.elements()]
-    return out
-
-
-def _pure_payoff(group, a, pattern, assignment):
-    return a.mask >> _word_product(group, assignment, pattern.substitution) & 1
-
-
-def _blocks(kinds):
-    blocks = []
-    for i, k in enumerate(kinds):
-        if blocks and blocks[-1][0] == k:
-            blocks[-1][1].append(i)
-        else:
-            blocks.append((k, [i]))
-    return blocks
+        stride = size ** (n - pos)  # entry i assigns i // stride % size to pos
+        prods = [t[p][i // stride % size] for i, p in enumerate(prods)]
+    return [a.mask >> p & 1 for p in prods]
 
 
 def eval_extremal(pattern, group, a):
@@ -220,58 +204,41 @@ def eval_extremal(pattern, group, a):
     if "i" not in kinds:
         return "exact", Fraction(1) if a.mask else Fraction(0)
 
-    blocks = _blocks(kinds)
-    uniform_value = dn.density_closed_form(group, a)
-    if len(blocks) == 2:
-        outer_kind, outer_idx = blocks[0]
-        _, inner_idx = blocks[1]
-        outer = _tuples(group, len(outer_idx))
-        inner = _tuples(group, len(inner_idx))
-
-        def payoff(o, v):
-            elems = [0] * n
-            for q, g in zip(outer_idx + inner_idx, o + v):
-                elems[q] = g
-            return _pure_payoff(group, a, pattern, elems)
-
-        if outer_kind == "i":
-            payload = [[payoff(o, v) for v in inner] for o in outer]
-        else:
-            payload = [[payoff(o, v) for o in outer] for v in inner]
+    t = _hit_table(group, a, pattern.substitution)
+    size = group.order
+    if kinds not in ("isi", "sis"):
+        # Two blocks: the outer tuple fills the first positions and the inner
+        # tuple the rest, so row o of the table holds the payoffs of outer o.
+        width = size ** len(kinds.lstrip(kinds[0]))
+        payload = [t[i:i + width] for i in range(0, len(t), width)]
+        if kinds[0] == "s":
+            payload = list(zip(*payload))
         value = _solve(payload, 1).value
-        if value != uniform_value:
+        if value != dn.density_closed_form(group, a):
             raise GameError("mixed pattern failed the uniform collapse")
         return "exact", value
 
-    # Three alternating blocks: certified interval only.
-    q0, q1, q2 = 0, 1, 2
-    els = group.elements()
-    # Each Dirac and the Haar measure, as int weights over one denominator.
-    candidates = [_numerators(ms.dirac(g)) for g in els] + [_numerators(ms.haar_uniform(group))]
-
-    def hits(weights, fixed_q, g_other, g_inner):
-        # The candidate's measure of the hits, times its denominator.
-        elems = [0] * 3
-        elems[q1 if fixed_q == q0 else q0], elems[q2] = g_other, g_inner
-        total = 0
-        for h, w in weights:
-            elems[fixed_q] = h
-            total += w * _pure_payoff(group, a, pattern, elems)
-        return total
+    # Three alternating blocks: certified interval only. Each Dirac and the
+    # Haar measure, as int weights over one denominator.
+    els = range(size)
+    sq = size * size
+    candidates = [([(g, 1)], 1) for g in els] + [([(h, 1) for h in els], size)]
 
     def two_block_value(outer):
         # Remaining middle-vs-inner game with the outer measure folded in.
         weights, den = outer
-        payload = [[hits(weights, q0, g1, g2) for g2 in els] for g1 in els]
-        if kinds[q1] == "s":
-            payload = [list(col) for col in zip(*payload)]
+        payload = [[sum(w * t[h * sq + g1 * size + g2] for h, w in weights) for g2 in els]
+                   for g1 in els]
+        if kinds[1] == "s":
+            payload = list(zip(*payload))
         return _solve(payload, den).value
 
     def pure_sweep(mid, optimum):
         weights, den = mid
-        return Fraction(optimum(hits(weights, q1, g0, g2) for g0 in els for g2 in els), den)
+        return Fraction(optimum(sum(w * t[g0 * sq + h * size + g2] for h, w in weights)
+                                for g0 in els for g2 in els), den)
 
-    if kinds[q0] == "s":
+    if kinds[0] == "s":
         lo = max(two_block_value(c) for c in candidates)
         hi = min(pure_sweep(c, max) for c in candidates)
     else:
@@ -286,6 +253,13 @@ def windowed_bound(kind, window_points, translate_sets, attestation, horizon=Non
     """Upper BoundCertificate from the game restricted to a finite witness
     window, valid whenever the supplied translate enumeration is complete
     (structural attestation) or complete up to a horizon."""
+    if attestation == "structural":
+        scope = dn.EXACT
+    elif attestation == "bounded" and type(horizon) is int and horizon >= 0:
+        scope = dn.bounded(horizon)
+    else:
+        raise GameError("attestation must be 'structural', or 'bounded' with an int "
+                        f"horizon >= 0 (got {attestation!r}, horizon {horizon!r})", kind=BAD_INPUT)
     window = sorted(set(window_points))
     if not window:
         raise GameError("empty window", kind=BAD_INPUT)
@@ -294,7 +268,6 @@ def windowed_bound(kind, window_points, translate_sets, attestation, horizon=Non
         raise GameError("no translates supplied", kind=BAD_INPUT)
     sol = _solve([[int(p in c) for c in cols] for p in window], 1)
     witness = ms.measure(None, {window[i]: w for i, w in sol.row_strategy.entries})
-    scope = dn.EXACT if attestation == "structural" else dn.bounded(horizon)
     cert = dn.certificate_from_translates(kind, witness, cols, scope)
     if cert.bound != sol.value:
         raise GameError("verified supremum differs from game value")

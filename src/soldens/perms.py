@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import BAD_INPUT, SoldensError
 
@@ -108,26 +109,23 @@ class TargetPattern:
     modulus: int = 1
     residue: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("tail", "residue"):
+            raise PermError(f"unknown pattern kind {self.kind!r}", kind=BAD_INPUT)
+        if self.modulus < 1:
+            raise PermError("modulus must be >= 1", kind=BAD_INPUT)
+        # One normal form, so membership and enumeration agree on the class.
+        object.__setattr__(self, "residue", self.residue % self.modulus)
+
     def __contains__(self, x):
         if self.kind == "tail":
             return x >= self.start
-        if self.kind == "residue":
-            return x >= 0 and x % self.modulus == self.residue
-        raise PermError(f"unknown pattern kind {self.kind!r}", kind=BAD_INPUT)
+        return x >= 0 and x % self.modulus == self.residue
 
     def enumerate(self):
         if self.kind == "tail":
-            x = self.start
-            while True:
-                yield x
-                x += 1
-        elif self.kind == "residue":
-            x = self.residue % self.modulus
-            while True:
-                yield x
-                x += self.modulus
-        else:
-            raise PermError(f"unknown pattern kind {self.kind!r}", kind=BAD_INPUT)
+            return count(self.start)
+        return count(self.residue, self.modulus)
 
 
 def tail(start):
@@ -135,9 +133,7 @@ def tail(start):
 
 
 def residue_class(r, m):
-    if m < 1:
-        raise PermError("modulus must be >= 1", kind=BAD_INPUT)
-    return TargetPattern("residue", modulus=m, residue=r % m)
+    return TargetPattern("residue", modulus=m, residue=r)
 
 
 def conjugation_witness(perms, target):

@@ -31,6 +31,14 @@ class ZSet:
     add: frozenset
     remove: frozenset
 
+    def __post_init__(self):
+        if type(self.m) is not int or self.m < 1:
+            raise ZSetError(f"modulus must be an int >= 1, got {self.m!r}", kind=BAD_INPUT)
+        if not all(type(r) is int and 0 <= r < self.m for r in self.residues):
+            raise ZSetError(f"residues must lie in range({self.m})", kind=BAD_INPUT)
+        if not all(type(x) is int for x in chain(self.add, self.remove)):
+            raise ZSetError("patch points must be ints", kind=BAD_INPUT)
+
     def __contains__(self, x):
         if x in self.add:
             return True

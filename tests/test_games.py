@@ -13,6 +13,7 @@ from soldens.simplex import solve_lp_max
 
 LP_PINNED = Path(__file__).parent / "data" / "lp_pinned.json"
 GAMES_PINNED = Path(__file__).parent / "data" / "games_pinned.json"
+EXTREMAL_PINNED = Path(__file__).parent / "data" / "extremal_pinned.json"
 
 
 def test_simplex_basic_lp():
@@ -157,6 +158,24 @@ def test_extremal_double_alternation_interval_brackets_uniform():
     assert lo <= Fraction(1, 2) <= hi
 
 
+def test_extremal_pinned_corpus():
+    # tests/data/extremal_pinned.json was evaluated by the per-entry payoff
+    # builders the hit table replaced: every two-alternation word with at
+    # most one capital under all six substitutions, plus a sample of
+    # two-block patterns, on one subset of each size of C4, C5, S3 and
+    # C2xC2. The interval endpoints are pinned exactly, not only their
+    # bracketing of |A|/|G|. Never regenerate it to make a change pass.
+    corpus = json.loads(EXTREMAL_PINNED.read_text())
+    assert len(corpus) >= 1500
+    groups = {}
+    for case in corpus:
+        g = groups.setdefault(case["group"], gr.build_group(case["group"]))
+        shape, v = gm.eval_extremal(
+            gm.ExtremalPattern.parse(case["pattern"]), g, gr.subset(g, case["set"]))
+        got = [_pq(v[0]), _pq(v[1])] if shape == "interval" else _pq(v)
+        assert (shape, got) == (case["shape"], case["value"]), case
+
+
 def test_windowed_bound_scopes():
     cert = gm.windowed_bound(
         dn.DensityKind.SIGMA_CAP_R,
@@ -175,3 +194,11 @@ def test_game_json_roundtrip():
     g = gm.game([[Fraction(1, 2), 0], [1, Fraction(-2, 3)]])
     again = gm.MatrixGame.from_json(cli.dumps(g))
     assert again == g
+
+
+@pytest.mark.parametrize("attestation, horizon", [
+    ("structual", None), ("bounded", None), ("bounded", -1), ("bounded", "9"), ("bounded", True)])
+def test_windowed_bound_refuses_an_unknown_attestation_or_horizon(attestation, horizon):
+    with pytest.raises(gm.GameError) as e:
+        gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1], [{0}, {1}], attestation, horizon)
+    assert e.value.kind == "bad-input"

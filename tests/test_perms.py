@@ -77,3 +77,23 @@ def test_randomized_support_size_invariance():
         f = pm.perm(dict(zip(pts[:3], shuffled)) | dict(zip(shuffled, pts[:3])))
         c = pm.perm_conjugate(f, g)
         assert len(c.support()) == len(g.support())
+
+
+@pytest.mark.parametrize("args", [("cofinite",), ("residue", 0, 0), ("residue", 0, -2, 1)])
+def test_target_pattern_is_checked_once_when_built(args):
+    with pytest.raises(pm.PermError) as e:
+        pm.TargetPattern(*args)
+    assert e.value.kind == "bad-input"
+
+
+def test_residue_class_modulus_is_checked_before_it_divides():
+    with pytest.raises(pm.PermError, match="modulus must be >= 1"):
+        pm.residue_class(3, 0)
+
+
+def test_target_pattern_membership_and_enumeration_agree():
+    hand_built = pm.TargetPattern("residue", modulus=3, residue=5)
+    assert hand_built == pm.residue_class(2, 3)
+    gen = hand_built.enumerate()
+    assert [next(gen) for _ in range(3)] == [2, 5, 8]
+    assert all(x in hand_built for x in (2, 5, 8)) and 3 not in hand_built

@@ -1,6 +1,11 @@
-"""No module of src/soldens keeps a module-level import it never uses. The
-package __init__ imports its submodules to expose them, so it is exempt.
-The toolchain has no linter; this is the one lint rule the suite enforces."""
+"""Two ast lint rules over src/soldens, since the toolchain has no linter:
+
+- no module keeps a module-level import it never uses (the package
+  __init__ imports its submodules to expose them, so it is exempt);
+- no module keeps a module-level private function or class (a name that
+  starts with one underscore) that no code of the package reads outside
+  the definition itself.
+"""
 
 import ast
 from pathlib import Path
@@ -9,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "soldens"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -33,3 +39,39 @@ def test_the_rule_sees_a_leftover_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_definitions(sources):
+    """For sources, a dict from module name to source text: the module-level
+    private functions and classes, as "module.name", that no code reads
+    outside their own definition, as a bare name or as an attribute."""
+    readers = {}  # name -> {(module, index of the top-level statement reading it)}
+    for module, text in sources.items():
+        for i, stmt in enumerate(ast.parse(text).body):
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    readers.setdefault(name, set()).add((module, i))
+    return [
+        f"{module}.{stmt.name}"
+        for module, text in sources.items()
+        for i, stmt in enumerate(ast.parse(text).body)
+        if isinstance(stmt, DEFINITIONS) and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and not readers.get(stmt.name, set()) - {(module, i)}
+    ]
+
+
+def test_the_rule_sees_a_leftover_private_definition():
+    sources = {
+        "games": "def _tuples(k):\n    return _tuples(k - 1) if k else [()]\n"
+                 "def _solve():\n    pass\nclass _Memo:\n    pass\n",
+        "cli": "import games\ngames._solve()\n",
+        "zline": "def _sieve():\n    pass\nx = [_sieve]\n",
+    }
+    assert unused_private_definitions(sources) == ["games._tuples", "games._Memo"]
+
+
+def test_no_unused_private_function_or_class():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unused_private_definitions(sources) == []

@@ -178,3 +178,23 @@ def test_sumset_density_monotone_random():
 def test_json_roundtrip():
     a = zl.zset(6, [0, 2], add=[3], remove=[6])
     assert zl.z_equal(zl.ZSet.from_json(cli.dumps(a)), a)
+
+
+@pytest.mark.parametrize("parts", [
+    (4, frozenset({5}), frozenset(), frozenset()),   # a residue outside range(4)
+    (4, frozenset({-1}), frozenset(), frozenset()),
+    (4, frozenset({1.0}), frozenset(), frozenset()),
+    (0, frozenset(), frozenset(), frozenset()),      # the modulus is below 1
+    (2.0, frozenset({0}), frozenset(), frozenset()),
+    (4, frozenset({0}), frozenset({0.5}), frozenset()),  # a patch point is no int
+    (4, frozenset({0}), frozenset(), frozenset({"3"})),
+])
+def test_hand_built_zset_is_checked(parts):
+    with pytest.raises(zl.ZSetError) as e:
+        zl.ZSet(*parts)
+    assert e.value.kind == "bad-input"
+
+
+def test_zset_keeps_its_modulus_check_first():
+    with pytest.raises(zl.ZSetError, match="^modulus must be >= 1$"):
+        zl.zset(0, [5])
