@@ -12,6 +12,7 @@ stdout. A bare ValueError or AssertionError counts as an invariant failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -115,27 +116,22 @@ def _read(path):
 
 def cmd_group(args):
     g = gr.build_group(args.spec)
-    if args.validate:
-        bad = gr.validate_table([list(row) for row in g.table])
-        emit({"group": g, "valid": bad is None, "violation": str(bad) if bad else None})
-    else:
-        emit(g)
-    return 0
+    if not args.validate:
+        return 0, g
+    bad = gr.validate_table([list(row) for row in g.table])
+    return 0, {"group": g, "valid": bad is None, "violation": str(bad) if bad else None}
 
 
 def cmd_measure(args):
     g = gr.build_group(args.group)
     if args.kind == "uniform":
-        mu = ms.uniform_on(gr.subset(g, args.set))
-    elif args.kind == "dirac":
-        if len(args.set) != 1:
-            raise ms.MeasureError("dirac takes exactly one index", kind=BAD_INPUT)
-        (x,) = gr.subset(g, args.set)
-        mu = ms.dirac(x, g)
-    else:
-        mu = ms.haar_uniform(g)
-    emit(mu)
-    return 0
+        return 0, ms.uniform_on(gr.subset(g, args.set))
+    if args.kind == "haar":
+        return 0, ms.haar_uniform(g)
+    if len(args.set) != 1:
+        raise ms.MeasureError("dirac takes exactly one index", kind=BAD_INPUT)
+    (x,) = gr.subset(g, args.set)
+    return 0, ms.dirac(x, g)
 
 
 def cmd_density(args):
@@ -143,103 +139,84 @@ def cmd_density(args):
     a = gr.subset(g, args.set)
     kind = dn.DensityKind(args.kind)
     if args.mode == "exact":
-        emit({"value": dn.density_closed_form(g, a, kind)})
-    else:
-        value, witness = dn.density_bruteforce(g, a, kind)
-        closed = dn.density_closed_form(g, a, kind)
-        if value != closed:
-            emit({"error": "brute force disagrees with the closed form", "kind": INVARIANT_FAILURE,
-                  "brute": value, "closed": closed, "witness": witness})
-            return EXIT_CODES[INVARIANT_FAILURE]
-        emit({"value": value, "witness": witness})
-    return 0
+        return 0, {"value": dn.density_closed_form(g, a, kind)}
+    value, witness = dn.density_bruteforce(g, a, kind)
+    closed = dn.density_closed_form(g, a, kind)
+    if value != closed:
+        return EXIT_CODES[INVARIANT_FAILURE], {
+            "error": "brute force disagrees with the closed form", "kind": INVARIANT_FAILURE,
+            "brute": value, "closed": closed, "witness": witness}
+    return 0, {"value": value, "witness": witness}
 
 
 def cmd_game(args):
     if args.what == "solve":
         text = sys.stdin.read() if args.file == "-" else _read(args.file)
-        emit(gm.solve_game(gm.MatrixGame.from_json(text)))
-        return 0
+        return 0, gm.solve_game(gm.MatrixGame.from_json(text))
     if args.group is None:
         raise gm.GameError(f"game {args.what} needs --group", kind=BAD_INPUT)
     g = gr.build_group(args.group)
     a = gr.subset(g, args.set)
     if args.what == "sigma-r":
         value, minimax, maximin = gm.sigma_R_via_game(g, a)
-        emit({"value": value, "minimax": minimax, "maximin": maximin})
-        return 0
+        return 0, {"value": value, "minimax": minimax, "maximin": maximin}
     if args.what == "sigma":
-        emit({"value": gm.sigma_via_game(g, a)})
-        return 0
+        return 0, {"value": gm.sigma_via_game(g, a)}
     shape, result = gm.eval_extremal(gm.ExtremalPattern.parse(args.pattern), g, a)
-    if shape == "exact":
-        emit({"pattern": args.pattern, "exact": result})
-    else:
-        emit({"pattern": args.pattern, "interval": list(result)})
-    return 0
+    return 0, {"pattern": args.pattern, shape: result}  # shape is "exact" or "interval"
 
 
 def cmd_zline(args):
     if args.what == "primes":
         rows = zl.primes_bound_table(args.kmax, args.horizon)
-        if args.csv:
-            buf = io.StringIO()
-            w = csv.writer(buf)
-            w.writerow(["k", "n_k", "phi", "bound_num", "bound_den", "empirical_max"])
-            for r in rows:
-                w.writerow([r["k"], r["n_k"], r["phi"],
-                            r["bound"].numerator, r["bound"].denominator, r["empirical_max"]])
-            sys.stdout.write(buf.getvalue())
-        else:
-            emit({"rows": rows})
-        return 0
+        if not args.csv:
+            return 0, {"rows": rows}
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["k", "n_k", "phi", "bound_num", "bound_den", "empirical_max"])
+        for r in rows:
+            w.writerow([r["k"], r["n_k"], r["phi"],
+                        r["bound"].numerator, r["bound"].denominator, r["empirical_max"]])
+        return 0, buf.getvalue()
     a = zl.zset(args.m, args.residues, add=args.add, remove=args.remove)
     if args.what == "ip":
-        emit(zl.ip_witness_search(a, args.k, args.bound))
-    elif args.what == "dstar":
-        emit({"dstar": zl.dstar(a)})
-    elif args.what == "delta":
+        return 0, zl.ip_witness_search(a, args.k, args.bound)
+    if args.what == "dstar":
+        return 0, {"dstar": zl.dstar(a)}
+    if args.what == "delta":
         eps = args.eps if args.eps is not None else zl.dstar(a)
-        emit({"eps": eps, "delta": zl.delta_eps(a, eps)})
-    elif args.what == "classify":
-        emit(zl.classify(a))
-    elif args.what == "ergodic":
-        emit(zl.ergodic_sup_check(a))
-    else:
-        emit(zl.jin_witness(a, zl.zset(args.bm, args.bresidues)))
-    return 0
+        return 0, {"eps": eps, "delta": zl.delta_eps(a, eps)}
+    if args.what == "classify":
+        return 0, zl.classify(a)
+    if args.what == "ergodic":
+        return 0, zl.ergodic_sup_check(a)
+    return 0, zl.jin_witness(a, zl.zset(args.bm, args.bresidues))
 
 
 def cmd_words(args):
-    report = wd.fgroup_nonsubadditivity_certificate(args.n, check_len=args.check_len)
-    emit(report)
-    return 0
+    return 0, wd.fgroup_nonsubadditivity_certificate(args.n, check_len=args.check_len)
 
 
 def cmd_perms(args):
     perms = [pm.FinSuppPermutation.from_json(t) for t in args.perm]
-    emit(pm.conjugation_witness(perms, args.target))
-    return 0
+    return 0, pm.conjugation_witness(perms, args.target)
 
 
 def cmd_partitions(args):
     g = gr.build_group(args.group)
     if args.what == "verify":
         fn = pt.verify_thm139 if args.theorem == "13.9" else pt.verify_thm137
-        emit(fn(g, args.cells))
-    elif args.what == "odd":
-        emit(pt.odd_group_check(g))
-    elif args.what == "protasov":
+        return 0, fn(g, args.cells)
+    if args.what == "odd":
+        return 0, pt.odd_group_check(g)
+    if args.what == "protasov":
         hit = pt.protasov_search(g, args.cells)
-        emit({"counterexample": hit})
-        return 1 if hit else 0
-    elif args.what == "cov":
+        return (1 if hit else 0), {"counterexample": hit}
+    if args.what == "cov":
         value, f = pt.cov(g, gr.subset(g, args.set))
-        emit({"cov": value, "f": f})
-    else:
-        value, e = pt.pack(g, gr.subset(g, args.set))
-        emit({"pack": value, "e": e})
-    return 0
+        return 0, {"cov": value, "f": f}
+    value, e = pt.pack(g, gr.subset(g, args.set))
+    return 0, {"pack": value, "e": e}
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +346,7 @@ def verify_all(max_order=8, seed=0, trials=5):
 def cmd_verify_all(args):
     checks = verify_all(max_order=args.max_order, seed=args.seed)
     ok = all(c["ok"] for c in checks)
-    emit({"seed": args.seed, "max_order": args.max_order, "checks": checks, "pass": ok})
-    return 0 if ok else 1
+    return (0 if ok else 1), {"seed": args.seed, "max_order": args.max_order, "checks": checks, "pass": ok}
 
 
 def cmd_suite(args):
@@ -387,21 +363,13 @@ def cmd_suite(args):
     if any(argv[:1] == ["suite"] for _, argv in commands):
         raise SoldensError("a suite entry cannot run suite", kind=BAD_INPUT)
     results = []
-    worst = 0
     for ident, argv in commands:
-        buf = io.StringIO()
-        old = sys.stdout
-        sys.stdout = buf
-        try:
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
             code = run(argv)
-        finally:
-            sys.stdout = old
-        results.append({"id": ident, "argv": argv, "code": code,
-                        "output": buf.getvalue().strip()})
-        worst = max(worst, code)
-    emit({"suite": config.get("name", args.config), "seed": config.get("seed"),
-          "results": results, "pass": worst == 0})
-    return worst
+        results.append({"id": ident, "argv": argv, "code": code, "output": buf.getvalue().strip()})
+    worst = max((r["code"] for r in results), default=0)
+    return worst, {"suite": config.get("name", args.config), "seed": config.get("seed"),
+                   "results": results, "pass": worst == 0}
 
 
 def _positive_int(text):
@@ -415,37 +383,45 @@ def _positive_int(text):
     return value
 
 
+_parser = None
+
+
 def build_parser():
+    """The CLI's argparse parser, built on the first call and shared by every later one."""
+    global _parser
+    if _parser is not None:
+        return _parser
     p = argparse.ArgumentParser(prog="soldens", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    g = sub.add_parser("group", help="build or validate a group table")
+    def command(name, fn, summary):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
+        return sp
+
+    g = command("group", cmd_group, "build or validate a group table")
     g.add_argument("--spec", required=True)
     g.add_argument("--validate", action="store_true")
-    g.set_defaults(fn=cmd_group)
 
-    m = sub.add_parser("measure", help="construct a measure")
+    m = command("measure", cmd_measure, "construct a measure")
     m.add_argument("kind", choices=["uniform", "dirac", "haar"])
     m.add_argument("--group", required=True)
     m.add_argument("--set", type=_parse_set, default="")
-    m.set_defaults(fn=cmd_measure)
 
-    d = sub.add_parser("density", help="density of a subset")
+    d = command("density", cmd_density, "density of a subset")
     d.add_argument("mode", choices=["exact", "brute"])
     d.add_argument("--group", required=True)
     d.add_argument("--set", type=_parse_set, required=True)
     d.add_argument("--kind", default="sigma", choices=[k.value for k in dn.ALL_KINDS])
-    d.set_defaults(fn=cmd_density)
 
-    ga = sub.add_parser("game", help="matrix games and density games")
+    ga = command("game", cmd_game, "matrix games and density games")
     ga.add_argument("what", choices=["solve", "sigma-r", "sigma", "extremal"])
     ga.add_argument("--file", default="-")
     ga.add_argument("--group")
     ga.add_argument("--set", type=_parse_set, default="")
     ga.add_argument("--pattern", default="is12")
-    ga.set_defaults(fn=cmd_game)
 
-    z = sub.add_parser("zline", help="eventually periodic integer sets")
+    z = command("zline", cmd_zline, "eventually periodic integer sets")
     z.add_argument("what", choices=["dstar", "delta", "classify", "ergodic", "jin", "primes", "ip"])
     z.add_argument("--m", type=int, default=1)
     z.add_argument("--residues", type=_parse_set, default="")
@@ -459,55 +435,53 @@ def build_parser():
     z.add_argument("--csv", action="store_true")
     z.add_argument("--k", type=int, default=3)
     z.add_argument("--bound", type=int, default=100)
-    z.set_defaults(fn=cmd_zline)
 
-    w = sub.add_parser("words", help="free-group certificates")
+    w = command("words", cmd_words, "free-group certificates")
     w.add_argument("action", choices=["fgroup-cert"])
     w.add_argument("--n", type=_positive_int, default=4)
     w.add_argument("--check-len", type=_positive_int, default=8, dest="check_len")
-    w.set_defaults(fn=cmd_words)
 
-    pe = sub.add_parser("perms", help="finitely supported permutations")
+    pe = command("perms", cmd_perms, "finitely supported permutations")
     pe.add_argument("action", choices=["conjugate-witness"])
     pe.add_argument("--perm", action="append", required=True,
                     help='cycle JSON, e.g. {"cycles": [[1, 2]]}; repeatable')
     pe.add_argument("--target", type=_target, required=True, help="tail:N or mod:R/M")
-    pe.set_defaults(fn=cmd_perms)
 
-    pa = sub.add_parser("partitions", help="covering and partition theorems")
+    pa = command("partitions", cmd_partitions, "covering and partition theorems")
     pa.add_argument("what", choices=["verify", "odd", "protasov", "cov", "pack"])
     pa.add_argument("--group", required=True)
     pa.add_argument("--cells", type=_positive_int, default=2)
     pa.add_argument("--theorem", default="13.7", choices=["13.7", "13.9"])
     pa.add_argument("--set", type=_parse_set, default="")
-    pa.set_defaults(fn=cmd_partitions)
 
-    s = sub.add_parser("suite", help="run a JSON experiment suite")
+    s = command("suite", cmd_suite, "run a JSON experiment suite")
     s.add_argument("config")
-    s.set_defaults(fn=cmd_suite)
 
-    v = sub.add_parser("verify-all", help="run the invariant battery")
+    v = command("verify-all", cmd_verify_all, "run the invariant battery")
     v.add_argument("--max-order", type=int, default=8, dest="max_order")
     v.add_argument("--seed", type=int, default=0)
-    v.set_defaults(fn=cmd_verify_all)
 
+    _parser = p
     return p
 
 
 def run(argv):
-    parser = build_parser()
+    """Parse argv, run its handler and print its result (a str as it is, anything
+    else as one JSON line through emit): the one writer to stdout. Returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        return args.fn(args)
-    except SoldensError as e:
-        error, kind = e, e.kind
+        code, payload = args.fn(args)
     except (ValueError, AssertionError) as e:  # a bare assert is an invariant check
-        error, kind = e, INVARIANT_FAILURE
-    emit({"error": str(error), "kind": kind})
-    return EXIT_CODES[kind]
+        kind = e.kind if isinstance(e, SoldensError) else INVARIANT_FAILURE
+        code, payload = EXIT_CODES[kind], {"error": str(e), "kind": kind}
+    if isinstance(payload, str):
+        sys.stdout.write(payload)
+    else:
+        emit(payload)
+    return code
 
 
 def main():

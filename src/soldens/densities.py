@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import groups as gr
 from . import measures as ms
@@ -42,6 +43,11 @@ class DensityKind(Enum):
 ALL_KINDS = tuple(DensityKind)
 
 EXACT = "EXACT"
+
+# density_bruteforce tries every witness F with 1 <= |F| <= max_witness_size. On
+# the set {0} (Python 3.11.7 on a 2-vCPU Xeon VM) that took 0.03 s on cyclic:12,
+# 0.63 s on cyclic:16 and 8.5 s on cyclic:20. The cap admits every group of order <= 16.
+MAX_BRUTE_WITNESSES = 2 ** 16
 
 
 def bounded(horizon):
@@ -86,6 +92,9 @@ def density_bruteforce(group, a, kind=DensityKind.SIGMA, max_witness_size=None):
         max_witness_size = n
     if not 1 <= max_witness_size <= n:
         raise DensityError("max_witness_size out of range", kind=BAD_INPUT)
+    candidates = sum(comb(n, k) for k in range(1, max_witness_size + 1))
+    if candidates > MAX_BRUTE_WITNESSES:
+        raise DensityError(f"{candidates} witnesses exceed cap {MAX_BRUTE_WITNESSES}", kind=SIZE_GUARD)
     if not a.mask:
         return Fraction(0), (0,)
     target = density_closed_form(group, a, kind)

@@ -1,12 +1,17 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import soldens
 import soldens.cli as cli
+import soldens.densities as dn
 import soldens.games as gm
 import soldens.groups as gr
 import soldens.perms as pm
@@ -180,6 +185,8 @@ EXIT_TABLE = [
     (["game", "extremal", "--pattern", "isis1234", "--group", "s3", "--set", "0"], 3, "size-guard"),
     (["zline", "ergodic", "--m", "40", "--residues", "0,1"], 3, "size-guard"),
     (["zline", "jin", "--m", "7", "--residues", "0", "--bm", "3", "--bresidues", "0"], 3, "size-guard"),
+    (["density", "brute", "--group", "cyclic:17", "--set", "0"], 3, "size-guard"),
+    (["zline", "classify", "--m", "1001", "--residues", "0"], 3, "size-guard"),
     (["measure", "dirac", "--group", "cyclic:4", "--set", "3"], 0, None),
 ]
 
@@ -228,6 +235,23 @@ def test_cover_modulus_cap_admits_its_bound(capsys):
     assert code == 0 and len(json.loads(out)["f"]) == zl.MAX_COVER_MODULUS // 2
 
 
+def test_jin_cover_cap_is_checked_before_the_sumset(monkeypatch):
+    def sumset(*args, **kwargs):
+        raise AssertionError("sumset built")
+
+    monkeypatch.setattr(zl, "sumset", sumset)
+    with pytest.raises(zl.ZSetError, match="cover modulus 1003002 exceeds cap 20") as info:
+        zl.jin_witness(zl.zset(1001, [0]), zl.zset(1002, [0]))
+    assert info.value.kind == "size-guard"
+
+
+def test_new_size_caps_admit_their_bounds():
+    # the large witness of residues {0} mod 250 with three removals has 1000 shifts
+    assert zl.classify(zl.zset(250, [0], remove=[1, 2, 3]))["large"]
+    g = gr.build_group("cyclic:16")  # 2**16 - 1 candidate witnesses
+    assert dn.density_bruteforce(g, gr.subset(g, range(16))) == (1, (0,))
+
+
 def test_horizon_cap_is_checked_before_the_sieve(monkeypatch):
     def sieve(limit):
         raise AssertionError(f"sieve of {limit} allocated")
@@ -260,3 +284,36 @@ def test_from_json_rejects_malformed_input_as_bad_input(parse, text):
     with pytest.raises(SoldensError) as info:
         parse(text)
     assert info.value.kind == "bad-input"
+
+
+def test_one_process_prints_what_fresh_processes_print(tmp_path, capsys):
+    """The parser is built once per process and shared by every request: a
+    mixed sequence of requests in one process gives, for each argv, the exit
+    code and stdout of a fresh `python -m soldens.cli` process."""
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"name": "reuse", "commands": [
+        {"id": "two", "argv": ["perms", "conjugate-witness", "--perm", _PERM,
+                               "--perm", '{"cycles": [[3, 4]]}', "--target", "tail:5"]},
+        {"id": "one", "argv": ["perms", "conjugate-witness", "--perm", _PERM, "--target", "tail:5"]},
+        {"id": "bad", "argv": ["density", "exact", "--group", "cyclic:4", "--set", "9"]},
+    ]}))
+    argvs = [
+        ["density", "exact", "--group", "cyclic:4", "--set", "0,1"],  # good
+        ["density", "exact", "--group", "cyclic:4", "--set", "0,x"],  # argparse reject
+        ["density", "exact", "--group", "cyclic:4", "--set", "9"],  # bad input
+        ["zline", "dstar", "--m", "3"],  # default --residues
+        ["game", "extremal", "--group", "cyclic:4", "--set", "0,1"],  # default --pattern
+        # two --perm, then one: an append default shared across parses would keep three
+        ["perms", "conjugate-witness", "--perm", _PERM, "--perm", '{"cycles": [[3, 4]]}',
+         "--target", "tail:5"],
+        ["perms", "conjugate-witness", "--perm", _PERM, "--target", "tail:5"],
+        ["zline", "primes", "--kmax", "2", "--horizon", "1000", "--csv"],
+        ["suite", str(config)],
+        ["zline", "dstar", "--m", "3"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in argvs:
+        in_process = run_capture(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-m", "soldens.cli", *argv], capture_output=True, env=env)
+        assert in_process == (fresh.returncode, fresh.stdout.decode()), argv

@@ -1,10 +1,12 @@
-"""Two ast lint rules over src/soldens, since the toolchain has no linter:
+"""Three ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
 - no module keeps a module-level private function or class (a name that
   starts with one underscore) that no code of the package reads outside
-  the definition itself.
+  the definition itself;
+- in cli.py, only run, emit and main reference emit, print or sys.stdout:
+  handlers return their result, and run alone prints it.
 """
 
 import ast
@@ -75,3 +77,28 @@ def test_the_rule_sees_a_leftover_private_definition():
 def test_no_unused_private_function_or_class():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unused_private_definitions(sources) == []
+
+
+STDOUT_WRITERS = {"run", "emit", "main"}
+
+
+def stdout_writers(source):
+    """The top-level statements of source, by name, that reference emit, print or sys.stdout."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Name) and node.id in ("emit", "print")
+                    or isinstance(node, ast.Attribute) and node.attr == "stdout"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.add(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_the_rule_sees_a_handler_that_prints():
+    source = ("import sys\ndef emit(p):\n    print(p)\ndef cmd_a(args):\n    emit(args)\n"
+              "def cmd_b(args):\n    sys.stdout.write(args)\ndef run(argv):\n    emit(argv)\n")
+    assert stdout_writers(source) - STDOUT_WRITERS == {"cmd_a", "cmd_b"}
+
+
+def test_only_run_writes_to_stdout_in_the_cli():
+    assert stdout_writers((SRC / "cli.py").read_text()) - STDOUT_WRITERS == set()
