@@ -4,18 +4,22 @@ class-A / class-B partition and its non-subadditivity exhibit.
 
 Trust boundary: the public ``ReducedWord(...)`` constructor and ``word()``
 validate (letters, reducedness, the ``MAX_WORD_LEN`` cap); ``word_power``
-checks its letter and the cap. The internal builders (``all_reduced_words``,
-``word_multiply``, ``word_invert``, ``_prefix_decompose``) make words that are
-reduced by construction and skip validation. ``word_multiply`` cancels only at
-the junction, which for two reduced words is the whole free reduction, and
-checks the cap.
+checks its letter and the cap. The internal builders (``word_multiply``,
+``word_invert``, ``_prefix_decompose``, the bulk wrap ``_trusted_all`` that
+``all_reduced_words`` applies once to its letter strings, and the ``_POWERS``
+table of generator powers built at import) make words that are reduced by
+construction and skip validation. ``word_multiply`` cancels only at the
+junction, which for two reduced words is the whole free reduction, returns
+``u + v`` at once when the junction does not cancel, and checks the cap.
 """
 
 from __future__ import annotations
 
+import gc
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 from . import densities as dn
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
@@ -58,12 +62,31 @@ class ReducedWord:
         return self.letters or "e"
 
 
+_set_letters = ReducedWord.letters.__set__  # the slot setter, bypassing frozen
+
+
 def _trusted(letters):
     """A ReducedWord without validation, for letters that are reduced and
     within MAX_WORD_LEN by construction."""
     w = object.__new__(ReducedWord)
-    object.__setattr__(w, "letters", letters)
+    _set_letters(w, letters)
     return w
+
+
+def _trusted_all(strings):
+    """_trusted over a list, with the allocation and the slot writes done in
+    C-level map loops. A word holds one str and can close no reference cycle,
+    so the cyclic collector is paused meanwhile; left running, it re-traverses
+    the growing list and took about 60 % of all_reduced_words(12)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        words = list(map(object.__new__, repeat(ReducedWord, len(strings))))
+        deque(map(_set_letters, words, strings), 0)
+    finally:
+        if enabled:
+            gc.enable()
+    return words
 
 
 def word(text):
@@ -88,10 +111,13 @@ def word_multiply(u, v):
     """u v, cancelling the junction: for reduced u and v, the longest suffix of
     u that is the inverse of a prefix of v is all that free reduction removes."""
     a, b = u.letters, v.letters
-    k, top = 0, min(len(a), len(b))
-    while k < top and _INV[a[-1 - k]] == b[k]:
-        k += 1
-    letters = a[:len(a) - k] + b[k:]
+    if not a or not b or _INV[a[-1]] != b[0]:
+        letters = a + b
+    else:
+        k, top = 1, min(len(a), len(b))
+        while k < top and _INV[a[-1 - k]] == b[k]:
+            k += 1
+        letters = a[:len(a) - k] + b[k:]
     if len(letters) > MAX_WORD_LEN:
         raise _too_long()
     return _trusted(letters)
@@ -108,6 +134,10 @@ def word_power(letter, k):
     if abs(k) > MAX_WORD_LEN:
         raise _too_long()
     return _trusted(letter * k if k >= 0 else _INV[letter] * -k)
+
+
+# gen^k for gen in "ab" and 0 <= k <= MAX_WORD_LEN, read by the cross-check
+_POWERS = {x: [_trusted(x * k) for k in range(MAX_WORD_LEN + 1)] for x in "ab"}
 
 
 def partition_class(w):
@@ -127,16 +157,12 @@ def all_reduced_words(max_len):
     # it is not a runtime bound, since 3^max_len grows long before the cap.
     if max_len > MAX_WORD_LEN:
         raise _too_long()
-    out = [EMPTY]
-    frontier = [EMPTY]
+    out = [""]
+    frontier = [""]
     for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            s = w.letters
-            nxt.extend([_trusted(s + c) for c in _NEXT[s[-1:]]])
-        out.extend(nxt)
-        frontier = nxt
-    return out
+        frontier = [s + c for s in frontier for c in _NEXT[s[-1:]]]
+        out.extend(frontier)
+    return _trusted_all(out)
 
 
 def _prefix_decompose(y, letter):
@@ -158,15 +184,20 @@ def _fgroup_count(y, n, gen, cls, cross_check):
     Write y = gen^j w with w not starting gen-type. Then gen^i y = gen^{i+j} w
     lies outside cls unless i + j = 0; so the count is 1 when -j lands in
     [1, n] and w is in class cls, else 0, and never more than 1 for any y.
+
+    The cross-check reads each gen^i from ``_POWERS`` but still forms every
+    product gen^i y through the module's ``word_multiply``.
     """
     if n < 1:
         raise WordError("n must be >= 1", kind=BAD_INPUT)
     j, w = _prefix_decompose(y, gen)
     structural = 1 if 1 <= -j <= n and partition_class(w) == cls else 0
     if cross_check:
+        if n > MAX_WORD_LEN:
+            word_power(gen, n)  # raises the size guard, as the products would
         direct = sum(
-            1 for i in range(1, n + 1)
-            if partition_class(word_multiply(word_power(gen, i), y)) == cls
+            1 for p in _POWERS[gen][1:n + 1]
+            if partition_class(word_multiply(p, y)) == cls
         )
         if direct != structural:
             raise WordError(f"case analysis disagrees with direct product at y={y}")
@@ -199,6 +230,10 @@ def fgroup_nonsubadditivity_certificate(n, check_len=8):
         raise WordError("n and check_len must be >= 1", kind=BAD_INPUT)
     if check_len > MAX_CHECK_LEN:
         raise WordError(f"check_len {check_len} exceeds cap {MAX_CHECK_LEN}", kind=SIZE_GUARD)
+    # b^n a^check_len, the longest product the cross-check forms, has n + check_len letters
+    if n + check_len > MAX_WORD_LEN:
+        raise WordError(f"n {n} + check_len {check_len} exceeds word-length cap {MAX_WORD_LEN}",
+                        kind=SIZE_GUARD)
     worst = 0
     for y in all_reduced_words(check_len):
         worst = max(worst, fgroup_row_count(y, n), fgroup_col_count(y, n))
