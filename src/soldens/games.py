@@ -1,12 +1,12 @@
 """Exact zero-sum matrix games: minimax densities, intersection numbers, the
 extremal-density hierarchy, and windowed upper bounds for infinite models.
 
-Row player minimizes, column player maximizes, everywhere. Internally a
-payoff is an int matrix over one positive denominator (0/1 with
-denominator 1 for every game built here); Fractions appear only in
-MatrixGame, the public input, and GameSolution, the output. The extremal
-patterns read every payoff from one hit table: for each assignment in G^n,
-the 0/1 bit "the product in substitution order lies in A".
+Row player minimizes, column player maximizes, everywhere. A payoff is an
+int matrix over one denominator > 0 (0/1 over 1 in every game built here).
+Its LP runs on ints in simplex.solve_lp_int, and the only Fractions of a
+solve are those of the GameSolution that _solve makes from the kernel's ints.
+The extremal patterns read each payoff from one hit table: for each
+assignment in G^n, the bit "the product in substitution order lies in A".
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import densities as dn
 from . import groups as gr
 from . import measures as ms
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
-from .simplex import solve_lp_max
+from .simplex import solve_lp_int
 
 
 class GameError(SoldensError):
@@ -72,33 +72,25 @@ def solve_game(g):
     return _solve([[v.numerator * (den // v.denominator) for v in row] for row in g.payoff], den)
 
 
-def _numerators(mu):
-    """The weights of mu as ints over their common denominator."""
-    den = lcm(*(w.denominator for _, w in mu.entries))
-    return [(p, w.numerator * (den // w.denominator)) for p, w in mu.entries], den
-
-
 def _solve(ints, den):
     """solve_game for the payoff ints/den: int rows and an int den > 0."""
     m, n = len(ints), len(ints[0])
     lift = den - min(min(row) for row in ints)  # den * (1 - min payoff)
     # Row player's LP scaled by den: maximize sum(x) s.t. den (M + shift)^T x <= den.
     # Bland's rule pivots as without the scaling, which divides the duals by den.
-    a_rows = [[v + lift for v in col] for col in zip(*ints)]
-    objective, x, duals = solve_lp_max([1] * m, a_rows, [den] * n)
-    if objective <= 0:
+    d, x, duals = solve_lp_int([1] * m, [[v + lift for v in col] for col in zip(*ints)], [den] * n)
+    total = sum(x)  # the LP objective is total/d
+    if total <= 0:
         raise GameError("degenerate LP objective")
-    row_strategy = ms.measure(None, {i: x[i] / objective for i in range(m) if x[i]})
-    col_strategy = ms.measure(None, {j: duals[j] * den / objective for j in range(n) if duals[j]})
-    value = 1 / objective - Fraction(lift, den)
-    # sum_i (r_i/R) (ints_ij/den) <= p/q  iff  q sum_i r_i ints_ij <= p R den.
-    (rows, r_den), (cols, c_den) = _numerators(row_strategy), _numerators(col_strategy)
-    p, q = value.numerator, value.denominator
-    if any(q * sum(r * ints[i][j] for i, r in rows) > p * r_den * den for j in range(n)):
+    # Row i plays x_i/total and column j duals_j den/total; the value is top/(total den).
+    top = d * den - lift * total
+    if any(sum(xi * v for xi, v in zip(x, col)) > top for col in zip(*ints)):
         raise GameError("row strategy fails its guarantee")
-    if any(q * sum(c * row[j] for j, c in cols) < p * c_den * den for row in ints):
+    if any(den * sum(yj * v for yj, v in zip(duals, row)) < top for row in ints):
         raise GameError("column strategy fails its guarantee")
-    return GameSolution(value, row_strategy, col_strategy)
+    rows = ms.measure(None, {i: Fraction(xi, total) for i, xi in enumerate(x) if xi})
+    cols = ms.measure(None, {j: Fraction(yj * den, total) for j, yj in enumerate(duals) if yj})
+    return GameSolution(Fraction(top, total * den), rows, cols)
 
 
 def intersection_number(family, universe=None):

@@ -1,18 +1,21 @@
 """Exact simplex for small LPs on a fraction-free integer tableau.
 
 Solves  max c.x  s.t.  A x <= b, x >= 0  with b >= 0, which is all the game
-engine ever needs.
+engine ever needs. solve_lp_int is the pivot loop, on ints; the game kernel
+calls it, and it returns the optimal x and duals as ints over the last pivot
+d. solve_lp_max is its Fraction front end, the one place here that forms
+Fractions: it scales the inputs to ints and divides the x and duals by d.
 
-The inputs are scaled once by the lcm L of all their denominators. The LP
-max (Lc).x s.t. (LA) x <= Lb has the same optimal x and the same duals. For
-any basis, its rational tableau is the unscaled one with these factors: in a
-row whose basic variable is an x, the x columns and the rhs times 1 and the
-slack columns times 1/L; a row whose basic variable is a slack, times L
-throughout; in the objective row, the x columns times L and the slack
-columns times 1. So all ratios of one ratio test share a common factor (1
-when an x column enters, L when a slack enters), every sign is unchanged,
-and Bland's rule makes the same pivots. The slack reduced costs, and with
-them the duals, are the unscaled ones.
+The front end scales the inputs once by the lcm L of all their
+denominators. The LP max (Lc).x s.t. (LA) x <= Lb has the same optimal x and
+the same duals. For any basis, its rational tableau is the unscaled one with
+these factors: in a row whose basic variable is an x, the x columns and the
+rhs times 1 and the slack columns times 1/L; a row whose basic variable is a
+slack, times L throughout; in the objective row, the x columns times L and
+the slack columns times 1. So all ratios of one ratio test share a common
+factor (1 when an x column enters, L when a slack enters), every sign is
+unchanged, and Bland's rule makes the same pivots. The slack reduced costs,
+and with them the duals, are the unscaled ones.
 
 Invariant (Edmonds 1967, Bareiss 1968): the tableau holds Python ints equal
 to d times the rational tableau of the scaled LP, where d > 0 is the last
@@ -21,8 +24,7 @@ basis. A pivot on entry p sets every entry outside the pivot row to
 (p*v - f*w) // d, where f is the entry of its row in the pivot column and w
 the entry of the pivot row in its column. That division is always exact,
 since the result is an entry of adj(B) times the integer input. The pivot
-row stays as it is and d becomes p. Fractions are formed only from the
-final tableau.
+row stays as it is and d becomes p.
 
 Bland's rule keeps the pivoting deterministic and free of cycles: the
 entering column is the least index with positive reduced cost, the leaving
@@ -52,20 +54,28 @@ def solve_lp_max(c, a_rows, b):
     duals[i] is the optimal dual multiplier of constraint i (the reduced cost
     of its slack variable in the final tableau).
     """
-    m = len(a_rows)
-    n = len(c)
-    if any(bi < 0 for bi in b):
-        raise SimplexError("requires b >= 0")
     scale = lcm(*(v.denominator for v in c), *(v.denominator for v in b),
                 *(v.denominator for row in a_rows for v in row))
 
     def scaled(v):
         return v.numerator * (scale // v.denominator)
 
+    d, x, duals = solve_lp_int([scaled(v) for v in c], [[scaled(v) for v in row] for row in a_rows],
+                               [scaled(v) for v in b])
+    x = [Fraction(v, d) for v in x]
+    return sum(ci * xi for ci, xi in zip(c, x)), x, [Fraction(v, d) for v in duals]
+
+
+def solve_lp_int(c, a_rows, b):
+    """max c.x s.t. A x <= b, x >= 0 for int c, A and b >= 0. Returns (d, x,
+    duals), where d > 0 and x and duals are int lists: solve_lp_max's optimum
+    times d."""
+    m, n = len(a_rows), len(c)
+    if any(bi < 0 for bi in b):
+        raise SimplexError("requires b >= 0")
     # Tableau rows: [a | slack I | rhs]; objective row holds reduced costs.
-    tab = [[scaled(v) for v in a_rows[i]] + [int(j == i) for j in range(m)] + [scaled(b[i])]
-           for i in range(m)]
-    obj = [scaled(v) for v in c] + [0] * (m + 1)
+    tab = [[*a_rows[i]] + [int(j == i) for j in range(m)] + [b[i]] for i in range(m)]
+    obj = [*c] + [0] * (m + 1)
     basis = [n + i for i in range(m)]
     width = n + m
     d = 1
@@ -99,13 +109,11 @@ def solve_lp_max(c, a_rows, b):
         basis[leave] = enter
         d = piv
 
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Fraction(tab[i][width], d)
-    objective = sum(ci * xi for ci, xi in zip(c, x))
-    duals = [Fraction(-obj[n + i], d) for i in range(m)]
-    return objective, x, duals
+            x[bi] = tab[i][width]
+    return d, x, [-obj[n + i] for i in range(m)]
 
 
 def _eliminate(row, prow, support, enter, piv, d):

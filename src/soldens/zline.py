@@ -260,6 +260,20 @@ def covers(f, a, window):
     return all(any((x - t) in a for t in f) for x in range(-window, window + 1))
 
 
+def _cover_window(a):
+    """The window of the cover checks of classify and ergodic_sup_check: the
+    patch span plus twice the m * (|remove| + 1) shifts of their witnesses,
+    refused when its cost, in membership tests, exceeds the cap."""
+    shifts = a.m * (len(a.remove) + 1)
+    window = a.patch_span() + 2 * shifts
+    # each point is tested against up to every shift, and its own loop costs
+    # about ten tests more
+    if (2 * window + 1) * (shifts + 10) > MAX_COVER_TESTS:
+        raise ZSetError(f"cover check of {2 * window + 1} points against {shifts} shifts "
+                        f"exceeds cap {MAX_COVER_TESTS} tests", kind=SIZE_GUARD)
+    return window
+
+
 def classify(a, witness_length=10):
     """Thick / large / small verdict with explicit witnesses.
 
@@ -273,7 +287,7 @@ def classify(a, witness_length=10):
     if large and size > MAX_LARGE_WITNESS:
         raise ZSetError(f"large witness size {size} exceeds cap {MAX_LARGE_WITNESS}", kind=SIZE_GUARD)
     f = large_witness(a)
-    if f is not None and not covers(f, a, a.patch_span() + 2 * size):
+    if f is not None and not covers(f, a, _cover_window(a)):
         raise ZSetError("large witness failed its cover check")
     return {
         "thick": thick,
@@ -346,9 +360,10 @@ def ergodic_sup_check(a):
     """
     if a.is_finite():
         return {"value": 0, "f": None}
+    window = _cover_window(a)
     f = _min_cover(a.m, a.residues)
     f = tuple(t + j * a.m for t in f for j in range(len(a.remove) + 1))
-    if not covers(f, a, a.patch_span() + 2 * a.m * (len(a.remove) + 1)):
+    if not covers(f, a, window):
         raise ZSetError("ergodic witness failed its cover check")
     return {"value": 1, "f": f, "reciprocal_bound": math.ceil(1 / dstar(a))}
 
@@ -424,6 +439,19 @@ MAX_COVER_MODULUS = 20
 # each mod 500 and mod 1000 (Python 3.11.7 on a 2-vCPU Xeon VM) the slowest took
 # 0.24 s and 0.67 s, both for residues {0}; {0} mod 1500 took 2.1 s.
 MAX_LARGE_WITNESS = 1000
+# The cost of the cover window of classify and ergodic_sup_check, in membership
+# tests (see _cover_window). The cap admits the largest witness with a small
+# patch: residues {0} mod 250 minus three points, 4 047 070. With one patch
+# point placed at the cap, on classify for 10 residue sets mod 2 to 1000 and on
+# ergodic for 7 mod 2 to 20 (Python 3.11.7 on a 2-vCPU Xeon VM), the slowest
+# took 0.85 s, for residues {999} mod 1000; {0} mod 2 took 0.6 s at span 170 827.
+MAX_COVER_TESTS = 41 * 10 ** 5
+# A search for k generators in [1, bound] that exhausts its space tests
+# membership sum_i C(bound, i) 2^(i-1) times, i <= k; the CLI default, k = 3
+# and bound 100, needs 656 800. At the cap, for each k <= 12 at its largest
+# bound, on residue sets mod 2 to 8 and on [1, k(k+1)/2 - 1] (same machine),
+# the slowest took 0.36 s: k = 1, bound 10^6, on the empty set.
+MAX_IP_TESTS = 10 ** 6
 
 
 def _sieve(limit):
@@ -522,6 +550,15 @@ def ip_witness_search(member, k, bound):
         raise ZSetError("k must be >= 1", kind=BAD_INPUT)
     if k > 20:
         raise ZSetError(f"k {k} exceeds cap 20", kind=SIZE_GUARD)
+    # each i-subset of [1, bound], C(bound, i) = c of them, is tried at most once,
+    # with 2^(i-1) membership tests
+    n, c, tests = max(bound, 0), 1, 0
+    for i in range(1, k + 1):
+        c = c * (n + 1 - i) // i
+        tests += c << (i - 1)
+    if tests > MAX_IP_TESTS:
+        raise ZSetError(f"k {k} and bound {bound} allow {tests} membership tests, "
+                        f"above cap {MAX_IP_TESTS}", kind=SIZE_GUARD)
     if not callable(member):
         zs = member
         member = lambda x: x in zs

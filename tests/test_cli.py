@@ -317,3 +317,18 @@ def test_one_process_prints_what_fresh_processes_print(tmp_path, capsys):
         in_process = run_capture(capsys, argv)
         fresh = subprocess.run([sys.executable, "-m", "soldens.cli", *argv], capture_output=True, env=env)
         assert in_process == (fresh.returncode, fresh.stdout.decode()), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["zline", "ip", "--m", "3", "--residues", "1", "--k", "2", "--bound", "100000"],
+    ["zline", "classify", "--m", "2", "--residues", "0", "--add", "1000000000001"],
+    ["zline", "ergodic", "--m", "2", "--residues", "0", "--add", "1000000000001"],
+], ids=" ".join)
+def test_ip_and_cover_window_caps_refuse_before_the_work(monkeypatch, capsys, argv):
+    def work(*args):
+        raise AssertionError("cover check or cover search started")
+
+    monkeypatch.setattr(zl, "covers", work)
+    monkeypatch.setattr(zl.pt, "least_cover", work)
+    code, out = run_capture(capsys, argv)
+    assert code == 3 and json.loads(out)["kind"] == "size-guard"

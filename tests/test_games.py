@@ -202,3 +202,17 @@ def test_windowed_bound_refuses_an_unknown_attestation_or_horizon(attestation, h
     with pytest.raises(gm.GameError) as e:
         gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1], [{0}, {1}], attestation, horizon)
     assert e.value.kind == "bad-input"
+
+
+@pytest.mark.parametrize("kernel, message", [
+    # x = (2, 0) over d = 3 puts all row weight on row 0, which column 0 punishes
+    ((3, [2, 0], [1, 1]), "row strategy fails its guarantee"),
+    # duals (2, 0) put all column weight on column 0, which row 1 escapes
+    ((3, [1, 1], [2, 0]), "column strategy fails its guarantee"),
+])
+def test_both_guarantee_checks_reject_a_wrong_kernel_result(monkeypatch, kernel, message):
+    # the LP of [[1, 0], [0, 1]]: payoffs lifted by 1, transposed
+    assert gm.solve_lp_int([1, 1], [[2, 1], [1, 2]], [1, 1]) == (3, [1, 1], [1, 1])
+    monkeypatch.setattr(gm, "solve_lp_int", lambda c, a_rows, b: kernel)
+    with pytest.raises(gm.GameError, match=f"^{message}$"):
+        gm.solve_game(gm.game([[1, 0], [0, 1]]))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import soldens.cli as cli
 import soldens.games as gm
-from soldens.simplex import SimplexError, solve_lp_max
+from soldens.simplex import SimplexError, solve_lp_int, solve_lp_max
 
 _RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 _NONNEG = st.builds(Fraction, st.integers(0, 9), st.integers(1, 6))
@@ -84,3 +84,30 @@ def test_simplex_rejects_negative_rhs_and_unbounded_lps(lp, data):
     a_rows = [row[:j] + [-abs(row[j])] + row[j + 1:] for row in a_rows]
     with pytest.raises(SimplexError, match="unbounded"):
         solve_lp_max(c, a_rows, b)
+
+
+@st.composite
+def _bounded_int_lp(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    c = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    a_rows = [draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) for _ in range(m)]
+    a_rows.append(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    b = draw(st.lists(st.integers(0, 9), min_size=m + 1, max_size=m + 1))
+    return c, a_rows, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bounded_int_lp())
+def test_int_kernel_optimum_is_certified_and_matches_the_fraction_front_end(lp):
+    c, a_rows, b = lp
+    d, x, y = solve_lp_int(c, a_rows, b)
+    assert all(type(v) is int for v in [d, *x, *y]) and d > 0
+    assert all(xj >= 0 for xj in x) and all(yi >= 0 for yi in y)
+    for row, bi in zip(a_rows, b):
+        assert sum(aij * xj for aij, xj in zip(row, x)) <= d * bi
+    for j, cj in enumerate(c):
+        assert sum(row[j] * yi for row, yi in zip(a_rows, y)) >= d * cj
+    assert sum(cj * xj for cj, xj in zip(c, x)) == sum(bi * yi for bi, yi in zip(b, y))
+    obj, fx, fy = solve_lp_max(c, a_rows, b)
+    assert fx == [Fraction(v, d) for v in x] and fy == [Fraction(v, d) for v in y]
+    assert obj == Fraction(sum(cj * xj for cj, xj in zip(c, x)), d)

@@ -198,3 +198,22 @@ def test_hand_built_zset_is_checked(parts):
 def test_zset_keeps_its_modulus_check_first():
     with pytest.raises(zl.ZSetError, match="^modulus must be >= 1$"):
         zl.zset(0, [5])
+
+
+def test_ip_search_cap_is_checked_before_any_membership_test():
+    def member(x):
+        raise AssertionError("membership tested")
+
+    with pytest.raises(zl.ZSetError, match="above cap") as e:
+        zl.ip_witness_search(member, 2, 1001)
+    assert e.value.kind == "size-guard"
+    # k = 2 and bound 1000 allow 1000 + 2 * C(1000, 2) = 10^6 tests, the cap itself
+    assert zl.ip_witness_search(zl.Z_ALL, 2, 1000)["found"] == (1, 2)
+    # the CLI default, k = 3 and bound 100, exhausts its space
+    assert zl.ip_witness_search(zl.zset(3, [1]), 3, 100)["exhausted_bound"] == 100
+
+
+def test_cover_window_cap_admits_small_patches():
+    a = zl.zset(12, [0, 5], add=[35, -23], remove=[-24, 36])
+    assert len(a.add) == len(a.remove) == 2
+    assert zl.classify(a)["large"] and zl.ergodic_sup_check(a)["value"] == 1
