@@ -88,8 +88,13 @@ def _solve(ints, den):
         raise GameError("row strategy fails its guarantee")
     if any(den * sum(yj * v for yj, v in zip(duals, row)) < top for row in ints):
         raise GameError("column strategy fails its guarantee")
-    rows = ms.measure(None, {i: Fraction(xi, total) for i, xi in enumerate(x) if xi})
-    cols = ms.measure(None, {j: Fraction(yj * den, total) for j, yj in enumerate(duals) if yj})
+    # Both strategies are probability vectors, checked in ints; the entries
+    # below are then already the normalized, index-ordered ones.
+    if min(x) < 0 or min(duals) < 0 or den * sum(duals) != total:
+        raise GameError("a strategy is not a probability vector")
+    rows = ms.FinSuppMeasure(None, tuple((i, Fraction(xi, total)) for i, xi in enumerate(x) if xi))
+    cols = ms.FinSuppMeasure(
+        None, tuple((j, Fraction(yj * den, total)) for j, yj in enumerate(duals) if yj))
     return GameSolution(Fraction(top, total * den), rows, cols)
 
 

@@ -24,40 +24,87 @@ def least_cover(n, translates):
     """The first minimum-size cover of range(n) by the given masks, as the
     tuple of their indices in itertools.combinations order.
 
-    Branch and bound: each node branches on the least uncovered point, trying
-    the masks that cover it by ascending index, and prunes once |F| reaches
-    the best size found. Every optimal F is reached this way and the least
-    sorted one is kept, so F is the first cover of minimal size in
-    itertools.combinations order.
+    Two exact phases, both pruned by need(free), a lower bound on the masks
+    still needed: a greedy count of uncovered points that pairwise share no
+    mask, each of which needs a mask of its own. Phase 1 finds the minimum
+    size by branch and bound on the least uncovered point, pruning every node
+    that cannot beat the best size found, so ties are never enumerated; it
+    branches once per distinct gain on the free points, and not on a gain
+    that lies inside another.
+    Phase 2 walks index tuples of that size in combinations order and returns
+    the first cover; it also stops once a free point has no mask left at or
+    above the next index (dead[c]), and skips masks that cover nothing new,
+    which no minimum cover holds.
     """
-    covering = [[x for x in range(len(translates)) if translates[x] >> p & 1] for p in range(n)]
     full = (1 << n) - 1
-    best = None
-
-    def search(chosen, covered):
-        nonlocal best
-        if covered == full:
-            cand = sorted(chosen)
-            if best is None or (len(cand), cand) < (len(best), best):
-                best = cand
-            return
-        if best is not None and len(chosen) + 1 > len(best):
-            return
-        # branch on the least uncovered point: some translate must grab it
-        free = full ^ covered
-        for x in covering[(free & -free).bit_length() - 1]:
-            search(chosen + [x], covered | translates[x])
-
-    search([], 0)
-    if best is None:
+    covering = [[] for _ in range(n)]  # covering[p]: the distinct masks that cover p
+    reach = [0] * n  # reach[p]: every point that shares a mask with p
+    for mask in set(translates):
+        rest = mask & full
+        while rest:
+            p = (rest & -rest).bit_length() - 1
+            covering[p].append(mask)
+            reach[p] |= mask
+            rest &= rest - 1
+    if not all(covering):
         raise PartitionError("the masks do not cover")
-    return tuple(best)
+
+    def need(free):
+        count = 0
+        while free:
+            free &= ~reach[(free & -free).bit_length() - 1]
+            count += 1
+        return count
+
+    best = n + 1  # one mask per point always covers
+
+    def smallest(depth, covered):
+        nonlocal best
+        free = full ^ covered
+        if not free:
+            best = depth
+        elif depth + need(free) < best:
+            masks = covering[(free & -free).bit_length() - 1]
+            if depth + 2 == best:  # one more mask must cover every free point
+                if any(g & free == free for g in masks):
+                    best = depth + 1
+                return
+            # only the size matters here, so a mask whose gain on the free
+            # points lies inside another's is never worth a branch
+            gains = {g & free for g in masks}
+            for g in gains:
+                if not any(g != h and g & h == g for h in gains):
+                    smallest(depth + 1, covered | g)
+
+    smallest(0, 0)
+    k = len(translates)
+    dead = [full] * (k + 1)  # dead[c]: the points no mask at index >= c covers
+    for c in range(k - 1, -1, -1):
+        dead[c] = dead[c + 1] & ~translates[c]
+
+    def first(start, left, covered):
+        free = full & ~covered
+        if not free:
+            return ()
+        if need(free) > left:
+            return None
+        for c in range(start, k - left + 1):
+            if free & dead[c]:
+                return None
+            if translates[c] & free:
+                rest = first(c + 1, left - 1, covered | translates[c])
+                if rest is not None:
+                    return (c,) + rest
+        return None
+
+    return first(0, best, 0)
 
 
 def cov(group, a):
     """(minimal |F| with F*A = G, lexicographically least optimal F), by
     least_cover over the left translates xA. The partition scans memoize this
-    per distinct cell for the duration of one scan call only (_cell_cov).
+    per distinct difference set AA^-1 for the duration of one scan call only
+    (_cov_once).
     """
     if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
@@ -65,13 +112,24 @@ def cov(group, a):
     return len(f), f
 
 
-def _cell_cov(group, cell, memo):
-    """cov(A A^-1) of the cell A, computed once per distinct cell: memo maps
-    each cell already seen by the calling scan to its result."""
-    key = tuple(cell)
-    result = memo.get(key)
+def _cov_once(group, d, covs):
+    """cov(D), computed once per distinct mask: covs maps each set already
+    solved by the calling scan to its result."""
+    result = covs.get(d.mask)
     if result is None:
-        result = memo[key] = cov(group, gr.difference_set(group, gr.subset(group, cell)))
+        result = covs[d.mask] = cov(group, d)
+    return result
+
+
+def _cell_cov(group, cell, cells, covs):
+    """cov(A A^-1) of the cell A: cells maps each cell already seen by the
+    calling scan to its result, and distinct cells with equal difference sets
+    share one cov through covs."""
+    key = tuple(cell)
+    result = cells.get(key)
+    if result is None:
+        d = gr.difference_set(group, gr.subset(group, cell))
+        result = cells[key] = _cov_once(group, d, covs)
     return result
 
 
@@ -126,9 +184,10 @@ def verify_prop122(group):
     if group.order > 10:
         raise SizeGuardError("exhaustive subsets guarded to |G| <= 10")
     tight = []
+    covs = {}
     for bits in range(1, 2 ** group.order):
         a = gr.GroupSubset(group, bits)
-        c, _ = cov(group, gr.difference_set(group, a))
+        c, _ = _cov_once(group, gr.difference_set(group, a), covs)
         p, _ = pack(group, a)
         cap = group.order // len(a)
         if not c <= p <= cap:
@@ -188,10 +247,10 @@ def _verify_partition_bound(group, n, bound):
     worst = None
     worst_val = -1
     checked = 0
-    memo = {}
+    cell_covs, covs = {}, {}
     for cells in _partitions_into(group.order, n):
         checked += 1
-        best_cov = min(_cell_cov(group, cell, memo)[0] for cell in cells)
+        best_cov = min(_cell_cov(group, cell, cell_covs, covs)[0] for cell in cells)
         if best_cov > worst_val:
             worst_val = best_cov
             worst = tuple(tuple(c) for c in cells)
@@ -216,11 +275,11 @@ def protasov_search(group, n):
     empty on finite groups; a hit would be a loud surprise worth publishing,
     so it is returned with full certificates instead of raising."""
     _check_scan(group, n)
-    memo = {}
+    cell_covs, covs = {}, {}
     for cells in _partitions_into(group.order, n):
-        covs = [_cell_cov(group, cell, memo) for cell in cells]
-        if all(c > n for c, _ in covs):
-            return {"counterexample": [list(c) for c in cells], "covs": covs}
+        found = [_cell_cov(group, cell, cell_covs, covs) for cell in cells]
+        if all(c > n for c, _ in found):
+            return {"counterexample": [list(c) for c in cells], "covs": found}
     return None
 
 

@@ -430,10 +430,11 @@ _PRIMES8 = (2, 3, 5, 7, 11, 13, 17, 19)
 # The sieve costs about 9 bytes per integer up to verify_horizon + n_k. The cap
 # still admits k_max = 8: its window period n_8 = 9 699 690 must fit in the horizon.
 MAX_VERIFY_HORIZON = 10 ** 7
-# The branch and bound of _min_cover still blows up on sparse bases: on 50
-# random bases of 2 to 6 residues the slowest took 0.1 s at modulus 20 and 77 s
-# at 32, and at 40 the sample did not finish in 10 minutes.
-MAX_COVER_MODULUS = 20
+# _min_cover is exponential in the modulus. On 200 random bases of 2 to 6
+# residues mod 32 (Python 3.11.7 on a 2-vCPU Xeon VM) the slowest took 0.82 s,
+# for {3, 5, 21, 25}, and the sparse {0, 12, 16} took 0.06 s; mod 40 the
+# slowest of 20 took 4.1 s, a sample too small to admit 40.
+MAX_COVER_MODULUS = 32
 # classify checks its large witness, m * (|remove| + 1) shifts, on a window of
 # twice that length, a check quadratic in the witness size. On 18 residue sets
 # each mod 500 and mod 1000 (Python 3.11.7 on a 2-vCPU Xeon VM) the slowest took
@@ -445,6 +446,8 @@ MAX_LARGE_WITNESS = 1000
 # point placed at the cap, on classify for 10 residue sets mod 2 to 1000 and on
 # ergodic for 7 mod 2 to 20 (Python 3.11.7 on a 2-vCPU Xeon VM), the slowest
 # took 0.85 s, for residues {999} mod 1000; {0} mod 2 took 0.6 s at span 170 827.
+# ergodic on {3, 5, 21, 25} mod 32, the slowest cover sample above, with --add
+# 48 700 at the cap took 1.3 s through the CLI, the cover search included.
 MAX_COVER_TESTS = 41 * 10 ** 5
 # A search for k generators in [1, bound] that exhausts its space tests
 # membership sum_i C(bound, i) 2^(i-1) times, i <= k; the CLI default, k = 3

@@ -184,7 +184,7 @@ EXIT_TABLE = [
     (["zline", "ip", "--m", "2", "--residues", "0", "--k", "21"], 3, "size-guard"),
     (["game", "extremal", "--pattern", "isis1234", "--group", "s3", "--set", "0"], 3, "size-guard"),
     (["zline", "ergodic", "--m", "40", "--residues", "0,1"], 3, "size-guard"),
-    (["zline", "jin", "--m", "7", "--residues", "0", "--bm", "3", "--bresidues", "0"], 3, "size-guard"),
+    (["zline", "jin", "--m", "7", "--residues", "0", "--bm", "5", "--bresidues", "0"], 3, "size-guard"),
     (["density", "brute", "--group", "cyclic:17", "--set", "0"], 3, "size-guard"),
     (["zline", "classify", "--m", "1001", "--residues", "0"], 3, "size-guard"),
     (["measure", "dirac", "--group", "cyclic:4", "--set", "3"], 0, None),
@@ -223,8 +223,10 @@ def test_cover_modulus_cap_is_checked_before_the_search(monkeypatch):
         raise AssertionError("cover search started")
 
     monkeypatch.setattr(zl.pt, "least_cover", least_cover)
-    for a, b in ((zl.zset(40, [0, 1]), None), (zl.zset(7, [0]), zl.zset(3, [0]))):
-        with pytest.raises(zl.ZSetError, match="exceeds cap 20") as info:
+    cap = zl.MAX_COVER_MODULUS
+    assert 35 > cap  # lcm(7, 5), the jin sumset's modulus
+    for a, b in ((zl.zset(cap + 1, [0, 1]), None), (zl.zset(7, [0]), zl.zset(5, [0]))):
+        with pytest.raises(zl.ZSetError, match=f"exceeds cap {cap}$") as info:
             zl.ergodic_sup_check(a) if b is None else zl.jin_witness(a, b)
         assert info.value.kind == "size-guard"
 
@@ -240,7 +242,8 @@ def test_jin_cover_cap_is_checked_before_the_sumset(monkeypatch):
         raise AssertionError("sumset built")
 
     monkeypatch.setattr(zl, "sumset", sumset)
-    with pytest.raises(zl.ZSetError, match="cover modulus 1003002 exceeds cap 20") as info:
+    with pytest.raises(zl.ZSetError,
+                       match=f"cover modulus 1003002 exceeds cap {zl.MAX_COVER_MODULUS}$") as info:
         zl.jin_witness(zl.zset(1001, [0]), zl.zset(1002, [0]))
     assert info.value.kind == "size-guard"
 

@@ -216,3 +216,17 @@ def test_both_guarantee_checks_reject_a_wrong_kernel_result(monkeypatch, kernel,
     monkeypatch.setattr(gm, "solve_lp_int", lambda c, a_rows, b: kernel)
     with pytest.raises(gm.GameError, match=f"^{message}$"):
         gm.solve_game(gm.game([[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("payoff, kernel", [
+    # duals (2, 2) pass the column check but weigh 2 in all
+    ([[1, 0], [0, 1]], (3, [1, 1], [2, 2])),
+    # on the zero game both checks pass for any x and duals with the same sum
+    ([[0, 0], [0, 0]], (1, [2, -1], [1, 0])),
+    ([[0, 0], [0, 0]], (1, [1, 0], [2, -1])),
+])
+def test_strategies_must_be_probability_vectors(monkeypatch, payoff, kernel):
+    monkeypatch.setattr(gm, "solve_lp_int", lambda c, a_rows, b: kernel)
+    with pytest.raises(gm.GameError, match="^a strategy is not a probability vector$") as e:
+        gm.solve_game(gm.game(payoff))
+    assert e.value.kind == "invariant-failure"

@@ -57,6 +57,25 @@ def test_partition_verifiers():
         pt.verify_thm137(gr.cyclic(6), 5)
 
 
+def test_scans_solve_cov_once_per_distinct_difference_set(monkeypatch):
+    # the 1094 partitions of Z/8 into <= 3 cells hold 255 distinct cells but
+    # only 11 distinct difference sets AA^-1
+    solved = []
+
+    def cov(group, a):
+        solved.append(a.mask)
+        return inner(group, a)
+
+    inner = pt.cov
+    monkeypatch.setattr(pt, "cov", cov)
+    v = pt.verify_thm137(gr.cyclic(8), 3)
+    assert (v.partitions_checked, v.worst_best_cov) == (1094, 2)
+    assert len(solved) == len(set(solved)) == 11
+    solved.clear()
+    pt.verify_prop122(gr.cyclic(8))
+    assert len(solved) == len(set(solved)) == 11
+
+
 def test_protasov_search_finds_nothing_on_small_groups():
     assert pt.protasov_search(gr.cyclic(6), 2) is None
     assert pt.protasov_search(gr.symmetric(3), 2) is None

@@ -1,11 +1,13 @@
 """Properties of the covering and packing numbers on random groups and subsets.
 
 The branch and bound of cov and of pack is each checked against a brute-force
-oracle that tries every set of translates in itertools.combinations order.
+oracle that tries every set of translates in itertools.combinations order, and
+the cover kernel least_cover against the same oracle on arbitrary mask families.
 """
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,3 +62,53 @@ def test_pack_is_the_first_maximal_packing(case):
     g, a = case
     e = _first_packing(g, a)
     assert pt.pack(g, a) == (len(e), e)
+
+
+def _first_least_cover(n, masks):
+    """The first cover of range(n) of minimal size in itertools.combinations
+    order, or None when the masks do not cover."""
+    full = (1 << n) - 1
+    for size in range(len(masks) + 1):
+        for f in combinations(range(len(masks)), size):
+            covered = 0
+            for x in f:
+                covered |= masks[x]
+            if covered & full == full:
+                return f
+    return None
+
+
+@st.composite
+def _mask_family(draw):
+    """Arbitrary masks over range(n), not translates of one set: some repeat
+    an earlier mask, and some families leave a point uncovered. Half of them
+    get extra masks, at drawn positions, that cover what the others miss."""
+    n = draw(st.integers(0, 12))
+    full = (1 << n) - 1
+    masks = []
+    for _ in range(draw(st.integers(0, 9))):
+        if masks and draw(st.booleans()):
+            masks.append(draw(st.sampled_from(masks)))
+        else:
+            masks.append(draw(st.integers(0, full)))
+    if draw(st.booleans()):
+        rest = full
+        for mask in masks:
+            rest &= ~mask
+        while rest:
+            patch = rest & draw(st.integers(0, full)) or rest & -rest
+            masks.insert(draw(st.integers(0, len(masks))), patch)
+            rest &= ~patch
+    return n, masks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mask_family())
+def test_least_cover_is_the_first_minimal_cover_of_any_family(family):
+    n, masks = family
+    f = _first_least_cover(n, masks)
+    if f is None:
+        with pytest.raises(pt.PartitionError, match="do not cover"):
+            pt.least_cover(n, masks)
+    else:
+        assert pt.least_cover(n, masks) == f

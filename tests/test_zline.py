@@ -115,6 +115,13 @@ def test_ergodic_sup_check_values_and_cover_size():
     assert len(rep["f"]) == 4 and rep["reciprocal_bound"] == 3
 
 
+def test_min_cover_at_the_cap_on_a_sparse_base():
+    # the base lies in 4Z, so each class mod 4 is a copy of {0, 3, 4} mod 8,
+    # which needs 4 shifts: 16 in all, and 0..15 come first
+    assert zl.MAX_COVER_MODULUS >= 32
+    assert zl._min_cover(32, [0, 12, 16]) == tuple(range(16))
+
+
 def test_bohr_decomposition():
     rep = zl.piecewise_bohr_check(zl.zset(3, [1], remove=[1]))
     assert rep["ok"]
