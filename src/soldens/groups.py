@@ -51,11 +51,14 @@ def validate_table(table):
         invs = [h for h in range(n) if table[g][h] == 0 and table[h][g] == 0]
         if len(invs) != 1:
             return Violation("inverse", (g,))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    return Violation("associativity", (a, b, c))
+    # (ab)c == a(bc) for all c at once: row ab must equal row b relabelled by
+    # row a; only a mismatching (a, b) is scanned for its least c
+    rows = [list(row) for row in table]
+    for a, ra in enumerate(rows):
+        for b, rb in enumerate(rows):
+            if rows[ra[b]] != [ra[x] for x in rb]:
+                c = next(c for c in range(n) if rows[ra[b]][c] != ra[rb[c]])
+                return Violation("associativity", (a, b, c))
     return None
 
 

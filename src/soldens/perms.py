@@ -82,8 +82,9 @@ def transposition(x, y):
 
 def perm_compose(f, g):
     """(f o g)(x) = f(g(x))."""
-    points = set(f.support()) | set(g.support())
-    return perm({x: f(g(x)) for x in points})
+    fm, gm = dict(f.mapping), dict(g.mapping)
+    gx = {x: gm.get(x, x) for x in fm.keys() | gm.keys()}
+    return perm({x: fm.get(y, y) for x, y in gx.items()})
 
 
 def perm_invert(f):
@@ -93,7 +94,8 @@ def perm_invert(f):
 def perm_conjugate(f, g):
     """f g f^-1; its support is the f-image of supp(g)."""
     result = perm_compose(perm_compose(f, g), perm_invert(f))
-    expected = tuple(sorted(f(x) for x in g.support()))
+    fm = dict(f.mapping)
+    expected = tuple(sorted(fm.get(x, x) for x, _ in g.mapping))
     if result.support() != expected:
         raise PermError("conjugation support identity failed")
     return result
@@ -153,15 +155,10 @@ def conjugation_witness(perms, target):
             c = next(gen)
             if c not in taken:
                 images.append(c)
+        # the images avoid the joint support, so closing the injection up
+        # into a permutation sends each image back to its one preimage
         mapping = dict(zip(joint, images))
-        # close up into a permutation: each image point not itself moved
-        # gets sent back along the chain of preimages
-        for c in images:
-            if c not in mapping:
-                x = c
-                while x in mapping.values():
-                    x = next(a for a, b in mapping.items() if b == x)
-                mapping[c] = x
+        mapping.update(zip(images, joint))
         f = perm(mapping)
     conjugates = []
     for s in perms:

@@ -65,3 +65,50 @@ def test_translate_masks_match_frozensets(case):
         assert keys == sorted(oracle) == list(product(g.elements(), repeat=len(keys[0])))
         for key, mask in entries:
             assert _members(gr.GroupSubset(g, mask)) == oracle[key]
+
+
+def _reference_verdict(table):
+    """The group axioms checked one triple at a time, in the order that makes
+    the first failure the lexicographically least Violation."""
+    n = len(table)
+    for g in range(n):
+        if len(table[g]) != n:
+            return gr.Violation("range", (g,))
+        for h in range(n):
+            if not (0 <= table[g][h] < n):
+                return gr.Violation("range", (g, h))
+    for g in range(n):
+        if table[0][g] != g or table[g][0] != g:
+            return gr.Violation("identity", (g,))
+    for g in range(n):
+        if len([h for h in range(n) if table[g][h] == 0 and table[h][g] == 0]) != 1:
+            return gr.Violation("inverse", (g,))
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return gr.Violation("associativity", (a, b, c))
+    return None
+
+
+@st.composite
+def _corrupted_table(draw):
+    """A group table of order <= 8 with a few entries overwritten, mostly off
+    the identity row and column so that associativity is what breaks; or a
+    table of order <= 4 that is free off its identity row and column."""
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(1, 4))
+        return [[g if h == 0 else h if g == 0 else draw(st.integers(0, n - 1)) for h in range(n)]
+                for g in range(n)]
+    g = _GROUPS[draw(st.sampled_from([s for s in _SPECS if _GROUPS[s].order <= 8]))]
+    n = g.order
+    table = [list(row) for row in g.table]
+    low = 1 if n > 1 and draw(st.integers(0, 9)) else 0
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(low, n - 1)), draw(st.integers(low, n - 1))
+        table[i][j] = draw(st.integers(0, n if draw(st.integers(0, 19)) == 0 else n - 1))
+    return table
+
+
+@settings(max_examples=500, deadline=None)
+@given(_corrupted_table())
+def test_validate_table_matches_the_triple_loop(table):
+    assert gr.validate_table(table) == _reference_verdict(table)
