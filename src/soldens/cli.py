@@ -86,7 +86,7 @@ def _parse_set(text):
 def _fraction(text):
     """argparse type for an exact rational p/q."""
     try:
-        return Fraction(text)
+        return gm.rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from None
 

@@ -5,6 +5,8 @@ Row player minimizes, column player maximizes, everywhere. A payoff is an
 int matrix over one denominator > 0 (0/1 over 1 in every game built here).
 Its LP runs on ints in simplex.solve_lp_int, and the only Fractions of a
 solve are those of the GameSolution that _solve makes from the kernel's ints.
+Value-only callers go through _value, which pivots only when the uniform (Haar)
+strategy pair does not meet; the callers that return strategies always pivot.
 The extremal patterns read each payoff from one hit table: for each
 assignment in G^n, the bit "the product in substitution order lies in A".
 """
@@ -48,10 +50,19 @@ class MatrixGame:
     @staticmethod
     def from_json(text):
         try:
-            rows = [[Fraction(v) for v in row] for row in json.loads(text)["payoff"]]
+            rows = [[rational(v) for v in row]
+                    for row in json.loads(text, parse_float=rational)["payoff"]]
         except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as e:
             raise GameError(f"malformed game JSON: {e!r}", kind=BAD_INPUT) from None
         return game(rows)
+
+
+def rational(v):
+    """The exact Fraction of an int, a Fraction, or a decimal or p/q string. Bools,
+    floats and exponent notation, which could spell a huge int, are refused."""
+    if type(v) in (int, Fraction) or type(v) is str and "e" not in v.lower():
+        return Fraction(v)
+    raise ValueError(f"{v!r} is not an exact rational")
 
 
 def game(rows):
@@ -98,6 +109,15 @@ def _solve(ints, den):
     return GameSolution(Fraction(top, total * den), rows, cols)
 
 
+def _value(ints, den):
+    """_solve(ints, den).value, exact without a pivot when the uniform strategies
+    meet: they hold it in [min row sum/(n den), max column sum/(m den)]."""
+    low, high = min(map(sum, ints)), max(map(sum, zip(*ints)))
+    if low * len(ints) == high * len(ints[0]):
+        return Fraction(low, len(ints[0]) * den)
+    return _solve(ints, den).value
+
+
 def intersection_number(family, universe=None):
     """Kelley intersection number of a finite family of sets: the value of
     the game (family member vs point, membership payoff)."""
@@ -109,7 +129,7 @@ def intersection_number(family, universe=None):
     points = sorted(universe)
     if not points:
         return Fraction(0)
-    return _solve([[int(p in b) for p in points] for b in family], 1).value
+    return _value([[int(p in b) for p in points] for b in family], 1)
 
 
 def sigma_R_via_game(group, a):
@@ -135,7 +155,7 @@ def sigma_via_game(group, a):
         return Fraction(0)
     masks = {mask for _, mask in gr.translate_masks(group, a, "two-sided")}
     cols = sorted(masks, key=lambda mask: gr.GroupSubset(group, mask).indices())
-    value = _solve([[c >> g & 1 for c in cols] for g in group.elements()], 1).value
+    value = _value([[c >> g & 1 for c in cols] for g in group.elements()], 1)
     if value != dn.density_closed_form(group, a):
         raise GameError("sigma game value differs from closed form")
     return value
@@ -210,7 +230,7 @@ def eval_extremal(pattern, group, a):
         payload = [t[i:i + width] for i in range(0, len(t), width)]
         if kinds[0] == "s":
             payload = list(zip(*payload))
-        value = _solve(payload, 1).value
+        value = _value(payload, 1)
         if value != dn.density_closed_form(group, a):
             raise GameError("mixed pattern failed the uniform collapse")
         return "exact", value
@@ -228,7 +248,7 @@ def eval_extremal(pattern, group, a):
                    for g1 in els]
         if kinds[1] == "s":
             payload = list(zip(*payload))
-        return _solve(payload, den).value
+        return _value(payload, den)
 
     def pure_sweep(mid, optimum):
         weights, den = mid

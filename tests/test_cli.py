@@ -156,6 +156,7 @@ EXIT_TABLE = [
     (["density", "exact", "--group", "cyclic:4", "--set", "0,x"], 2, None),
     (["zline", "delta", "--m", "2", "--residues", "0", "--eps", "abc"], 2, None),
     (["zline", "delta", "--m", "2", "--residues", "0", "--eps", "1/0"], 2, None),
+    (["zline", "delta", "--m", "4", "--residues", "0,1", "--eps", "1e-5000"], 2, None),
     (["game", "extremal", "--pattern", "xx", "--group", "s3", "--set", "0"], 2, "bad-input"),
     (["perms", "conjugate-witness", "--perm", _PERM, "--target", "tail:x"], 2, None),
     (["perms", "conjugate-witness", "--perm", _PERM, "--target", "mod:1"], 2, None),
@@ -165,6 +166,7 @@ EXIT_TABLE = [
     (["game", "solve", "--file", "{tmp}/missing.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/not_json.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/no_payoff.json"], 2, "bad-input"),
+    (["game", "solve", "--file", "{tmp}/exponent.json"], 2, "bad-input"),
     (["suite", "{tmp}/missing.json"], 2, "bad-input"),
     (["game", "sigma-r"], 2, "bad-input"),
     (["game", "sigma"], 2, "bad-input"),
@@ -195,6 +197,7 @@ EXIT_TABLE = [
 def test_exit_code_table(tmp_path, capsys, argv, code, kind):
     (tmp_path / "not_json.json").write_text("{payoff")
     (tmp_path / "no_payoff.json").write_text('{"rows": [[1]]}')
+    (tmp_path / "exponent.json").write_text('{"payoff": [["1e-5000", 0]]}')
     got, out = run_capture(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert got == code
     if code == 0:

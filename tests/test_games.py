@@ -196,6 +196,53 @@ def test_game_json_roundtrip():
     assert again == g
 
 
+@pytest.mark.parametrize("text, value", [
+    ('{"payoff": [[0.1, 0], [0, 0.2]]}', Fraction(1, 15)),
+    ('{"payoff": [["0.25", "-1/3"], [-0.5, "-1.5"]]}', Fraction(-1, 2)),
+])
+def test_game_json_decimals_parse_exactly(text, value):
+    assert gm.solve_game(gm.MatrixGame.from_json(text)).value == value
+
+
+@pytest.mark.parametrize("text", [
+    '{"payoff": [[1e-5000, 0]]}', '{"payoff": [["1e-5000", 0]]}', '{"payoff": [[1E2]]}',
+    '{"payoff": [[true, 0]]}', '{"payoff": [[NaN]]}'])
+def test_game_json_refuses_exponents_booleans_and_floats(text):
+    with pytest.raises(gm.GameError) as e:
+        gm.MatrixGame.from_json(text)
+    assert e.value.kind == "bad-input"
+
+
+def test_balanced_value_only_games_never_reach_the_lp_kernel(monkeypatch):
+    # Every value-only game below is balanced, so the uniform (Haar) pair
+    # certifies it; callers that return strategies pivot even then.
+    def kernel(c, a_rows, b):
+        raise AssertionError("pivoted")
+
+    monkeypatch.setattr(gm, "solve_lp_int", kernel)
+    s3 = gr.symmetric(3)
+    exact = ["is12", "si12", "is21", "si21", "iS12", "Is12", "sI21", "Si12",
+             "iss213", "iss123", "ssi123", "sii123", "iis123", "Ssi231", "ssI132"]
+    for bits in range(1, 2 ** s3.order):
+        a = gr.subset(s3, [g for g in s3.elements() if bits >> g & 1])
+        target = dn.density_closed_form(s3, a)
+        for p in exact:
+            assert gm.eval_extremal(gm.ExtremalPattern.parse(p), s3, a) == ("exact", target)
+        for p in ("sis123", "isi132", "sis213"):
+            shape, (lo, hi) = gm.eval_extremal(gm.ExtremalPattern.parse(p), s3, a)
+            assert shape == "interval" and lo <= target <= hi
+        fam = [gr.left_translate(s3, x, a).members for x in s3.elements()]
+        assert gm.intersection_number(fam) == target
+        assert gm.sigma_via_game(s3, a) == target
+    for pivots in (lambda: gm.intersection_number([{1}, {1, 2}]),
+                   lambda: gm.solve_game(gm.game([[1, 0], [0, 1]])),
+                   lambda: gm.sigma_R_via_game(s3, gr.subset(s3, [0])),
+                   lambda: gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1], [{0}, {1}],
+                                             "structural")):
+        with pytest.raises(AssertionError, match="pivoted"):
+            pivots()
+
+
 @pytest.mark.parametrize("attestation, horizon", [
     ("structual", None), ("bounded", None), ("bounded", -1), ("bounded", "9"), ("bounded", True)])
 def test_windowed_bound_refuses_an_unknown_attestation_or_horizon(attestation, horizon):

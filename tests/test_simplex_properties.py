@@ -1,7 +1,8 @@
 """Properties of the exact simplex and the game solver on random inputs.
 
 Each optimum is checked on its own terms (feasibility, dual feasibility and
-strong duality), with no second solver as oracle.
+strong duality), with no second solver as oracle. The one shortcut, the
+uniform-pair certificate of games._value, is checked against the pivot.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import soldens.cli as cli
 import soldens.games as gm
+import soldens.groups as gr
 from soldens.simplex import SimplexError, solve_lp_int, solve_lp_max
 
 _RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -111,3 +113,41 @@ def test_int_kernel_optimum_is_certified_and_matches_the_fraction_front_end(lp):
     obj, fx, fy = solve_lp_max(c, a_rows, b)
     assert fx == [Fraction(v, d) for v in x] and fy == [Fraction(v, d) for v in y]
     assert obj == Fraction(sum(cj * xj for cj, xj in zip(c, x)), d)
+
+
+@st.composite
+def _int_payoff(draw):
+    """A small int payoff; half are circulant, whose row and column sums all meet."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        v = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return [v[i:] + v[:i] for i in range(n)]
+    m = draw(st.integers(1, 4))
+    return [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_payoff(), st.integers(1, 6))
+def test_value_shortcut_equals_the_pivoted_value(ints, den):
+    assert gm._value(ints, den) == gm._solve(ints, den).value
+
+
+_SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "s3", "d4",
+          "cyclic:2*cyclic:2", "cyclic:2*cyclic:4")
+_GROUPS = {spec: gr.build_group(spec) for spec in _SPECS}
+
+
+@st.composite
+def _cayley_payoff(draw):
+    """The payoff [g h in A] of a catalog group, rows and columns permuted."""
+    g = _GROUPS[draw(st.sampled_from(_SPECS))]
+    mask = draw(st.integers(0, 2 ** g.order - 1))
+    rows = draw(st.permutations(range(g.order)))
+    cols = draw(st.permutations(range(g.order)))
+    return [[mask >> g.table[x][y] & 1 for y in cols] for x in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cayley_payoff(), st.integers(1, 6))
+def test_value_shortcut_on_cayley_payoffs(ints, den):
+    assert gm._value(ints, den) == gm._solve(ints, den).value
