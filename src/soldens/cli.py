@@ -30,7 +30,7 @@ from . import partitions as pt
 from . import perms as pm
 from . import words as wd
 from . import zline as zl
-from .errors import BAD_INPUT, EXIT_CODES, INVARIANT_FAILURE, SoldensError
+from .errors import BAD_INPUT, EXIT_CODES, INVARIANT_FAILURE, SIZE_GUARD, SoldensError
 
 
 # Printed forms of the types whose output is not their dataclass fields.
@@ -72,7 +72,12 @@ def dumps(obj):
 
 
 def emit(payload):
-    print(dumps(payload))
+    """Print payload as one JSON line; an int too long to print is refused before printing."""
+    try:
+        text = dumps(payload)
+    except ValueError as e:
+        raise SoldensError(f"result too large to print: {e}", kind=SIZE_GUARD) from None
+    print(text)
 
 
 def _parse_set(text):
@@ -467,21 +472,23 @@ def build_parser():
 
 def run(argv):
     """Parse argv, run its handler and print its result (a str as it is, anything
-    else as one JSON line through emit): the one writer to stdout. Returns the exit code."""
+    else as one JSON line through emit) or its error: the one writer to stdout.
+    Returns the exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:
         code, payload = args.fn(args)
+        if isinstance(payload, str):
+            sys.stdout.write(payload)
+        else:
+            emit(payload)
+        return code
     except (ValueError, AssertionError) as e:  # a bare assert is an invariant check
         kind = e.kind if isinstance(e, SoldensError) else INVARIANT_FAILURE
-        code, payload = EXIT_CODES[kind], {"error": str(e), "kind": kind}
-    if isinstance(payload, str):
-        sys.stdout.write(payload)
-    else:
-        emit(payload)
-    return code
+        emit({"error": str(e), "kind": kind})
+        return EXIT_CODES[kind]
 
 
 def main():

@@ -50,8 +50,10 @@ class MatrixGame:
     @staticmethod
     def from_json(text):
         try:
-            rows = [[rational(v) for v in row]
-                    for row in json.loads(text, parse_float=rational)["payoff"]]
+            payoff = json.loads(text, parse_float=rational)["payoff"]
+            if not (type(payoff) is list and all(type(row) is list for row in payoff)):
+                raise TypeError("payoff is not a list of lists")
+            rows = [[rational(v) for v in row] for row in payoff]
         except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as e:
             raise GameError(f"malformed game JSON: {e!r}", kind=BAD_INPUT) from None
         return game(rows)

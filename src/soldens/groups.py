@@ -316,19 +316,24 @@ def invert_set(group, a):
 
 
 def _product(group, left, right):
-    """{gh : g in left, h in right} for two lists of indices."""
+    """The mask of {gh : g in left, h in right} for two lists of indices."""
     t = group.table
-    return GroupSubset(group, _mask({t[g][h] for g in left for h in right}))
+    return _mask({t[g][h] for g in left for h in right})
 
 
 def product_set(group, a, b):
-    return _product(group, a.indices(), b.indices())
+    return GroupSubset(group, _product(group, a.indices(), b.indices()))
+
+
+def difference_mask(group, mask):
+    """The mask of AA^-1 for the subset A with the given mask, which is not checked."""
+    members = _bits(mask)
+    return _product(group, members, [group.inverse[g] for g in members])
 
 
 def difference_set(group, a):
     """AA^-1"""
-    members = a.indices()
-    return _product(group, members, [group.inverse[g] for g in members])
+    return GroupSubset(group, difference_mask(group, a.mask))
 
 
 def conjugacy_class(group, x):

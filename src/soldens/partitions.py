@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import groups as gr
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
@@ -102,9 +103,9 @@ def least_cover(n, translates):
 
 def cov(group, a):
     """(minimal |F| with F*A = G, lexicographically least optimal F), by
-    least_cover over the left translates xA. The partition scans memoize this
-    per distinct difference set AA^-1 for the duration of one scan call only
-    (_cov_once).
+    least_cover over the left translates xA. The partition scans and
+    verify_prop122 call it once per distinct mask of AA^-1, through a table
+    that lives for one call of theirs only (_cov_once).
     """
     if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
@@ -112,24 +113,13 @@ def cov(group, a):
     return len(f), f
 
 
-def _cov_once(group, d, covs):
-    """cov(D), computed once per distinct mask: covs maps each set already
-    solved by the calling scan to its result."""
-    result = covs.get(d.mask)
+def _cov_once(group, a, covs):
+    """cov(AA^-1) for the mask a of A: covs maps each mask of AA^-1 that the
+    caller has solved to its result."""
+    d = gr.difference_mask(group, a)
+    result = covs.get(d)
     if result is None:
-        result = covs[d.mask] = cov(group, d)
-    return result
-
-
-def _cell_cov(group, cell, cells, covs):
-    """cov(A A^-1) of the cell A: cells maps each cell already seen by the
-    calling scan to its result, and distinct cells with equal difference sets
-    share one cov through covs."""
-    key = tuple(cell)
-    result = cells.get(key)
-    if result is None:
-        d = gr.difference_set(group, gr.subset(group, cell))
-        result = cells[key] = _cov_once(group, d, covs)
+        result = covs[d] = cov(group, gr.GroupSubset(group, d))
     return result
 
 
@@ -187,7 +177,7 @@ def verify_prop122(group):
     covs = {}
     for bits in range(1, 2 ** group.order):
         a = gr.GroupSubset(group, bits)
-        c, _ = _cov_once(group, gr.difference_set(group, a), covs)
+        c, _ = _cov_once(group, bits, covs)
         p, _ = pack(group, a)
         cap = group.order // len(a)
         if not c <= p <= cap:
@@ -205,22 +195,22 @@ def thm139_bound(n):
 
 
 def _partitions_into(n_elems, max_cells):
-    """All partitions of range(n_elems) into <= max_cells nonempty cells,
-    canonical up to relabeling (restricted growth strings)."""
-
-    def grow(assign, used):
-        i = len(assign)
-        if i == n_elems:
-            yield assign
-            return
-        for c in range(min(used + 1, max_cells)):
-            yield from grow(assign + [c], max(used, c + 1))
-
-    for assign in grow([], 0):
-        cells = [[] for _ in range(max(assign) + 1)]
-        for i, c in enumerate(assign):
-            cells[c].append(i)
-        yield cells
+    """The list of all partitions of range(n_elems) into <= max_cells nonempty
+    cells, each a tuple of cell masks ordered by least element, in the
+    lexicographic order of their restricted growth strings (Knuth, TAOCP 4A,
+    7.2.1.5). Built one element at a time: each partition of range(k), in
+    order, puts k into each of its cells in turn and then into a new cell."""
+    parts = [()]
+    for k in range(n_elems):
+        bit = 1 << k
+        grown = []
+        for part in parts:
+            for i, cell in enumerate(part):
+                grown.append(part[:i] + (cell | bit,) + part[i + 1:])
+            if len(part) < max_cells:
+                grown.append(part + (bit,))
+        parts = grown
+    return parts
 
 
 @dataclass(frozen=True)
@@ -234,32 +224,30 @@ class PartitionVerdict:
     worst_best_cov: int
 
 
-def _check_scan(group, n):
-    """The partition scans take 1 <= n <= 4 cells on groups of order <= 8."""
+def _scan(group, n):
+    """The partitions of G into <= n cells, as _partitions_into lists them,
+    and a dict from each distinct cell mask A to cov(AA^-1). The scans take
+    1 <= n <= 4 cells on groups of order <= 8, checked before anything is built."""
     if n < 1:
         raise PartitionError("cell count must be >= 1", kind=BAD_INPUT)
     if n > 4 or group.order > 8:
         raise SizeGuardError("partition scan guarded to n <= 4, |G| <= 8")
+    parts = _partitions_into(group.order, n)
+    covs = {}
+    return parts, {a: _cov_once(group, a, covs) for a in set(chain.from_iterable(parts))}
 
 
 def _verify_partition_bound(group, n, bound):
-    _check_scan(group, n)
-    worst = None
-    worst_val = -1
-    checked = 0
-    cell_covs, covs = {}, {}
-    for cells in _partitions_into(group.order, n):
-        checked += 1
-        best_cov = min(_cell_cov(group, cell, cell_covs, covs)[0] for cell in cells)
-        if best_cov > worst_val:
-            worst_val = best_cov
-            worst = tuple(tuple(c) for c in cells)
+    parts, covs = _scan(group, n)
+    best = [min(covs[a][0] for a in part) for part in parts]
+    worst_val = max(best)  # the first partition that attains it is reported
+    worst = tuple(tuple(gr.GroupSubset(group, a).indices()) for a in parts[best.index(worst_val)])
     passed = worst_val <= bound
     if not passed:
         raise PartitionError(
             f"partition {worst} has every cov(A A^-1) > {bound} on {group.label}"
         )
-    return PartitionVerdict(group.label, n, bound, passed, checked, worst, worst_val)
+    return PartitionVerdict(group.label, n, bound, passed, len(parts), worst, worst_val)
 
 
 def verify_thm137(group, n):
@@ -274,12 +262,11 @@ def protasov_search(group, n):
     """Hunt for a partition where every cell has cov(A A^-1) > n. Expected
     empty on finite groups; a hit would be a loud surprise worth publishing,
     so it is returned with full certificates instead of raising."""
-    _check_scan(group, n)
-    cell_covs, covs = {}, {}
-    for cells in _partitions_into(group.order, n):
-        found = [_cell_cov(group, cell, cell_covs, covs) for cell in cells]
-        if all(c > n for c, _ in found):
-            return {"counterexample": [list(c) for c in cells], "covs": found}
+    parts, covs = _scan(group, n)
+    for part in parts:
+        if all(covs[a][0] > n for a in part):
+            return {"counterexample": [gr.GroupSubset(group, a).indices() for a in part],
+                    "covs": [covs[a] for a in part]}
     return None
 
 
@@ -305,10 +292,9 @@ def odd_group_check(group):
     full = (1 << group.order) - 1
     # bits stays below 2^(|G|-1), so the last element is always in the complement
     for bits in range(1, 2 ** (group.order - 1)):
-        a = gr.GroupSubset(group, bits)
-        b = a.complement()
-        if gr.difference_set(group, a).mask != full and gr.difference_set(group, b).mask != full:
-            witness = (a.indices(), b.indices())
+        if (gr.difference_mask(group, bits) != full
+                and gr.difference_mask(group, full ^ bits) != full):
+            witness = tuple(gr.GroupSubset(group, a).indices() for a in (bits, full ^ bits))
             break
     property_holds = witness is None
     if odd != property_holds:

@@ -285,11 +285,22 @@ _MIXED = ('{"order": 2, "table": ["a"], "payoff": [[1, 2], [3]], "cycles": [["a"
 
 @pytest.mark.parametrize("parse", [gr.Group.from_json, gm.MatrixGame.from_json,
                                    pm.FinSuppPermutation.from_json, zl.ZSet.from_json])
-@pytest.mark.parametrize("text", ["{bad", "[1]", "null", "{}", _MIXED])
+@pytest.mark.parametrize("text", ["{bad", "[1]", "null", "{}", _MIXED, '{"payoff": ["12", "03"]}',
+                                  '{"payoff": {"1": 0}}', '{"payoff": [{"1": 0}]}'])
 def test_from_json_rejects_malformed_input_as_bad_input(parse, text):
     with pytest.raises(SoldensError) as info:
         parse(text)
     assert info.value.kind == "bad-input"
+
+
+def test_a_result_too_long_to_print_is_a_size_guard(tmp_path, capsys):
+    # the value 10^-4300 parses, but its denominator has more digits than the
+    # interpreter converts to a string
+    game = tmp_path / "tiny.json"
+    game.write_text('{"payoff": [["0.%s1"]]}' % ("0" * 4299))
+    code, out = run_capture(capsys, ["game", "solve", "--file", str(game)])
+    assert code == 3
+    assert out.count("\n") == 1 and json.loads(out)["kind"] == "size-guard"
 
 
 def test_one_process_prints_what_fresh_processes_print(tmp_path, capsys):

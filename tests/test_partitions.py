@@ -76,6 +76,28 @@ def test_scans_solve_cov_once_per_distinct_difference_set(monkeypatch):
     assert len(solved) == len(set(solved)) == 11
 
 
+def _cov_by_difference_size(group, d):
+    # a stand-in for cov whose size is large where AA^-1 is small, so that
+    # the scans reach the exits no true cov reaches
+    size = 8 - len(d)
+    return size, tuple(range(size))
+
+
+def test_protasov_search_reports_the_first_counterexample(monkeypatch):
+    monkeypatch.setattr(pt, "cov", _cov_by_difference_size)
+    assert pt.protasov_search(gr.cyclic(6), 3) == {
+        "counterexample": [[0, 1], [2, 3], [4, 5]],
+        "covs": [(5, (0, 1, 2, 3, 4))] * 3}
+
+
+def test_partition_verifier_names_its_worst_partition_on_failure(monkeypatch):
+    monkeypatch.setattr(pt, "cov", _cov_by_difference_size)
+    with pytest.raises(pt.PartitionError) as info:
+        pt.verify_thm137(gr.cyclic(6), 3)
+    assert str(info.value) == \
+        "partition ((0, 3), (1, 4), (2, 5)) has every cov(A A^-1) > 3 on cyclic:6"
+
+
 def test_protasov_search_finds_nothing_on_small_groups():
     assert pt.protasov_search(gr.cyclic(6), 2) is None
     assert pt.protasov_search(gr.symmetric(3), 2) is None
@@ -88,6 +110,7 @@ def test_odd_group_check():
     assert not rep["odd"] and rep["witness"] == ([0, 1], [2, 3])
     rep2 = pt.odd_group_check(gr.cyclic(2))
     assert not rep2["odd"] and rep2["witness"] == ([0], [1])
+    assert pt.odd_group_check(gr.symmetric(3))["witness"] == ([0, 1, 2], [3, 4, 5])
 
 
 def test_difference_power_subgroup():
@@ -117,7 +140,7 @@ def test_subadditivity_partition_consequence():
 
     g = gr.dihedral(4)
     for cells in pt._partitions_into(g.order, 3):
-        best = max(Fraction(len(c), g.order) for c in cells)
+        best = max(Fraction(c.bit_count(), g.order) for c in cells)
         assert best >= Fraction(1, len(cells))
 
 

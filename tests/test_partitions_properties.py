@@ -3,6 +3,8 @@
 The branch and bound of cov and of pack is each checked against a brute-force
 oracle that tries every set of translates in itertools.combinations order, and
 the cover kernel least_cover against the same oracle on arbitrary mask families.
+The partition enumerator of the scans is checked against a recursive
+restricted-growth-string generator.
 """
 
 from itertools import combinations
@@ -112,3 +114,38 @@ def test_least_cover_is_the_first_minimal_cover_of_any_family(family):
             pt.least_cover(n, masks)
     else:
         assert pt.least_cover(n, masks) == f
+
+
+def _growth_partitions(n_elems, max_cells):
+    """The partitions of range(n_elems) into <= max_cells cells from their
+    restricted growth strings, recursively in lexicographic order, each as a
+    tuple of cell masks ordered by least element."""
+
+    def grow(assign, used):
+        if len(assign) == n_elems:
+            yield assign
+            return
+        for c in range(min(used + 1, max_cells)):
+            yield from grow(assign + [c], max(used, c + 1))
+
+    for assign in grow([], 0):
+        cells = [0] * (max(assign) + 1)
+        for i, c in enumerate(assign):
+            cells[c] |= 1 << i
+        yield tuple(cells)
+
+
+def _stirling2(n, k):
+    """Partitions of an n-set into exactly k nonempty cells."""
+    row = [1] + [0] * k  # row[j] = S(m, j), starting at m = 0
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+@pytest.mark.parametrize("max_cells", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_elems", range(1, 9))
+def test_partitions_into_matches_the_growth_string_order(n_elems, max_cells):
+    parts = pt._partitions_into(n_elems, max_cells)
+    assert parts == list(_growth_partitions(n_elems, max_cells))
+    assert len(parts) == sum(_stirling2(n_elems, k) for k in range(1, max_cells + 1))

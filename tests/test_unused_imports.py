@@ -1,10 +1,12 @@
-"""Three ast lint rules over src/soldens, since the toolchain has no linter:
+"""Four ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
 - no module keeps a module-level private function or class (a name that
   starts with one underscore) that no code of the package reads outside
   the definition itself;
+- no module reads another module's private name, either through a module
+  alias (gr._bits) or by importing it (from .groups import _bits);
 - in cli.py, only run, emit and main reference emit, print or sys.stdout:
   handlers return their result, and run alone prints it.
 """
@@ -77,6 +79,41 @@ def test_the_rule_sees_a_leftover_private_definition():
 def test_no_unused_private_function_or_class():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unused_private_definitions(sources) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source):
+    """The private names of other package modules that source reads, as
+    "module.name", in the order they appear."""
+    tree = ast.parse(source)
+    aliases = {}  # alias -> package module, from `from . import module as alias`
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append(f"{aliases[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_the_rule_sees_a_read_of_another_modules_private_name():
+    source = ("from . import groups as gr\nfrom .errors import _KINDS, SoldensError\n"
+              "def f(self, mask):\n    self._memo = gr.__name__\n    return gr._bits(mask)\n")
+    assert private_reads(source) == ["errors._KINDS", "groups._bits"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_name(path):
+    assert private_reads(path.read_text()) == []
 
 
 STDOUT_WRITERS = {"run", "emit", "main"}
