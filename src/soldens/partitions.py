@@ -101,14 +101,20 @@ def least_cover(n, translates):
     return first(0, best, 0)
 
 
+# The order cap of cov and zline._min_cover: least_cover is exponential in the
+# number of points it covers (timings in README.md).
+MAX_COVER_POINTS = 32
+
+
 def cov(group, a):
     """(minimal |F| with F*A = G, lexicographically least optimal F), by
-    least_cover over the left translates xA. The partition scans and
-    verify_prop122 call it once per distinct mask of AA^-1, through a table
-    that lives for one call of theirs only (_cov_once).
-    """
+    least_cover over the left translates xA. The partition scans (_cov_once)
+    and verify_prop122 call it once per distinct mask of AA^-1, each through a
+    table of its own that lives for one call of theirs only."""
     if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
+    if group.order > MAX_COVER_POINTS:
+        raise SizeGuardError(f"cov guarded to |G| <= {MAX_COVER_POINTS}")
     f = least_cover(group.order, [mask for _, mask in gr.translate_masks(group, a, "left")])
     return len(f), f
 
@@ -143,30 +149,30 @@ def delta_I_finite(group, a, ideal=_trivial_ideal):
 
 def pack(group, a):
     """(maximal number of pairwise disjoint translates xA, lexicographically
-    least optimal E). Exact branch and bound on the conflict graph."""
+    least optimal E). xA meets yA exactly when y is in x*AA^-1, so the result
+    depends on AA^-1 alone. Include-first branch and bound on int masks."""
     if not a.mask:
         raise PartitionError("pack of an empty set", kind=BAD_INPUT)
-    n = group.order
-    if n > 24:
+    if group.order > 24:
         raise SizeGuardError("pack guarded to |G| <= 24")
-    masks = [mask for _, mask in gr.translate_masks(group, a, "left")]
-    conflict = [frozenset(y for y in range(n) if y != x and masks[x] & masks[y]) for x in range(n)]
-    best = []
+    d = gr.GroupSubset(group, gr.difference_mask(group, a.mask))
+    conflict = [mask & ~(1 << x) for (x,), mask in gr.translate_masks(group, d, "left")]
+    best = ()
 
     def search(chosen, candidates):
         nonlocal best
-        if len(chosen) + len(candidates) <= len(best):
+        if len(chosen) + candidates.bit_count() <= len(best):
             return
         if not candidates:
-            if len(chosen) > len(best) or (len(chosen) == len(best) and chosen < best):
-                best = list(chosen)
+            best = chosen  # the prune lets no tie get here
             return
-        x = min(candidates)
-        search(chosen + [x], [y for y in candidates if y > x and y not in conflict[x]])
-        search(chosen, [y for y in candidates if y > x])
+        x = (candidates & -candidates).bit_length() - 1
+        rest = candidates ^ (1 << x)
+        search(chosen + (x,), rest & ~conflict[x])
+        search(chosen, rest)
 
-    search([], list(range(n)))
-    return len(best), tuple(best)
+    search((), (1 << group.order) - 1)
+    return len(best), best
 
 
 def verify_prop122(group):
@@ -174,18 +180,19 @@ def verify_prop122(group):
     if group.order > 10:
         raise SizeGuardError("exhaustive subsets guarded to |G| <= 10")
     tight = []
-    covs = {}
+    solved = {}  # mask of AA^-1 -> (cov(AA^-1), pack(A)); both depend on AA^-1 alone
     for bits in range(1, 2 ** group.order):
-        a = gr.GroupSubset(group, bits)
-        c, _ = _cov_once(group, bits, covs)
-        p, _ = pack(group, a)
-        cap = group.order // len(a)
+        d = gr.difference_mask(group, bits)
+        if d not in solved:
+            solved[d] = (cov(group, gr.GroupSubset(group, d))[0],
+                         pack(group, gr.GroupSubset(group, bits))[0])
+        c, p = solved[d]
+        cap = group.order // bits.bit_count()
         if not c <= p <= cap:
-            raise PartitionError(
-                f"chain broken on {a.indices()}: cov={c}, pack={p}, cap={cap}"
-            )
+            raise PartitionError(f"chain broken on {gr.GroupSubset(group, bits).indices()}: "
+                                 f"cov={c}, pack={p}, cap={cap}")
         if p == cap and cap > 1:
-            tight.append((a.indices(), c, p, cap))
+            tight.append((gr.GroupSubset(group, bits).indices(), c, p, cap))
     return {"group": group.label, "checked": 2 ** group.order - 1, "tight": tight}
 
 

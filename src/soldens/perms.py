@@ -92,9 +92,10 @@ def perm_invert(f):
 
 
 def perm_conjugate(f, g):
-    """f g f^-1; its support is the f-image of supp(g)."""
-    result = perm_compose(perm_compose(f, g), perm_invert(f))
+    """f g f^-1, built as the relabelling f(x) -> f(g(x)) of supp(g); its
+    support is the f-image of supp(g)."""
     fm = dict(f.mapping)
+    result = perm({fm.get(x, x): fm.get(y, y) for x, y in g.mapping})
     expected = tuple(sorted(fm.get(x, x) for x, _ in g.mapping))
     if result.support() != expected:
         raise PermError("conjugation support identity failed")

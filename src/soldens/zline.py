@@ -433,8 +433,9 @@ MAX_VERIFY_HORIZON = 10 ** 7
 # _min_cover is exponential in the modulus. On 200 random bases of 2 to 6
 # residues mod 32 (Python 3.11.7 on a 2-vCPU Xeon VM) the slowest took 0.82 s,
 # for {3, 5, 21, 25}, and the sparse {0, 12, 16} took 0.06 s; mod 40 the
-# slowest of 20 took 4.1 s, a sample too small to admit 40.
-MAX_COVER_MODULUS = 32
+# slowest of 20 took 4.1 s, a sample too small to admit 40. partitions.cov runs
+# the same kernel under the same cap.
+MAX_COVER_MODULUS = pt.MAX_COVER_POINTS
 # classify checks its large witness, m * (|remove| + 1) shifts, on a window of
 # twice that length, a check quadratic in the witness size. On 18 residue sets
 # each mod 500 and mod 1000 (Python 3.11.7 on a 2-vCPU Xeon VM) the slowest took

@@ -189,6 +189,7 @@ EXIT_TABLE = [
     (["zline", "jin", "--m", "7", "--residues", "0", "--bm", "5", "--bresidues", "0"], 3, "size-guard"),
     (["density", "brute", "--group", "cyclic:17", "--set", "0"], 3, "size-guard"),
     (["zline", "classify", "--m", "1001", "--residues", "0"], 3, "size-guard"),
+    (["partitions", "cov", "--group", "cyclic:60", "--set", "0,1,3"], 3, "size-guard"),
     (["measure", "dirac", "--group", "cyclic:4", "--set", "3"], 0, None),
 ]
 

@@ -76,6 +76,37 @@ def test_scans_solve_cov_once_per_distinct_difference_set(monkeypatch):
     assert len(solved) == len(set(solved)) == 11
 
 
+def test_prop122_packs_once_per_distinct_difference_set(monkeypatch):
+    # pack(A) depends on AA^-1 alone; Z/8 has 11 distinct difference sets
+    # and D4 has 23, among 255 nonempty subsets each
+    packed = []
+
+    def pack(group, a):
+        packed.append(gr.difference_mask(group, a.mask))
+        return inner(group, a)
+
+    inner = pt.pack
+    monkeypatch.setattr(pt, "pack", pack)
+    for g, calls in ((gr.cyclic(8), 11), (gr.dihedral(4), 23)):
+        packed.clear()
+        pt.verify_prop122(g)
+        assert len(packed) == len(set(packed)) == calls
+
+
+@pytest.mark.parametrize("solve, order", [(pt.pack, 25), (pt.cov, pt.MAX_COVER_POINTS + 1)])
+def test_cov_and_pack_size_guards_come_before_any_mask(monkeypatch, solve, order):
+    def built(*args):
+        raise AssertionError("a mask was built")
+
+    g = gr.cyclic(order)
+    a = gr.subset(g, [0, 1])
+    monkeypatch.setattr(gr, "difference_mask", built)
+    monkeypatch.setattr(gr, "translate_masks", built)
+    with pytest.raises(pt.SizeGuardError) as info:
+        solve(g, a)
+    assert info.value.kind == "size-guard"
+
+
 def _cov_by_difference_size(group, d):
     # a stand-in for cov whose size is large where AA^-1 is small, so that
     # the scans reach the exits no true cov reaches

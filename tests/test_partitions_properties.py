@@ -3,10 +3,13 @@
 The branch and bound of cov and of pack is each checked against a brute-force
 oracle that tries every set of translates in itertools.combinations order, and
 the cover kernel least_cover against the same oracle on arbitrary mask families.
+pack is also checked to depend on AA^-1 alone, and its E to be independent and
+maximal in the conflict graph that AA^-1 defines.
 The partition enumerator of the scans is checked against a recursive
 restricted-growth-string generator.
 """
 
+import functools
 from itertools import combinations
 
 import pytest
@@ -64,6 +67,46 @@ def test_pack_is_the_first_maximal_packing(case):
     g, a = case
     e = _first_packing(g, a)
     assert pt.pack(g, a) == (len(e), e)
+
+
+def _difference(g, members):
+    """AA^-1 recomputed from the group table."""
+    inverse = [row.index(0) for row in g.table]
+    return frozenset(g.table[x][inverse[y]] for x in members for y in members)
+
+
+@functools.cache
+def _subsets_by_difference(spec):
+    """The nonempty subsets of the group, as index tuples, grouped by AA^-1."""
+    g = _GROUPS[spec]
+    classes = {}
+    for size in range(1, g.order + 1):
+        for a in combinations(g.elements(), size):
+            classes.setdefault(_difference(g, a), []).append(a)
+    return classes
+
+
+@st.composite
+def _twin_sets(draw):
+    """Two nonempty subsets A and B with AA^-1 = BB^-1, and that AA^-1."""
+    spec = draw(st.sampled_from(_SPECS))
+    classes = _subsets_by_difference(spec)
+    d = draw(st.sampled_from(sorted(classes, key=sorted)))
+    a, b = draw(st.sampled_from(classes[d])), draw(st.sampled_from(classes[d]))
+    g = _GROUPS[spec]
+    return g, d, gr.subset(g, a), gr.subset(g, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_twin_sets())
+def test_pack_depends_on_the_difference_set_alone(case):
+    g, d, a, b = case
+    size, e = pt.pack(g, a)
+    assert pt.pack(g, b) == (size, e) and size == len(e)
+    # E is independent and maximal in the graph x ~ y <=> y in x*AA^-1, y != x
+    near = {x: {g.table[x][h] for h in d} - {x} for x in g.elements()}
+    assert all(near[x].isdisjoint(e) for x in e)
+    assert all(near[z].intersection(e) for z in g.elements() if z not in e)
 
 
 def _first_least_cover(n, masks):
