@@ -39,14 +39,6 @@ class MatrixGame:
         if any(len(row) != len(self.payoff[0]) for row in self.payoff):
             raise GameError("payoff rows differ in length", kind=BAD_INPUT)
 
-    @property
-    def rows(self):
-        return len(self.payoff)
-
-    @property
-    def cols(self):
-        return len(self.payoff[0])
-
     @staticmethod
     def from_json(text):
         try:

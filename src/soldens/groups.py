@@ -100,10 +100,10 @@ class Group:
         return from_table(table, label=label)
 
 
-def from_table(table, label="", order_cap=DEFAULT_ORDER_CAP):
+def from_table(table, label=""):
     n = len(table)
-    if n > order_cap:
-        raise GroupError(f"group order {n} exceeds cap {order_cap}", kind=SIZE_GUARD)
+    if n > DEFAULT_ORDER_CAP:
+        raise GroupError(f"group order {n} exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
     bad = validate_table(table)
     if bad is not None:
         raise GroupError(f"invalid table: {bad}", kind=BAD_INPUT)

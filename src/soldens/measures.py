@@ -46,7 +46,7 @@ class FinSuppMeasure:
         return [p for p, _ in self.entries]
 
     def measure_of(self, points):
-        members = points if isinstance(points, GroupSubset) else set(points)
+        members = set(points)
         return sum((w for p, w in self.entries if p in members), Fraction(0))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -144,9 +145,9 @@ def dstar(a):
     return Fraction(len(a.residues), a.m)
 
 
-def folner_density(member, depth, start=0):
+def folner_density(member, depth):
     """Interval estimate of the density of {x : member(x)} along F_n =
-    [start, start + n). Returns (estimate, trace); the estimate is the ratio
+    [0, n), n = 1, ..., depth. Returns (estimate, trace); the estimate is the ratio
     at the deepest level and is a float on purpose: this op is the only
     approximate one in the module."""
     if depth < 1:
@@ -154,7 +155,7 @@ def folner_density(member, depth, start=0):
     trace = []
     count = 0
     for n in range(1, depth + 1):
-        if member(start + n - 1):
+        if member(n - 1):
             count += 1
         trace.append((n, count, count / n))
     return trace[-1][2], trace
@@ -192,10 +193,10 @@ def _sumset_member(a, b, x):
     return False
 
 
-def sumset(a, b, slack=0):
-    """(result, scope). Exact when neither input has remove patches; with
-    removals the claimed set is checked pointwise on [-H, H] and the scope is
-    downgraded to BOUNDED(H)."""
+def sumset(a, b):
+    """(result, scope). Exact when both inputs are periodic; otherwise the
+    claimed set is checked pointwise on [-H, H], H the larger patch span plus
+    twice the common period, and the scope is downgraded to BOUNDED(H)."""
     big = math.lcm(a.m, b.m)
     res = _sum_residues(a, b, big)
     # Points whose only representations run through a patch can deviate from
@@ -208,28 +209,27 @@ def sumset(a, b, slack=0):
     claimed = zset(big, res, add=inside, remove=exceptional - inside)
     if a.is_periodic() and b.is_periodic():
         return claimed, EXACT
-    h = max(a.patch_span(), b.patch_span()) + 2 * big + slack
+    h = max(a.patch_span(), b.patch_span()) + 2 * big
     for x in range(-h, h + 1):
         if (x in claimed) != _sumset_member(a, b, x):
             raise ZSetError(f"sumset window check failed at {x}")
     return claimed, bounded(h)
 
 
-def difference_set(a, slack=0):
+def difference_set(a):
     """a - a, with the same scope discipline as sumset."""
-    return sumset(a, z_negate(a), slack=slack)
+    return sumset(a, z_negate(a))
 
 
 def delta_eps(a, eps):
-    """Shifts x with d*(A intersect (x+A)) >= eps; depends on x mod m only."""
+    """Shifts x with d*(A intersect (x+A)) >= eps; depends on x mod m only.
+    |R intersect (R + x)| counts the residue pairs (r, s) with r - s = x mod m,
+    so the cost is |R|^2, whatever the modulus."""
     eps = Fraction(eps)
     if eps <= 0:
         return Z_ALL
-    good = [
-        x for x in range(a.m)
-        if Fraction(len(a.residues & {(r + x) % a.m for r in a.residues}), a.m) >= eps
-    ]
-    return zset(a.m, good)
+    counts = Counter((r - s) % a.m for r in a.residues for s in a.residues)
+    return zset(a.m, [x for x, c in counts.items() if Fraction(c, a.m) >= eps])
 
 
 def delta_ideal(a):
@@ -274,7 +274,7 @@ def _cover_window(a):
     return window
 
 
-def classify(a, witness_length=10):
+def classify(a):
     """Thick / large / small verdict with explicit witnesses.
 
     Thick needs full residues; large needs any residue; small means the
@@ -293,7 +293,7 @@ def classify(a, witness_length=10):
         "thick": thick,
         "large": large,
         "small": small,
-        "thick_witness": thick_interval(a, witness_length) if thick else None,
+        "thick_witness": thick_interval(a, 10) if thick else None,
         "large_witness": f,
     }
 

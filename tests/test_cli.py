@@ -350,3 +350,15 @@ def test_ip_and_cover_window_caps_refuse_before_the_work(monkeypatch, capsys, ar
     monkeypatch.setattr(zl.pt, "least_cover", work)
     code, out = run_capture(capsys, argv)
     assert code == 3 and json.loads(out)["kind"] == "size-guard"
+
+
+def test_delta_costs_the_residue_pairs_not_the_modulus(capsys):
+    code, out = run_capture(capsys, ["zline", "delta", "--m", "1000000000", "--residues", "0,1"])
+    assert code == 0
+    assert out == ('{"delta": {"add": [], "m": 1000000000, "remove": [], "residues": [0]}, '
+                   '"eps": "1/500000000"}\n')
+
+
+def test_partitions_pack_prints_the_packing(capsys):
+    code, out = run_capture(capsys, ["partitions", "pack", "--group", "cyclic:6", "--set", "0,1"])
+    assert code == 0 and out == '{"e": [0, 2, 4], "pack": 3}\n'

@@ -98,3 +98,12 @@ def test_relative_density_inside_subgroup():
     assert dn.relative_density(g, h, a) == Fraction(1, 2)
     with pytest.raises(dn.DensityError):
         dn.relative_density(g, gr.subset(g, [0, 3]), a)
+
+
+def test_subadditivize_refuses_a_large_ground_before_the_oracle():
+    def oracle(s):
+        raise AssertionError("oracle called")
+
+    with pytest.raises(dn.DensityError, match="^ground of 21 points exceeds cap 20$") as info:
+        dn.subadditivize(oracle, {0}, range(21))
+    assert info.value.kind == "size-guard"

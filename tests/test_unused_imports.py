@@ -1,4 +1,4 @@
-"""Four ast lint rules over src/soldens, since the toolchain has no linter:
+"""Five ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -8,7 +8,10 @@
 - no module reads another module's private name, either through a module
   alias (gr._bits) or by importing it (from .groups import _bits);
 - in cli.py, only run, emit and main reference emit, print or sys.stdout:
-  handlers return their result, and run alone prints it.
+  handlers return their result, and run alone prints it;
+- every defaulted parameter of a package function or method (dunders
+  skipped) is passed, by position or keyword, by some call in src or tests:
+  a setting nobody sets is a constant.
 """
 
 import ast
@@ -139,3 +142,70 @@ def test_the_rule_sees_a_handler_that_prints():
 
 def test_only_run_writes_to_stdout_in_the_cli():
     assert stdout_writers((SRC / "cli.py").read_text()) - STDOUT_WRITERS == set()
+
+
+def unset_defaults(package, callers):
+    """For package, a dict from module name to source text, and callers, the
+    source texts to search for calls: the defaulted parameters of the
+    package's functions and methods, dunders skipped, as
+    "module.function.parameter", that no call passes by position or keyword.
+    A call is matched to a definition by its bare or attribute name; a
+    starred argument passes every position, and a ** argument every keyword."""
+    positions, keywords = {}, {}  # callee name -> most positions / keywords passed
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = float("inf") if starred else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    found = []
+    for module, text in package.items():
+        tree = ast.parse(text)
+        methods = {id(stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for stmt in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = id(fn) in methods and not static  # self or cls is passed implicitly
+            ordered = fn.args.posonlyargs + fn.args.args
+            first = len(ordered) - len(fn.args.defaults)
+            defaulted = [(arg, i - bound) for i, arg in enumerate(ordered) if i >= first]
+            defaulted += [(arg, None) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            passed = keywords.get(fn.name, set())
+            for arg, i in defaulted:
+                if None in passed or arg.arg in passed:
+                    continue
+                if i is not None and positions.get(fn.name, 0) > i:
+                    continue
+                found.append(f"{module}.{fn.name}.{arg.arg}")
+    return found
+
+
+def test_the_rule_sees_a_default_nobody_sets():
+    package = {
+        "zline": "def sumset(a, b, slack=0, scope=None):\n    pass\n"
+                 "def classify(a, *, length=10, depth=2):\n    pass\n"
+                 "def lift(a, m=1, k=2):\n    pass\n"
+                 "def delta(a, eps=0):\n    pass\n"
+                 "class Z:\n    def shift(self, t=0):\n        pass\n"
+                 "    @staticmethod\n    def parse(text, strict=False):\n        pass\n"
+                 "    def __eq__(self, other=None):\n        pass\n",
+    }
+    callers = ["import zline\nzline.sumset(1, 2, 3)\nclassify(1, length=4)\nlift(*args)\n",
+               "zl.Z().shift(5)\nZ.parse('x')\ndelta(a, **options)\n"]
+    assert unset_defaults(package, callers) == [
+        "zline.sumset.scope", "zline.classify.depth", "zline.parse.strict"]
+
+
+def test_every_default_is_set_by_some_call():
+    package = {p.stem: p.read_text() for p in MODULES}
+    tests = Path(__file__).resolve().parent
+    callers = [p.read_text() for p in (*SRC.glob("*.py"), *tests.glob("*.py"))]
+    assert unset_defaults(package, callers) == []

@@ -5,10 +5,12 @@ its own normal form changes nothing, and two sets are ``z_equal`` exactly when
 they hold the same integers. Outside its patches a set is periodic, so
 agreement on a window that covers every patch plus a full common period on
 each side is agreement everywhere. The Jin and ergodic covers are the first
-minimum covers in itertools.combinations order.
+minimum covers in itertools.combinations order. Sumsets and the sets of good
+shifts agree with their definitions, searched point by point.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -87,3 +89,36 @@ def test_ergodic_and_jin_covers_are_the_first_minimum_covers(inp):
     assert zl.ergodic_sup_check(a)["f"] == _first_min_cover(m, a.residues)
     jin = zl.jin_witness(a, b)
     assert jin["f"] == _first_min_cover(m, jin["sumset"].residues)
+
+
+def _in_sumset(a, b, x):
+    """Some y in a with x - y in b. A representation whose two parts both miss
+    every patch moves by multiples of the common period, so one lies within a
+    period of the window that holds x and the patches."""
+    reach = abs(x) + max(a.patch_span(), b.patch_span()) + 2 * math.lcm(a.m, b.m)
+    return any(y in a and (x - y) in b for y in range(-reach, reach + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zsets(), zsets())
+def test_sumset_is_the_pointwise_sumset(a, b):
+    s, _ = zl.sumset(a, b)
+    assert all((x in s) == _in_sumset(a, b, x) for x in range(-30, 31))
+
+
+_RESIDUE_SETS = st.integers(1, 40).flatmap(
+    lambda m: st.tuples(st.just(m), st.sets(st.integers(0, m - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RESIDUE_SETS, st.data())
+def test_good_shifts_are_those_of_the_definition(inp, data):
+    m, residues = inp
+    a = zl.zset(m, residues)
+    eps = data.draw(st.sampled_from([-1, 0, Fraction(1, m), zl.dstar(a), Fraction(1, 4),
+                                     Fraction(1, 3), Fraction(1, 2), 2])
+                    | st.fractions(0, 1, max_denominator=3 * m))
+    overlap = {x: len(a.residues & {(r + x) % m for r in a.residues}) for x in range(m)}
+    good = [x for x in range(m) if Fraction(overlap[x], m) >= eps]
+    assert zl.z_equal(zl.delta_eps(a, eps), zl.zset(m, good))
+    assert zl.z_equal(zl.delta_ideal(a), zl.zset(m, [x for x in range(m) if overlap[x]]))
