@@ -45,7 +45,12 @@ class MatrixGame:
             payoff = json.loads(text, parse_float=rational)["payoff"]
             if not (type(payoff) is list and all(type(row) is list for row in payoff)):
                 raise TypeError("payoff is not a list of lists")
+            if max([len(payoff), *map(len, payoff)]) > gr.DEFAULT_ORDER_CAP:
+                raise GameError(f"payoff has more than {gr.DEFAULT_ORDER_CAP} rows or columns",
+                                kind=SIZE_GUARD)
             rows = [[rational(v) for v in row] for row in payoff]
+        except GameError:
+            raise
         except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as e:
             raise GameError(f"malformed game JSON: {e!r}", kind=BAD_INPUT) from None
         return game(rows)

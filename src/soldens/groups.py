@@ -346,26 +346,25 @@ def is_inner_invariant(group, a):
 
 
 def is_subgroup(group, h):
-    m = h.members
-    if 0 not in m:
-        return False
-    t = group.table
-    return all(t[a][b] in m for a in m for b in m) and all(group.inverse[a] in m for a in m)
+    """A subset holding the identity and closed under products: in a finite
+    group that makes it closed under inverses too."""
+    members = h.indices()
+    return h.mask & 1 == 1 and _product(group, members, members) == h.mask
 
 
 def subgroup_generated(group, s):
+    """Breadth-first search from the identity, right-multiplying by each
+    generator; in a finite group every inverse is a positive power."""
     if not s.mask:
         raise GroupError("cannot generate from an empty set", kind=BAD_INPUT)
-    closure = {0} | s.members | {group.inverse[g] for g in s}
-    frontier = list(closure)
-    while frontier:
-        g = frontier.pop()
-        for h in list(closure):
-            for p in (group.mul(g, h), group.mul(h, g)):
-                if p not in closure:
-                    closure.add(p)
-                    frontier.append(p)
-    return GroupSubset(group, _mask(closure))
+    t, gens = group.table, s.indices()
+    closure, queue = 1, [0]
+    for g in queue:  # the queue grows while it is read
+        for p in [t[g][x] for x in gens]:
+            if not closure >> p & 1:
+                closure |= 1 << p
+                queue.append(p)
+    return GroupSubset(group, closure)
 
 
 def index_of(group, h):

@@ -316,7 +316,7 @@ def difference_power_subgroup(group, a, n):
     limit is a subgroup of index <= n reached at exponent <= 4^(n-1)."""
     if n < 1 or not a.mask or Fraction(len(a), group.order) < Fraction(1, n):
         raise PartitionError("density precondition |A|/|G| >= 1/n violated", kind=BAD_INPUT)
-    d = gr.difference_set(group, a)
+    d = diff = gr.difference_set(group, a)
     exponent = 1
     while True:
         nxt = gr.product_set(group, d, d)
@@ -331,7 +331,7 @@ def difference_power_subgroup(group, a, n):
     index = gr.index_of(group, d)
     if index > n:
         raise PartitionError(f"index {index} exceeds {n}")
-    closure = gr.subgroup_generated(group, gr.difference_set(group, a))
+    closure = gr.subgroup_generated(group, diff)
     if closure != d:
         raise PartitionError("stabilized set differs from the generated subgroup")
     return d, exponent, index

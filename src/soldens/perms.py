@@ -56,6 +56,8 @@ class FinSuppPermutation:
         try:
             for cyc in json.loads(text)["cycles"]:
                 for i, x in enumerate(cyc):
+                    if x in mapping:
+                        raise ValueError(f"point {x!r} is named twice")
                     mapping[x] = cyc[(i + 1) % len(cyc)]
         except (ValueError, TypeError, KeyError) as e:
             raise PermError(f"malformed permutation JSON: {e!r}", kind=BAD_INPUT) from None

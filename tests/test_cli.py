@@ -163,6 +163,8 @@ EXIT_TABLE = [
     (["perms", "conjugate-witness", "--perm", _PERM, "--target", "bogus"], 2, None),
     (["perms", "conjugate-witness", "--perm", "{bad", "--target", "tail:3"], 2, "bad-input"),
     (["perms", "conjugate-witness", "--perm", "[1]", "--target", "tail:3"], 2, "bad-input"),
+    (["perms", "conjugate-witness", "--perm", '{"cycles": [[1, 2, 3], [3, 2, 1]]}', "--target", "tail:5"],
+     2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/missing.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/not_json.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/no_payoff.json"], 2, "bad-input"),
@@ -190,6 +192,7 @@ EXIT_TABLE = [
     (["density", "brute", "--group", "cyclic:17", "--set", "0"], 3, "size-guard"),
     (["zline", "classify", "--m", "1001", "--residues", "0"], 3, "size-guard"),
     (["partitions", "cov", "--group", "cyclic:60", "--set", "0,1,3"], 3, "size-guard"),
+    (["game", "solve", "--file", "{tmp}/wide.json"], 3, "size-guard"),
     (["measure", "dirac", "--group", "cyclic:4", "--set", "3"], 0, None),
 ]
 
@@ -199,6 +202,7 @@ def test_exit_code_table(tmp_path, capsys, argv, code, kind):
     (tmp_path / "not_json.json").write_text("{payoff")
     (tmp_path / "no_payoff.json").write_text('{"rows": [[1]]}')
     (tmp_path / "exponent.json").write_text('{"payoff": [["1e-5000", 0]]}')
+    (tmp_path / "wide.json").write_text('{"payoff": [[%s]]}' % ", ".join(["0"] * 65))
     got, out = run_capture(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert got == code
     if code == 0:
@@ -287,7 +291,8 @@ _MIXED = ('{"order": 2, "table": ["a"], "payoff": [[1, 2], [3]], "cycles": [["a"
 @pytest.mark.parametrize("parse", [gr.Group.from_json, gm.MatrixGame.from_json,
                                    pm.FinSuppPermutation.from_json, zl.ZSet.from_json])
 @pytest.mark.parametrize("text", ["{bad", "[1]", "null", "{}", _MIXED, '{"payoff": ["12", "03"]}',
-                                  '{"payoff": {"1": 0}}', '{"payoff": [{"1": 0}]}'])
+                                  '{"payoff": {"1": 0}}', '{"payoff": [{"1": 0}]}',
+                                  '{"cycles": [[1, 2, 3], [3, 2, 1]]}', '{"cycles": [[1, 1]]}'])
 def test_from_json_rejects_malformed_input_as_bad_input(parse, text):
     with pytest.raises(SoldensError) as info:
         parse(text)

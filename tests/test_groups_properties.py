@@ -1,11 +1,13 @@
 """Properties of the bitmask subset algebra on random groups and subsets.
 
 Every set operation and every entry of translate_masks is checked against a
-frozenset recomputation made straight from group.table.
+frozenset recomputation made straight from group.table, and so are the
+subgroup test and the generated subgroup, against a closure under products.
 """
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +67,34 @@ def test_translate_masks_match_frozensets(case):
         assert keys == sorted(oracle) == list(product(g.elements(), repeat=len(keys[0])))
         for key, mask in entries:
             assert _members(gr.GroupSubset(g, mask)) == oracle[key]
+
+
+def _product_closure(g, points):
+    """The identity and points, closed under products of pairs until nothing new appears."""
+    t = g.table
+    closed = {0} | set(points)
+    while True:
+        grown = closed | {t[p][q] for p in closed for q in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case())
+def test_subgroup_test_and_generated_subgroup_match_a_product_closure(case):
+    g, a_pts, _, _, _ = case
+    a = gr.subset(g, a_pts)
+    closed = _product_closure(g, a_pts)
+    assert all(g.inverse[q] in closed for q in closed)  # the oracle is a subgroup
+    assert gr.is_subgroup(g, a) == (a_pts == closed)
+    assert gr.is_subgroup(g, gr.subset(g, closed))
+    if a_pts:
+        assert _members(gr.subgroup_generated(g, a)) == closed
+    else:
+        with pytest.raises(gr.GroupError) as info:
+            gr.subgroup_generated(g, a)
+        assert info.value.kind == "bad-input"
 
 
 def _reference_verdict(table):

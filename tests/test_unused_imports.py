@@ -1,4 +1,4 @@
-"""Five ast lint rules over src/soldens, since the toolchain has no linter:
+"""Six ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -11,7 +11,9 @@
   handlers return their result, and run alone prints it;
 - every defaulted parameter of a package function or method (dunders
   skipped) is passed, by position or keyword, by some call in src or tests:
-  a setting nobody sets is a constant.
+  a setting nobody sets is a constant;
+- no module reads the attribute .members: GroupSubset keeps its members as
+  one int mask, and the frozenset view is for tests and perfbench only.
 """
 
 import ast
@@ -209,3 +211,21 @@ def test_every_default_is_set_by_some_call():
     tests = Path(__file__).resolve().parent
     callers = [p.read_text() for p in (*SRC.glob("*.py"), *tests.glob("*.py"))]
     assert unset_defaults(package, callers) == []
+
+
+def member_reads(source):
+    """The line numbers of source where an attribute named members is read."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "members"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_the_rule_sees_a_read_of_members():
+    source = ("def f(h, g):\n    m = h.mask\n    h.members = m\n"
+              "    return 0 in h.members or g in f(h, g).members\n")
+    assert member_reads(source) == [4, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_members_view(path):
+    assert member_reads(path.read_text()) == []
