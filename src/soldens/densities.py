@@ -57,8 +57,10 @@ def bounded(horizon):
 class BoundCertificate:
     """A density bound with the witness that proves it.
 
-    verified_sup is always the recomputed translate supremum of the witness;
-    a certificate never stores a bound it did not re-check.
+    verified_sup must equal bound. The constructors of this module store the
+    translate supremum they recompute from the witness;
+    words.fgroup_nonsubadditivity_certificate recomputes none and stores the
+    bound of its case analysis, cross-checked by enumeration up to check_len.
     """
 
     kind: DensityKind

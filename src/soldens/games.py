@@ -42,7 +42,8 @@ class MatrixGame:
     @staticmethod
     def from_json(text):
         try:
-            payoff = json.loads(text, parse_float=rational)["payoff"]
+            # decimals stay text until the shape is checked, then rational converts them
+            payoff = json.loads(text, parse_float=str)["payoff"]
             if not (type(payoff) is list and all(type(row) is list for row in payoff)):
                 raise TypeError("payoff is not a list of lists")
             if max([len(payoff), *map(len, payoff)]) > gr.DEFAULT_ORDER_CAP:

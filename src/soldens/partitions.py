@@ -328,7 +328,8 @@ def difference_power_subgroup(group, a, n):
         raise PartitionError(f"stabilized only at exponent {exponent}")
     if not gr.is_subgroup(group, d):
         raise PartitionError("stabilized set is not a subgroup")
-    index = gr.index_of(group, d)
+    assert group.order % len(d) == 0  # Lagrange
+    index = group.order // len(d)
     if index > n:
         raise PartitionError(f"index {index} exceeds {n}")
     closure = gr.subgroup_generated(group, diff)

@@ -260,18 +260,21 @@ def covers(f, a, window):
     return all(any((x - t) in a for t in f) for x in range(-window, window + 1))
 
 
-def _cover_window(a):
-    """The window of the cover checks of classify and ergodic_sup_check: the
-    patch span plus twice the m * (|remove| + 1) shifts of their witnesses,
-    refused when its cost, in membership tests, exceeds the cap."""
-    shifts = a.m * (len(a.remove) + 1)
-    window = a.patch_span() + 2 * shifts
-    # each point is tested against up to every shift, and its own loop costs
-    # about ten tests more
-    if (2 * window + 1) * (shifts + 10) > MAX_COVER_TESTS:
-        raise ZSetError(f"cover check of {2 * window + 1} points against {shifts} shifts "
-                        f"exceeds cap {MAX_COVER_TESTS} tests", kind=SIZE_GUARD)
-    return window
+def _covers_z(f, a):
+    """F + A = Z on all of Z, for A = add | ((R + mZ) - remove). Of the t in F,
+    per[x mod m] have x - t in R + mZ, and blocked[x] of those have x - t
+    removed; x is covered when per exceeds blocked or some x - t is in add.
+    blocked is nonzero only on remove + F, so this costs |F| (|R| + |remove|)."""
+    per = Counter((t + r) % a.m for t in f for r in a.residues)
+    blocked = Counter(p + t for p in a.remove if p % a.m in a.residues for t in f)
+    return len(per) == a.m and all(any(x - t in a.add for t in f)
+                                   for x, n in blocked.items() if n >= per[x % a.m])
+
+
+def _check_witness_size(a):
+    size = a.m * (len(a.remove) + 1)  # of the witnesses of classify and ergodic_sup_check
+    if size > MAX_LARGE_WITNESS:
+        raise ZSetError(f"large witness size {size} exceeds cap {MAX_LARGE_WITNESS}", kind=SIZE_GUARD)
 
 
 def classify(a):
@@ -283,11 +286,10 @@ def classify(a):
     thick = len(a.residues) == a.m
     large = bool(a.residues)
     small = not large
-    size = a.m * (len(a.remove) + 1)  # of the large witness
-    if large and size > MAX_LARGE_WITNESS:
-        raise ZSetError(f"large witness size {size} exceeds cap {MAX_LARGE_WITNESS}", kind=SIZE_GUARD)
+    if large:
+        _check_witness_size(a)
     f = large_witness(a)
-    if f is not None and not covers(f, a, _cover_window(a)):
+    if f is not None and not _covers_z(f, a):
         raise ZSetError("large witness failed its cover check")
     return {
         "thick": thick,
@@ -360,10 +362,10 @@ def ergodic_sup_check(a):
     """
     if a.is_finite():
         return {"value": 0, "f": None}
-    window = _cover_window(a)
+    _check_witness_size(a)
     f = _min_cover(a.m, a.residues)
     f = tuple(t + j * a.m for t in f for j in range(len(a.remove) + 1))
-    if not covers(f, a, window):
+    if not _covers_z(f, a):
         raise ZSetError("ergodic witness failed its cover check")
     return {"value": 1, "f": f, "reciprocal_bound": math.ceil(1 / dstar(a))}
 
@@ -436,20 +438,11 @@ MAX_VERIFY_HORIZON = 10 ** 7
 # slowest of 20 took 4.1 s, a sample too small to admit 40. partitions.cov runs
 # the same kernel under the same cap.
 MAX_COVER_MODULUS = pt.MAX_COVER_POINTS
-# classify checks its large witness, m * (|remove| + 1) shifts, on a window of
-# twice that length, a check quadratic in the witness size. On 18 residue sets
-# each mod 500 and mod 1000 (Python 3.11.7 on a 2-vCPU Xeon VM) the slowest took
-# 0.24 s and 0.67 s, both for residues {0}; {0} mod 1500 took 2.1 s.
+# The witnesses of classify and ergodic_sup_check hold m * (|remove| + 1)
+# shifts, and _covers_z counts each against every residue and removed point.
+# At the cap (Python 3.11.7 on a 2-vCPU Xeon VM) classify took 0.12 s on all
+# residues mod 1000, 0.4 ms on {0} mod 1000 and 0.09 s on Z minus 999 points.
 MAX_LARGE_WITNESS = 1000
-# The cost of the cover window of classify and ergodic_sup_check, in membership
-# tests (see _cover_window). The cap admits the largest witness with a small
-# patch: residues {0} mod 250 minus three points, 4 047 070. With one patch
-# point placed at the cap, on classify for 10 residue sets mod 2 to 1000 and on
-# ergodic for 7 mod 2 to 20 (Python 3.11.7 on a 2-vCPU Xeon VM), the slowest
-# took 0.85 s, for residues {999} mod 1000; {0} mod 2 took 0.6 s at span 170 827.
-# ergodic on {3, 5, 21, 25} mod 32, the slowest cover sample above, with --add
-# 48 700 at the cap took 1.3 s through the CLI, the cover search included.
-MAX_COVER_TESTS = 41 * 10 ** 5
 # A search for k generators in [1, bound] that exhausts its space tests
 # membership sum_i C(bound, i) 2^(i-1) times, i <= k; the CLI default, k = 3
 # and bound 100, needs 656 800. At the cap, for each k <= 12 at its largest

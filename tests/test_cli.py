@@ -344,17 +344,31 @@ def test_one_process_prints_what_fresh_processes_print(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["zline", "ip", "--m", "3", "--residues", "1", "--k", "2", "--bound", "100000"],
-    ["zline", "classify", "--m", "2", "--residues", "0", "--add", "1000000000001"],
-    ["zline", "ergodic", "--m", "2", "--residues", "0", "--add", "1000000000001"],
+    # 501 removed points: a witness of 2 * 502 = 1004 shifts
+    pytest.param(["zline", "ergodic", "--m", "2", "--residues", "0", "--remove",
+                  ",".join(map(str, range(0, 1001, 2)))],
+                 id="zline ergodic --m 2 --residues 0 --remove 0,2,...,1000"),
 ], ids=" ".join)
 def test_ip_and_cover_window_caps_refuse_before_the_work(monkeypatch, capsys, argv):
     def work(*args):
         raise AssertionError("cover check or cover search started")
 
     monkeypatch.setattr(zl, "covers", work)
+    monkeypatch.setattr(zl, "_covers_z", work)
     monkeypatch.setattr(zl.pt, "least_cover", work)
     code, out = run_capture(capsys, argv)
     assert code == 3 and json.loads(out)["kind"] == "size-guard"
+
+
+@pytest.mark.parametrize("command, want", [
+    ("classify", '{"large": true, "large_witness": [0, 1], "small": false, "thick": false, '
+                 '"thick_witness": null}\n'),
+    ("ergodic", '{"f": [0, 1], "reciprocal_bound": 2, "value": 1}\n'),
+], ids=["classify", "ergodic"])
+def test_a_far_patch_point_gets_its_cover_verdict(capsys, command, want):
+    # the cover check is exact on all of Z, so its cost does not grow with the patch span
+    argv = ["zline", command, "--m", "2", "--residues", "0", "--add", "1000000000001"]
+    assert run_capture(capsys, argv) == (0, want)
 
 
 def test_delta_costs_the_residue_pairs_not_the_modulus(capsys):

@@ -213,6 +213,18 @@ def test_game_json_refuses_exponents_booleans_and_floats(text):
     assert e.value.kind == "bad-input"
 
 
+def test_game_json_size_guard_runs_before_any_entry_is_converted(monkeypatch):
+    def rational(v):
+        raise AssertionError("entry converted")
+
+    monkeypatch.setattr(gm, "rational", rational)
+    row = "[" + ", ".join(["0.5"] * 1000) + "]"
+    text = '{"payoff": [%s]}' % ", ".join([row] * 1000)  # 1000 x 1000 decimals
+    with pytest.raises(gm.GameError, match="more than 64 rows or columns") as e:
+        gm.MatrixGame.from_json(text)
+    assert e.value.kind == "size-guard"
+
+
 def test_balanced_value_only_games_never_reach_the_lp_kernel(monkeypatch):
     # Every value-only game below is balanced, so the uniform (Haar) pair
     # certifies it; callers that return strategies pivot even then.

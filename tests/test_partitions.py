@@ -156,6 +156,22 @@ def test_difference_power_subgroup():
         pt.difference_power_subgroup(c6, gr.subset(c6, [0]), 2)
 
 
+def test_difference_power_subgroup_tests_its_subgroup_once(monkeypatch):
+    calls = []
+
+    def spy(group, h):
+        calls.append(h)
+        return is_subgroup(group, h)
+
+    is_subgroup = gr.is_subgroup
+    monkeypatch.setattr(gr, "is_subgroup", spy)
+    s3 = gr.symmetric(3)
+    for a, want in (([0, 1, 2], 1), ([0, 1], 3)):
+        calls.clear()
+        sub, exponent, index = pt.difference_power_subgroup(s3, gr.subset(s3, a), 3)
+        assert index == want and calls == [sub]
+
+
 def test_thm43_search():
     c6 = gr.cyclic(6)
     rep = pt.thm43_search(c6, gr.subset(c6, [0, 1]))

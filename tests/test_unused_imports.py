@@ -1,4 +1,4 @@
-"""Six ast lint rules over src/soldens, since the toolchain has no linter:
+"""Seven ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -13,10 +13,14 @@
   skipped) is passed, by position or keyword, by some call in src or tests:
   a setting nobody sets is a constant;
 - no module reads the attribute .members: GroupSubset keeps its members as
-  one int mask, and the frozenset view is for tests and perfbench only.
+  one int mask, and the frozenset view is for tests and perfbench only;
+- every module-level UPPER_CASE constant (a leading underscore allowed) is
+  read, as a bare name or as an attribute, by some code of src or tests
+  outside its own assignment: a cap whose guard is gone goes with it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -50,17 +54,25 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unused_private_definitions(sources):
-    """For sources, a dict from module name to source text: the module-level
-    private functions and classes, as "module.name", that no code reads
-    outside their own definition, as a bare name or as an attribute."""
-    readers = {}  # name -> {(module, index of the top-level statement reading it)}
+def readers_by_name(sources):
+    """For sources, a dict from module name to source text: a dict from each
+    name read, as a bare name or as an attribute, to the set of (module,
+    index of the top-level statement reading it)."""
+    readers = {}
     for module, text in sources.items():
         for i, stmt in enumerate(ast.parse(text).body):
             for node in ast.walk(stmt):
                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                     name = node.id if isinstance(node, ast.Name) else node.attr
                     readers.setdefault(name, set()).add((module, i))
+    return readers
+
+
+def unused_private_definitions(sources):
+    """For sources, a dict from module name to source text: the module-level
+    private functions and classes, as "module.name", that no code reads
+    outside their own definition, as a bare name or as an attribute."""
+    readers = readers_by_name(sources)
     return [
         f"{module}.{stmt.name}"
         for module, text in sources.items()
@@ -229,3 +241,42 @@ def test_the_rule_sees_a_read_of_members():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_reads_the_members_view(path):
     assert member_reads(path.read_text()) == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(package, others):
+    """For package, a dict from module name to source text, and others, a dict
+    of more sources that may read them: the module-level UPPER_CASE constants
+    of the package, as "module.NAME", that no code reads outside their own
+    assignment."""
+    readers = readers_by_name({**package, **others})
+    return [
+        f"{module}.{node.id}"
+        for module, text in package.items()
+        for i, stmt in enumerate(ast.parse(text).body)
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and CONSTANT.fullmatch(node.id) and not readers.get(node.id, set()) - {(module, i)}
+    ]
+
+
+def test_the_rule_sees_a_constant_nobody_reads():
+    package = {
+        "zline": "MAX_A = 10\nMAX_B: int = 20\n_PRIMES = (2, 3)\nlimit = 3\n"
+                 "MAX_C = MAX_D = 4\nLIMIT = 5\nLIMIT = LIMIT * 2\n"
+                 "def f(x):\n    MAX_E = 5\n    return x < MAX_A\n",
+        "cli": "import zline\nzline._PRIMES\n",
+    }
+    others = {"test_zline": "import zline\nassert zline.MAX_C == 4\n"}
+    # the second LIMIT is read only by its own assignment
+    assert unread_constants(package, others) == ["zline.MAX_B", "zline.MAX_D", "zline.LIMIT"]
+
+
+def test_every_constant_is_read():
+    package = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    tests = Path(__file__).resolve().parent
+    others = {f"tests.{p.stem}": p.read_text() for p in tests.glob("*.py")}
+    assert unread_constants(package, others) == []

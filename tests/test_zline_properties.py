@@ -6,7 +6,8 @@ they hold the same integers. Outside its patches a set is periodic, so
 agreement on a window that covers every patch plus a full common period on
 each side is agreement everywhere. The Jin and ergodic covers are the first
 minimum covers in itertools.combinations order. Sumsets and the sets of good
-shifts agree with their definitions, searched point by point.
+shifts agree with their definitions, searched point by point, and the cover
+check on all of Z agrees with the one on a window.
 """
 
 import math
@@ -122,3 +123,27 @@ def test_good_shifts_are_those_of_the_definition(inp, data):
     good = [x for x in range(m) if Fraction(overlap[x], m) >= eps]
     assert zl.z_equal(zl.delta_eps(a, eps), zl.zset(m, good))
     assert zl.z_equal(zl.delta_ideal(a), zl.zset(m, [x for x in range(m) if overlap[x]]))
+
+
+_PATCH = st.lists(st.integers(-40, 40), max_size=6)
+
+
+@st.composite
+def raw_zsets(draw):
+    """ZSets as zset normalizes them, and as built by hand: add and remove may
+    overlap, and removed points may lie outside the residue classes."""
+    m = draw(st.integers(1, 12))
+    residues = draw(st.sets(st.integers(0, m - 1)))
+    add, remove = draw(_PATCH), draw(_PATCH)
+    if draw(st.booleans()):
+        return zl.zset(m, residues, add, remove)
+    remove += add[:draw(st.integers(0, len(add)))]
+    return zl.ZSet(m, frozenset(residues), frozenset(add), frozenset(remove))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_zsets(), st.lists(st.integers(-15, 15), max_size=8))
+def test_the_cover_check_on_all_of_z_is_the_windowed_one(a, f):
+    # beyond every point of the patches + F, membership of x - t repeats with
+    # period m, so a window reaching a period past them decides all of Z
+    assert zl._covers_z(f, a) == zl.covers(f, a, 40 + 15 + 2 * a.m + 60)
