@@ -331,6 +331,32 @@ def difference_mask(group, mask):
     return _product(group, members, [group.inverse[g] for g in members])
 
 
+def difference_table(group):
+    """A function from a mask A to the mask of AA^-1 that remembers every mask
+    it computes in a list of 2^|G| slots, filled only as masks are asked for.
+    Each pair of points of S lies in S - x or in S - y, or is {x, y}, so for x
+    and y the two lowest points of S, D[S] = D[S - x] | D[S - y] | {xy^-1, yx^-1}
+    with D[{x}] = {e}: two lookups and one OR per new mask, and no |A|^2 product
+    loop. A slot reads 0 until it is filled; AA^-1 holds e for every nonempty A."""
+    t, inv = group.table, group.inverse
+    memo = [0] * (1 << group.order)
+    for x in range(group.order):
+        memo[1 << x] = 1
+
+    def diff(s):
+        out = memo[s]
+        if not out and s:
+            bx = s & -s
+            rest = s ^ bx
+            by = rest & -rest
+            x, y = bx.bit_length() - 1, by.bit_length() - 1
+            out = memo[s] = ((memo[rest] or diff(rest)) | (memo[s ^ by] or diff(s ^ by))
+                             | 1 << t[x][inv[y]] | 1 << t[y][inv[x]])
+        return out
+
+    return diff
+
+
 def difference_set(group, a):
     """AA^-1"""
     return GroupSubset(group, difference_mask(group, a.mask))

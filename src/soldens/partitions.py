@@ -104,13 +104,16 @@ def least_cover(n, translates):
 # The order cap of cov and zline._min_cover: least_cover is exponential in the
 # number of points it covers (timings in README.md).
 MAX_COVER_POINTS = 32
+# The order caps of _scan (which also caps the cells), verify_prop122 and
+# odd_group_check; each bounds the 2^|G| slots of the difference table read.
+MAX_SCAN_CELLS, MAX_SCAN_ORDER, MAX_PROP122_ORDER, MAX_ODD_CHECK_ORDER = 4, 8, 10, 16
 
 
 def cov(group, a):
     """(minimal |F| with F*A = G, lexicographically least optimal F), by
     least_cover over the left translates xA. The partition scans (_cov_once)
-    and verify_prop122 call it once per distinct mask of AA^-1, each through a
-    table of its own that lives for one call of theirs only."""
+    and verify_prop122 call it once per distinct AA^-1, read from a
+    groups.difference_table; both tables live for one call of theirs only."""
     if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
     if group.order > MAX_COVER_POINTS:
@@ -119,10 +122,8 @@ def cov(group, a):
     return len(f), f
 
 
-def _cov_once(group, a, covs):
-    """cov(AA^-1) for the mask a of A: covs maps each mask of AA^-1 that the
-    caller has solved to its result."""
-    d = gr.difference_mask(group, a)
+def _cov_once(group, d, covs):
+    """cov(AA^-1) for the mask d of AA^-1, solved once per d in the caller's covs."""
     result = covs.get(d)
     if result is None:
         result = covs[d] = cov(group, gr.GroupSubset(group, d))
@@ -177,12 +178,12 @@ def pack(group, a):
 
 def verify_prop122(group):
     """cov(AA^-1) <= pack(A) <= floor(|G|/|A|) for every nonempty A."""
-    if group.order > 10:
-        raise SizeGuardError("exhaustive subsets guarded to |G| <= 10")
-    tight = []
+    if group.order > MAX_PROP122_ORDER:
+        raise SizeGuardError(f"exhaustive subsets guarded to |G| <= {MAX_PROP122_ORDER}")
+    tight, diff = [], gr.difference_table(group)
     solved = {}  # mask of AA^-1 -> (cov(AA^-1), pack(A)); both depend on AA^-1 alone
     for bits in range(1, 2 ** group.order):
-        d = gr.difference_mask(group, bits)
+        d = diff(bits)
         if d not in solved:
             solved[d] = (cov(group, gr.GroupSubset(group, d))[0],
                          pack(group, gr.GroupSubset(group, bits))[0])
@@ -233,15 +234,15 @@ class PartitionVerdict:
 
 def _scan(group, n):
     """The partitions of G into <= n cells, as _partitions_into lists them,
-    and a dict from each distinct cell mask A to cov(AA^-1). The scans take
-    1 <= n <= 4 cells on groups of order <= 8, checked before anything is built."""
+    and a dict from each distinct cell mask A to cov(AA^-1); n and |G| are
+    checked against their caps before anything is built."""
     if n < 1:
         raise PartitionError("cell count must be >= 1", kind=BAD_INPUT)
-    if n > 4 or group.order > 8:
-        raise SizeGuardError("partition scan guarded to n <= 4, |G| <= 8")
-    parts = _partitions_into(group.order, n)
-    covs = {}
-    return parts, {a: _cov_once(group, a, covs) for a in set(chain.from_iterable(parts))}
+    if n > MAX_SCAN_CELLS or group.order > MAX_SCAN_ORDER:
+        raise SizeGuardError(
+            f"partition scan guarded to n <= {MAX_SCAN_CELLS}, |G| <= {MAX_SCAN_ORDER}")
+    parts, covs, diff = _partitions_into(group.order, n), {}, gr.difference_table(group)
+    return parts, {a: _cov_once(group, diff(a), covs) for a in set(chain.from_iterable(parts))}
 
 
 def _verify_partition_bound(group, n, bound):
@@ -249,12 +250,11 @@ def _verify_partition_bound(group, n, bound):
     best = [min(covs[a][0] for a in part) for part in parts]
     worst_val = max(best)  # the first partition that attains it is reported
     worst = tuple(tuple(gr.GroupSubset(group, a).indices()) for a in parts[best.index(worst_val)])
-    passed = worst_val <= bound
-    if not passed:
+    if worst_val > bound:
         raise PartitionError(
             f"partition {worst} has every cov(A A^-1) > {bound} on {group.label}"
         )
-    return PartitionVerdict(group.label, n, bound, passed, len(parts), worst, worst_val)
+    return PartitionVerdict(group.label, n, bound, True, len(parts), worst, worst_val)
 
 
 def verify_thm137(group, n):
@@ -291,16 +291,16 @@ def is_odd_group(group):
 
 def odd_group_check(group):
     """Oddness is equivalent to: every 2-partition has a cell whose
-    difference set is the whole group. Checked exhaustively."""
-    if group.order > 16:
-        raise SizeGuardError("2-partition scan guarded to |G| <= 16")
+    difference set is the whole group. Checked exhaustively, on an AA^-1
+    table that fills as the loop goes, so an early witness stops it early."""
+    if group.order > MAX_ODD_CHECK_ORDER:
+        raise SizeGuardError(f"2-partition scan guarded to |G| <= {MAX_ODD_CHECK_ORDER}")
     odd = is_odd_group(group)
     witness = None
-    full = (1 << group.order) - 1
+    full, diff = (1 << group.order) - 1, gr.difference_table(group)
     # bits stays below 2^(|G|-1), so the last element is always in the complement
     for bits in range(1, 2 ** (group.order - 1)):
-        if (gr.difference_mask(group, bits) != full
-                and gr.difference_mask(group, full ^ bits) != full):
+        if diff(bits) != full and diff(full ^ bits) != full:
             witness = tuple(gr.GroupSubset(group, a).indices() for a in (bits, full ^ bits))
             break
     property_holds = witness is None

@@ -1,8 +1,9 @@
 """Properties of the bitmask subset algebra on random groups and subsets.
 
-Every set operation and every entry of translate_masks is checked against a
-frozenset recomputation made straight from group.table, and so are the
-subgroup test and the generated subgroup, against a closure under products.
+Every set operation, every entry of translate_masks and every entry of
+difference_table (asked for in a random order) is checked against a frozenset
+recomputation made straight from group.table, and so are the subgroup test and
+the generated subgroup, against a closure under products.
 """
 
 from itertools import product
@@ -117,6 +118,19 @@ def _reference_verdict(table):
         if table[table[a][b]][c] != table[a][table[b][c]]:
             return gr.Violation("associativity", (a, b, c))
     return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_difference_table_matches_the_product_loop_in_any_query_order(data):
+    # one table per example, asked for every mask in a drawn order, so that no
+    # entry may depend on which masks were asked for before it
+    g = _GROUPS[data.draw(st.sampled_from(_SPECS))]
+    t, inv = g.table, g.inverse
+    diff = gr.difference_table(g)
+    for mask in data.draw(st.permutations(range(1 << g.order))):
+        pts = [q for q in g.elements() if mask >> q & 1]
+        assert diff(mask) == sum(1 << d for d in {t[p][inv[q]] for p in pts for q in pts})
 
 
 @st.composite

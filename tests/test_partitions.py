@@ -93,7 +93,12 @@ def test_prop122_packs_once_per_distinct_difference_set(monkeypatch):
         assert len(packed) == len(set(packed)) == calls
 
 
-@pytest.mark.parametrize("solve, order", [(pt.pack, 25), (pt.cov, pt.MAX_COVER_POINTS + 1)])
+# the subset scans are guarded before their 2^|G|-slot difference table exists
+@pytest.mark.parametrize("solve, order", [
+    (pt.pack, 25), (pt.cov, pt.MAX_COVER_POINTS + 1),
+    pytest.param(lambda g, a: pt.verify_prop122(g), pt.MAX_PROP122_ORDER + 1, id="prop122-11"),
+    pytest.param(lambda g, a: pt.verify_thm137(g, 2), pt.MAX_SCAN_ORDER + 1, id="scan-9"),
+    pytest.param(lambda g, a: pt.odd_group_check(g), pt.MAX_ODD_CHECK_ORDER + 1, id="odd-17")])
 def test_cov_and_pack_size_guards_come_before_any_mask(monkeypatch, solve, order):
     def built(*args):
         raise AssertionError("a mask was built")
@@ -102,9 +107,21 @@ def test_cov_and_pack_size_guards_come_before_any_mask(monkeypatch, solve, order
     a = gr.subset(g, [0, 1])
     monkeypatch.setattr(gr, "difference_mask", built)
     monkeypatch.setattr(gr, "translate_masks", built)
+    monkeypatch.setattr(gr, "difference_table", built)
     with pytest.raises(pt.SizeGuardError) as info:
         solve(g, a)
     assert info.value.kind == "size-guard"
+
+
+def test_the_scan_guards_name_their_caps():
+    cases = [(lambda: pt.verify_prop122(gr.cyclic(11)), "exhaustive subsets guarded to |G| <= 10"),
+             (lambda: pt.verify_thm137(gr.cyclic(9), 2), "partition scan guarded to n <= 4, |G| <= 8"),
+             (lambda: pt.protasov_search(gr.cyclic(4), 5), "partition scan guarded to n <= 4, |G| <= 8"),
+             (lambda: pt.odd_group_check(gr.cyclic(17)), "2-partition scan guarded to |G| <= 16")]
+    for solve, message in cases:
+        with pytest.raises(pt.SizeGuardError) as info:
+            solve()
+        assert str(info.value) == message
 
 
 def _cov_by_difference_size(group, d):

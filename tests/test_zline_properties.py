@@ -7,10 +7,12 @@ agreement on a window that covers every patch plus a full common period on
 each side is agreement everywhere. The Jin and ergodic covers are the first
 minimum covers in itertools.combinations order. Sumsets and the sets of good
 shifts agree with their definitions, searched point by point, and the cover
-check on all of Z agrees with the one on a window.
+check on all of Z agrees with the one on a window and with a direct count of
+every shift against every residue and removed point.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -147,3 +149,39 @@ def test_the_cover_check_on_all_of_z_is_the_windowed_one(a, f):
     # beyond every point of the patches + F, membership of x - t repeats with
     # period m, so a window reaching a period past them decides all of Z
     assert zl._covers_z(f, a) == zl.covers(f, a, 40 + 15 + 2 * a.m + 60)
+
+
+def _covers_by_direct_count(f, a):
+    # per[c] over every class and blocked[x] over every pair of a shift and a
+    # removed point of R + mZ, with no bound and no early stop
+    m = a.m
+    per = Counter((t + r) % m for t in f for r in a.residues)
+    blocked = Counter(p + t for p in a.remove if p % m in a.residues for t in f)
+    return len(per) == m and all(any(x - t in a.add for t in f)
+                                 for x, n in blocked.items() if n >= per[x % m])
+
+
+@st.composite
+def patched_zsets_and_shifts(draw):
+    """A hand-built ZSet with add and remove points (they may overlap) and a
+    modulus up to 40, with classify's witness for it, or with drawn shifts each
+    taken in 1 to 3 copies t, t + s, t + 2s, for s = m or s = 0, so that the
+    copies of a class of F may or may not outnumber the removed points, and F
+    may name a shift more than once."""
+    m = draw(st.integers(1, 40))
+    residues = draw(st.sets(st.integers(0, m - 1)))
+    add = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+    remove = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+    a = zl.ZSet(m, frozenset(residues), frozenset(add), frozenset(remove))
+    if residues and draw(st.booleans()):
+        return a, zl.large_witness(a)
+    copies, step = draw(st.integers(1, 3)), draw(st.sampled_from([m, 0]))
+    return a, [t + j * step for t in draw(st.lists(st.integers(-15, 15), max_size=8))
+               for j in range(copies)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(patched_zsets_and_shifts())
+def test_the_cover_check_agrees_with_the_direct_count(case):
+    a, f = case
+    assert zl._covers_z(f, a) == _covers_by_direct_count(f, a)
