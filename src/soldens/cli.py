@@ -216,7 +216,7 @@ def cmd_partitions(args):
         return 0, pt.odd_group_check(g)
     if args.what == "protasov":
         hit = pt.protasov_search(g, args.cells)
-        return (1 if hit else 0), {"counterexample": hit}
+        return (EXIT_CODES[INVARIANT_FAILURE] if hit else 0), {"counterexample": hit}
     if args.what == "cov":
         value, f = pt.cov(g, gr.subset(g, args.set))
         return 0, {"cov": value, "f": f}
@@ -351,7 +351,7 @@ def verify_all(max_order=8, seed=0, trials=5):
 def cmd_verify_all(args):
     checks = verify_all(max_order=args.max_order, seed=args.seed)
     ok = all(c["ok"] for c in checks)
-    return (0 if ok else 1), {"seed": args.seed, "max_order": args.max_order, "checks": checks, "pass": ok}
+    return (0 if ok else EXIT_CODES[INVARIANT_FAILURE]), {"seed": args.seed, "max_order": args.max_order, "checks": checks, "pass": ok}
 
 
 def cmd_suite(args):

@@ -47,6 +47,7 @@ EXACT = "EXACT"
 # the set {0} (Python 3.11.7 on a 2-vCPU Xeon VM) that took 0.03 s on cyclic:12,
 # 0.63 s on cyclic:16 and 8.5 s on cyclic:20. The cap admits every group of order <= 16.
 MAX_BRUTE_WITNESSES = 2 ** 16
+MAX_SUBADDITIVE_GROUND = 20  # subadditivize: 2^20 subsets, two oracle calls each
 
 
 def bounded(horizon):
@@ -161,8 +162,9 @@ def subadditivize(density_oracle, a, ground):
     of `ground` of oracle(A u B) - oracle(B), exhaustive, with B taken by
     size then lexicographically."""
     ground = sorted(set(ground))
-    if len(ground) > 20:  # 2^20 subsets, two oracle calls each
-        raise DensityError(f"ground of {len(ground)} points exceeds cap 20", kind=SIZE_GUARD)
+    if len(ground) > MAX_SUBADDITIVE_GROUND:
+        raise DensityError(f"ground of {len(ground)} points exceeds cap {MAX_SUBADDITIVE_GROUND}",
+                           kind=SIZE_GUARD)
     aset = frozenset(a)
     return max(density_oracle(aset | b) - density_oracle(b)
                for size in range(len(ground) + 1)

@@ -24,6 +24,8 @@ from . import measures as ms
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 from .simplex import solve_lp_int
 
+MAX_PATTERN_LENGTH = 3  # of eval_extremal; its hit table has |G|^length entries
+
 
 class GameError(SoldensError):
     pass
@@ -213,8 +215,8 @@ def eval_extremal(pattern, group, a):
     ("interval", (lo, hi)) from candidate-strategy bounds.
     """
     n = len(pattern.quantifiers)
-    if n > 3:
-        raise GameError("patterns longer than 3 are unsupported", kind=SIZE_GUARD)
+    if n > MAX_PATTERN_LENGTH:
+        raise GameError(f"patterns longer than {MAX_PATTERN_LENGTH} are unsupported", kind=SIZE_GUARD)
     kinds = pattern.kinds()
     if "s" not in kinds:
         return "exact", Fraction(1) if len(a) == group.order else Fraction(0)

@@ -14,6 +14,7 @@ from math import factorial
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 DEFAULT_ORDER_CAP = 64
+MAX_SYMMETRIC_DEGREE = 5  # symmetric(n) refuses a larger n before n! is computed
 
 
 class GroupError(SoldensError):
@@ -113,9 +114,9 @@ def from_table(table, label=""):
     return Group(n, tuple(tuple(row) for row in table), tuple(inverse), label)
 
 
-def _check_order(kind, n, order_cap):
-    """Raise for a bad parameter of the group kind:n or an order above
-    order_cap; called before any table is built."""
+def _check_order(kind, n):
+    """Raise for a bad parameter n of cyclic, dihedral or symmetric, or an order
+    above DEFAULT_ORDER_CAP; called before any table is built."""
     if kind == "cyclic":
         if n < 1:
             raise GroupError("cyclic order must be positive", kind=BAD_INPUT)
@@ -124,20 +125,19 @@ def _check_order(kind, n, order_cap):
         if n < 1:
             raise GroupError("dihedral parameter must be positive", kind=BAD_INPUT)
         order = 2 * n
-    elif kind == "symmetric":
-        if n < 1:
-            raise GroupError("symmetric group supported for 1 <= n <= 5", kind=BAD_INPUT)
-        if n > 5:  # n! > 120 exceeds every cap; n! itself is never computed
-            raise GroupError(f"group order {n}! exceeds cap {order_cap}", kind=SIZE_GUARD)
-        order = factorial(n)
     else:
-        raise GroupError(f"unknown group kind {kind!r}", kind=BAD_INPUT)
-    if order > order_cap:
-        raise GroupError(f"group order {order} exceeds cap {order_cap}", kind=SIZE_GUARD)
+        if n < 1:
+            raise GroupError(f"symmetric group supported for 1 <= n <= {MAX_SYMMETRIC_DEGREE}",
+                             kind=BAD_INPUT)
+        if n > MAX_SYMMETRIC_DEGREE:
+            raise GroupError(f"group order {n}! exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
+        order = factorial(n)
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupError(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
 
 
 def cyclic(n):
-    _check_order("cyclic", n, DEFAULT_ORDER_CAP)
+    _check_order("cyclic", n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return from_table(table, label=f"cyclic:{n}")
 
@@ -145,7 +145,7 @@ def cyclic(n):
 def dihedral(n):
     """Dihedral group of order 2n: rotations r^i (indices 0..n-1) then
     reflections s*r^i (indices n..2n-1)."""
-    _check_order("dihedral", n, DEFAULT_ORDER_CAP)
+    _check_order("dihedral", n)
 
     def mul(a, b):
         ra, fa = a % n, a // n
@@ -162,7 +162,7 @@ def dihedral(n):
 def symmetric(n):
     """Symmetric group on n letters, elements in lexicographic order of the
     permutation tuples (identity first)."""
-    _check_order("symmetric", n, DEFAULT_ORDER_CAP)
+    _check_order("symmetric", n)
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [
@@ -433,25 +433,17 @@ def quotient_map(group, n):
     return Homomorphism(group, q, coset_of)
 
 
-def build_group(spec, order_cap=DEFAULT_ORDER_CAP):
+def build_group(spec):
     """Build a group from a short spec string.
 
     Formats: "cyclic:N", "dihedral:N", "symmetric:N", "s3"-style aliases,
-    and products "A x B" written as "spec*spec". The order of a single group
-    is checked against order_cap before its table is built; order_cap may
-    lower the default cap but not raise it.
+    and products "A x B" written as "spec*spec". Each constructor checks its
+    order against DEFAULT_ORDER_CAP before it builds a table.
     """
-    if order_cap > DEFAULT_ORDER_CAP:
-        raise GroupError(
-            f"order_cap {order_cap} exceeds the largest supported cap {DEFAULT_ORDER_CAP}",
-            kind=SIZE_GUARD)
     spec = spec.strip().lower()
     if "*" in spec:
         left, right = spec.split("*", 1)
-        g1, g2 = build_group(left, order_cap), build_group(right, order_cap)
-        if g1.order * g2.order > order_cap:
-            raise GroupError("product order exceeds cap", kind=SIZE_GUARD)
-        return direct_product(g1, g2)
+        return direct_product(build_group(left), build_group(right))
     if spec in ("s3", "s4", "s5"):
         kind, n = "symmetric", int(spec[1])
     elif spec in ("d4", "d3", "d5"):
@@ -462,5 +454,7 @@ def build_group(spec, order_cap=DEFAULT_ORDER_CAP):
             n = int(arg)
         except ValueError:
             raise GroupError(f"cannot parse group spec {spec!r}", kind=BAD_INPUT) from None
-    _check_order(kind, n, order_cap)
-    return {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind](n)
+    build = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}.get(kind)
+    if build is None:
+        raise GroupError(f"unknown group kind {kind!r}", kind=BAD_INPUT)
+    return build(n)

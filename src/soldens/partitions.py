@@ -17,10 +17,6 @@ class PartitionError(SoldensError):
     pass
 
 
-class SizeGuardError(PartitionError):
-    kind = SIZE_GUARD
-
-
 def least_cover(n, translates):
     """The first minimum-size cover of range(n) by the given masks, as the
     tuple of their indices in itertools.combinations order.
@@ -104,6 +100,7 @@ def least_cover(n, translates):
 # The order cap of cov and zline._min_cover: least_cover is exponential in the
 # number of points it covers (timings in README.md).
 MAX_COVER_POINTS = 32
+MAX_PACK_ORDER = 24  # of pack, whose branch and bound is exponential in |G|
 # The order caps of _scan (which also caps the cells), verify_prop122 and
 # odd_group_check; each bounds the 2^|G| slots of the difference table read.
 MAX_SCAN_CELLS, MAX_SCAN_ORDER, MAX_PROP122_ORDER, MAX_ODD_CHECK_ORDER = 4, 8, 10, 16
@@ -117,7 +114,7 @@ def cov(group, a):
     if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
     if group.order > MAX_COVER_POINTS:
-        raise SizeGuardError(f"cov guarded to |G| <= {MAX_COVER_POINTS}")
+        raise PartitionError(f"cov guarded to |G| <= {MAX_COVER_POINTS}", kind=SIZE_GUARD)
     f = least_cover(group.order, [mask for _, mask in gr.translate_masks(group, a, "left")])
     return len(f), f
 
@@ -154,8 +151,8 @@ def pack(group, a):
     depends on AA^-1 alone. Include-first branch and bound on int masks."""
     if not a.mask:
         raise PartitionError("pack of an empty set", kind=BAD_INPUT)
-    if group.order > 24:
-        raise SizeGuardError("pack guarded to |G| <= 24")
+    if group.order > MAX_PACK_ORDER:
+        raise PartitionError(f"pack guarded to |G| <= {MAX_PACK_ORDER}", kind=SIZE_GUARD)
     d = gr.GroupSubset(group, gr.difference_mask(group, a.mask))
     conflict = [mask & ~(1 << x) for (x,), mask in gr.translate_masks(group, d, "left")]
     best = ()
@@ -179,7 +176,8 @@ def pack(group, a):
 def verify_prop122(group):
     """cov(AA^-1) <= pack(A) <= floor(|G|/|A|) for every nonempty A."""
     if group.order > MAX_PROP122_ORDER:
-        raise SizeGuardError(f"exhaustive subsets guarded to |G| <= {MAX_PROP122_ORDER}")
+        raise PartitionError(f"exhaustive subsets guarded to |G| <= {MAX_PROP122_ORDER}",
+                             kind=SIZE_GUARD)
     tight, diff = [], gr.difference_table(group)
     solved = {}  # mask of AA^-1 -> (cov(AA^-1), pack(A)); both depend on AA^-1 alone
     for bits in range(1, 2 ** group.order):
@@ -239,8 +237,9 @@ def _scan(group, n):
     if n < 1:
         raise PartitionError("cell count must be >= 1", kind=BAD_INPUT)
     if n > MAX_SCAN_CELLS or group.order > MAX_SCAN_ORDER:
-        raise SizeGuardError(
-            f"partition scan guarded to n <= {MAX_SCAN_CELLS}, |G| <= {MAX_SCAN_ORDER}")
+        raise PartitionError(
+            f"partition scan guarded to n <= {MAX_SCAN_CELLS}, |G| <= {MAX_SCAN_ORDER}",
+            kind=SIZE_GUARD)
     parts, covs, diff = _partitions_into(group.order, n), {}, gr.difference_table(group)
     return parts, {a: _cov_once(group, diff(a), covs) for a in set(chain.from_iterable(parts))}
 
@@ -294,7 +293,8 @@ def odd_group_check(group):
     difference set is the whole group. Checked exhaustively, on an AA^-1
     table that fills as the loop goes, so an early witness stops it early."""
     if group.order > MAX_ODD_CHECK_ORDER:
-        raise SizeGuardError(f"2-partition scan guarded to |G| <= {MAX_ODD_CHECK_ORDER}")
+        raise PartitionError(f"2-partition scan guarded to |G| <= {MAX_ODD_CHECK_ORDER}",
+                             kind=SIZE_GUARD)
     odd = is_odd_group(group)
     witness = None
     full, diff = (1 << group.order) - 1, gr.difference_table(group)

@@ -319,10 +319,7 @@ def classify(a):
 
 def _min_cover(m, base_residues):
     """Lexicographically least minimum set of shifts t with the translates
-    t + base covering Z/m, for residues of the base in range(m)."""
-    if not base_residues:
-        raise ZSetError("cannot cover with an empty base", kind=BAD_INPUT)
-    _check_cover_modulus(m)
+    t + base covering Z/m, for a nonempty base in range(m); callers check m."""
     base = sum(1 << r for r in base_residues)
     # the mask of t + base is the base mask rotated left by t places
     return pt.least_cover(m, [(base << t | base >> (m - t)) & ((1 << m) - 1) for t in range(m)])
@@ -380,6 +377,7 @@ def ergodic_sup_check(a):
     if a.is_finite():
         return {"value": 0, "f": None}
     _check_witness_size(a)
+    _check_cover_modulus(a.m)
     f = _min_cover(a.m, a.residues)
     f = tuple(t + j * a.m for t in f for j in range(len(a.remove) + 1))
     if not _covers_z(f, a):
@@ -467,6 +465,7 @@ MAX_LARGE_WITNESS = 1000
 # bound, on residue sets mod 2 to 8 and on [1, k(k+1)/2 - 1] (same machine),
 # the slowest took 0.36 s: k = 1, bound 10^6, on the empty set.
 MAX_IP_TESTS = 10 ** 6
+MAX_IP_GENERATORS = 20  # the cap on k, checked before that count, which loops k times
 
 
 def _sieve(limit):
@@ -563,8 +562,8 @@ def ip_witness_search(member, k, bound):
     not a nonexistence proof."""
     if k < 1:
         raise ZSetError("k must be >= 1", kind=BAD_INPUT)
-    if k > 20:
-        raise ZSetError(f"k {k} exceeds cap 20", kind=SIZE_GUARD)
+    if k > MAX_IP_GENERATORS:
+        raise ZSetError(f"k {k} exceeds cap {MAX_IP_GENERATORS}", kind=SIZE_GUARD)
     # each i-subset of [1, bound], C(bound, i) = c of them, is tried at most once,
     # with 2^(i-1) membership tests
     n, c, tests = max(bound, 0), 1, 0

@@ -112,6 +112,26 @@ def test_verify_all_reports_exception_type(monkeypatch):
     assert checks["pushforward-invariance"]["detail"] == "AssertionError: "
 
 
+def test_invariant_failures_exit_through_the_exit_code_table(monkeypatch, capsys):
+    hit = {"counterexample": [[0], [1]], "covs": [(2, (0, 1)), (2, (0, 1))]}
+    monkeypatch.setattr(cli.pt, "protasov_search", lambda group, n: hit)
+    code, out = run_capture(capsys, ["partitions", "protasov", "--group", "cyclic:2", "--cells", "2"])
+    assert code == EXIT_CODES["invariant-failure"] == 1
+    assert out == ('{"counterexample": {"counterexample": [[0], [1]], '
+                   '"covs": [[2, [0, 1]], [2, [0, 1]]]}}\n')
+
+    def broken(hom, mu):
+        raise AssertionError
+
+    monkeypatch.setattr(cli.ms, "pushforward", broken)
+    code, out = run_capture(capsys, ["verify-all", "--max-order", "2", "--seed", "1"])
+    assert code == EXIT_CODES["invariant-failure"]
+    report = json.loads(out)
+    assert (report["pass"], report["max_order"], report["seed"]) == (False, 2, 1)
+    assert [(c["name"], c.get("detail")) for c in report["checks"] if not c["ok"]] == [
+        ("pushforward-invariance", "AssertionError: ")]
+
+
 def test_suite_reruns_are_byte_identical(tmp_path, capsys):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({

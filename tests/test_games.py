@@ -142,6 +142,16 @@ def test_extremal_pure_patterns():
     assert gm.eval_extremal(gm.ExtremalPattern.parse("ss21"), g, empty) == ("exact", 0)
 
 
+def test_extremal_refuses_a_pattern_above_its_length_cap():
+    # even a pure pattern, which needs no game, is refused
+    g = gr.cyclic(2)
+    pattern = gm.ExtremalPattern.parse("ssss1234")
+    assert len(pattern.quantifiers) == gm.MAX_PATTERN_LENGTH + 1
+    with pytest.raises(gm.GameError) as e:
+        gm.eval_extremal(pattern, g, gr.subset(g, [0]))
+    assert str(e.value) == "patterns longer than 3 are unsupported" and e.value.kind == "size-guard"
+
+
 def test_extremal_mixed_collapses_to_uniform_value():
     g = gr.cyclic(4)
     a = gr.subset(g, [0, 1])

@@ -4,7 +4,7 @@ import pytest
 
 import soldens.cli as cli
 import soldens.groups as gr
-from soldens.errors import BAD_INPUT
+from soldens.errors import BAD_INPUT, SIZE_GUARD
 
 
 def test_cyclic_table_and_inverse():
@@ -93,41 +93,43 @@ def test_build_group_specs():
     assert gr.build_group("s3").label == "symmetric:3"
     assert gr.build_group("d4").order == 8
     assert gr.build_group("cyclic:2*cyclic:4").order == 8
-    with pytest.raises(gr.GroupError):
+    with pytest.raises(gr.GroupError, match="^unknown group kind 'weird'$") as e:
         gr.build_group("weird:9")
+    assert e.value.kind == BAD_INPUT
     with pytest.raises(gr.GroupError, match="symmetric group supported for 1 <= n <= 5"):
         gr.build_group("symmetric:0")
 
 
 def test_build_group_product_respects_order_cap():
     # each factor fits the cap, the product does not
-    with pytest.raises(gr.GroupError):
-        gr.build_group("cyclic:8*cyclic:8", order_cap=32)
-    assert gr.build_group("cyclic:8*cyclic:8", order_cap=64).order == 64
+    with pytest.raises(gr.GroupError, match="^product order exceeds cap$") as e:
+        gr.build_group("cyclic:8*cyclic:16")
+    assert e.value.kind == SIZE_GUARD
+    assert gr.build_group("cyclic:8*cyclic:8").order == gr.DEFAULT_ORDER_CAP == 64
 
 
 def test_build_group_checks_order_before_building_tables(monkeypatch):
     built = []
 
-    def spy(table, label="", order_cap=gr.DEFAULT_ORDER_CAP):
+    def spy(table, label=""):
         built.append(label)
-        return real(table, label, order_cap)
+        return real(table, label)
 
     real = gr.from_table
     monkeypatch.setattr(gr, "from_table", spy)
-    over_cap = [("dihedral:800", 64, "group order 1600 exceeds cap 64"),
-                ("cyclic:65", 64, "group order 65 exceeds cap 64"),
-                ("symmetric:5", 64, "group order 120 exceeds cap 64"),
-                ("symmetric:6", 64, "group order 6! exceeds cap 64"),
-                ("symmetric:10000000000", 64, "group order 10000000000! exceeds cap 64"),
-                ("s4", 20, "group order 24 exceeds cap 20")]
-    for spec, cap, message in over_cap:
-        with pytest.raises(gr.GroupError, match=message):
-            gr.build_group(spec, order_cap=cap)
+    over_cap = [("dihedral:800", "group order 1600 exceeds cap 64"),
+                ("cyclic:65", "group order 65 exceeds cap 64"),
+                ("symmetric:5", "group order 120 exceeds cap 64"),
+                ("symmetric:6", "group order 6! exceeds cap 64"),
+                ("symmetric:10000000000", "group order 10000000000! exceeds cap 64")]
+    for spec, message in over_cap:
+        with pytest.raises(gr.GroupError, match=message) as e:
+            gr.build_group(spec)
+        assert e.value.kind == SIZE_GUARD
     assert built == []
-    # a cap above the default is refused, not silently lowered to it
-    with pytest.raises(gr.GroupError, match="order_cap 200 exceeds"):
-        gr.build_group("cyclic:8", order_cap=200)
+    # the cap itself is admitted, and its table is built once
+    assert gr.build_group("cyclic:64").order == 64
+    assert built == ["cyclic:64"]
 
 
 def test_conjugacy_and_inner_invariance():

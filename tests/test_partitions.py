@@ -38,8 +38,9 @@ def test_prop122_chain_on_cyclic6():
     rep = pt.verify_prop122(gr.cyclic(6))
     assert rep["checked"] == 63
     assert any(a == [0, 1] for a, *_ in rep["tight"])
-    with pytest.raises(pt.SizeGuardError):
+    with pytest.raises(pt.PartitionError) as info:
         pt.verify_prop122(gr.direct_product(gr.cyclic(4), gr.cyclic(4)))
+    assert info.value.kind == "size-guard"
 
 
 def test_thm139_bound_formula():
@@ -53,8 +54,9 @@ def test_partition_verifiers():
     v = pt.verify_thm139(gr.symmetric(3), 3)
     assert v.passed and v.bound == 3
     assert v.partitions_checked > 0
-    with pytest.raises(pt.SizeGuardError):
+    with pytest.raises(pt.PartitionError) as info:
         pt.verify_thm137(gr.cyclic(6), 5)
+    assert info.value.kind == "size-guard"
 
 
 def test_scans_solve_cov_once_per_distinct_difference_set(monkeypatch):
@@ -95,7 +97,7 @@ def test_prop122_packs_once_per_distinct_difference_set(monkeypatch):
 
 # the subset scans are guarded before their 2^|G|-slot difference table exists
 @pytest.mark.parametrize("solve, order", [
-    (pt.pack, 25), (pt.cov, pt.MAX_COVER_POINTS + 1),
+    (pt.pack, pt.MAX_PACK_ORDER + 1), (pt.cov, pt.MAX_COVER_POINTS + 1),
     pytest.param(lambda g, a: pt.verify_prop122(g), pt.MAX_PROP122_ORDER + 1, id="prop122-11"),
     pytest.param(lambda g, a: pt.verify_thm137(g, 2), pt.MAX_SCAN_ORDER + 1, id="scan-9"),
     pytest.param(lambda g, a: pt.odd_group_check(g), pt.MAX_ODD_CHECK_ORDER + 1, id="odd-17")])
@@ -108,20 +110,22 @@ def test_cov_and_pack_size_guards_come_before_any_mask(monkeypatch, solve, order
     monkeypatch.setattr(gr, "difference_mask", built)
     monkeypatch.setattr(gr, "translate_masks", built)
     monkeypatch.setattr(gr, "difference_table", built)
-    with pytest.raises(pt.SizeGuardError) as info:
+    with pytest.raises(pt.PartitionError) as info:
         solve(g, a)
     assert info.value.kind == "size-guard"
 
 
 def test_the_scan_guards_name_their_caps():
+    big = gr.cyclic(pt.MAX_PACK_ORDER + 1)
     cases = [(lambda: pt.verify_prop122(gr.cyclic(11)), "exhaustive subsets guarded to |G| <= 10"),
              (lambda: pt.verify_thm137(gr.cyclic(9), 2), "partition scan guarded to n <= 4, |G| <= 8"),
              (lambda: pt.protasov_search(gr.cyclic(4), 5), "partition scan guarded to n <= 4, |G| <= 8"),
-             (lambda: pt.odd_group_check(gr.cyclic(17)), "2-partition scan guarded to |G| <= 16")]
+             (lambda: pt.odd_group_check(gr.cyclic(17)), "2-partition scan guarded to |G| <= 16"),
+             (lambda: pt.pack(big, gr.subset(big, [0])), "pack guarded to |G| <= 24")]
     for solve, message in cases:
-        with pytest.raises(pt.SizeGuardError) as info:
+        with pytest.raises(pt.PartitionError) as info:
             solve()
-        assert str(info.value) == message
+        assert str(info.value) == message and info.value.kind == "size-guard"
 
 
 def _cov_by_difference_size(group, d):

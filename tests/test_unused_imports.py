@@ -1,4 +1,4 @@
-"""Seven ast lint rules over src/soldens, since the toolchain has no linter:
+"""Eight ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -16,7 +16,10 @@
   one int mask, and the frozenset view is for tests and perfbench only;
 - every module-level UPPER_CASE constant (a leading underscore allowed) is
   read, as a bare name or as an attribute, by some code of src or tests
-  outside its own assignment: a cap whose guard is gone goes with it.
+  outside its own assignment: a cap whose guard is gone goes with it;
+- every size-guard raise sits in the body of an if whose test compares only
+  against named UPPER_CASE constants and holds no number literal: each cap
+  is defined once, and its message is formatted from the same name.
 """
 
 import ast
@@ -280,3 +283,94 @@ def test_every_constant_is_read():
     tests = Path(__file__).resolve().parent
     others = {f"tests.{p.stem}": p.read_text() for p in tests.glob("*.py")}
     assert unread_constants(package, others) == []
+
+
+# cli.emit refuses what Python itself cannot print; its cap is the
+# interpreter's int-to-str limit, met as a ValueError, not a comparison.
+UNCOMPARED_GUARDS = {"cli": {"emit"}}
+
+
+def _named(node):
+    """An UPPER_CASE name or attribute, or a call on such values only (len(_PRIMES8))."""
+    if isinstance(node, ast.Name):
+        return bool(CONSTANT.fullmatch(node.id))
+    if isinstance(node, ast.Attribute):
+        return bool(CONSTANT.fullmatch(node.attr))
+    return isinstance(node, ast.Call) and bool(node.args) and all(map(_named, node.args))
+
+
+def _compares_with_named_caps(test):
+    if isinstance(test, ast.BoolOp):
+        return all(map(_compares_with_named_caps, test.values))
+    return isinstance(test, ast.Compare) and all(map(_named, test.comparators))
+
+
+def unnamed_caps(source, exempt=()):
+    """The size-guard raises of source, as "function:line", that do not sit
+    directly in the body of an if whose test compares only against named
+    UPPER_CASE constants, joined by and/or, and holds no number literal. A
+    size-guard raise builds its error with kind=SIZE_GUARD, or calls a module
+    function that returns such an error (words._too_long) or a module class
+    whose kind is SIZE_GUARD; the raises of the functions named in exempt are
+    skipped."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def guard(call):
+        return isinstance(call, ast.Call) and any(
+            kw.arg == "kind" and getattr(kw.value, "id", getattr(kw.value, "attr", None))
+            == "SIZE_GUARD" for kw in call.keywords)
+
+    def sized(node):
+        if isinstance(node, ast.Return):
+            return guard(node.value)
+        return isinstance(node, ast.Assign) and getattr(node.value, "id", None) == "SIZE_GUARD"
+
+    helpers = {d.name for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+               and any(map(sized, ast.walk(d)))}
+    found = []
+    for node in ast.walk(tree):
+        exc = getattr(node, "exc", None)
+        if not isinstance(node, ast.Raise) or not (
+                guard(exc) or isinstance(exc, ast.Call) and getattr(exc.func, "id", None) in helpers):
+            continue
+        function = node
+        while function in parent and not isinstance(function, ast.FunctionDef):
+            function = parent[function]
+        name = getattr(function, "name", "<module>")
+        if name in exempt:
+            continue
+        owner = parent[node]
+        test = owner.test if isinstance(owner, ast.If) and node in owner.body else None
+        if test is None or not _compares_with_named_caps(test) or any(
+                isinstance(n, ast.Constant) and type(n.value) in (int, float) for n in ast.walk(test)):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_the_rule_sees_a_cap_written_as_a_literal():
+    flagged = {
+        "if n < 1:\n    raise E('bad', kind=BAD_INPUT)": False,  # not a size guard
+        "if n > MAX_N or m > gr.MAX_M:\n    raise E('big', kind=er.SIZE_GUARD)": False,
+        "if m > len(_PRIMES8):\n    raise _too_long()": False,
+        "if n > 20:\n    raise E('n over 20', kind=SIZE_GUARD)": True,
+        "if n > 20:\n    raise _too_long()": True,
+        "if n > 20:\n    raise Big('n over 20')": True,
+        "if n + 1 > MAX_N:\n    raise _too_long()": True,  # a literal beside the name
+        "if n > cap:\n    raise _too_long()": True,  # not an UPPER_CASE name
+        "if n > MAX_N and ok:\n    raise _too_long()": True,  # not only comparisons
+        "if n <= MAX_N:\n    pass\nelse:\n    raise _too_long()": True,  # not in the if's body
+        "try:\n    f(n)\nexcept ValueError:\n    raise _too_long()": True,  # under no if
+    }
+    helper = ("def _too_long():\n    return E('long', kind=SIZE_GUARD)\n"
+              "class Big(E):\n    kind = SIZE_GUARD\n")
+    for body, flag in flagged.items():
+        source = helper + "def f(n, m, cap):\n" + "".join(f"    {line}\n" for line in body.split("\n"))
+        assert bool(unnamed_caps(source)) == flag, body
+        assert unnamed_caps(source, exempt={"f"}) == []
+    assert unnamed_caps(helper + "def f(n):\n    if n > 3:\n        raise _too_long()\n") == ["f:7"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_size_guard_compares_with_a_named_cap(path):
+    assert unnamed_caps(path.read_text(), UNCOMPARED_GUARDS.get(path.stem, ())) == []

@@ -214,6 +214,10 @@ def test_ip_search_cap_is_checked_before_any_membership_test():
     with pytest.raises(zl.ZSetError, match="above cap") as e:
         zl.ip_witness_search(member, 2, 1001)
     assert e.value.kind == "size-guard"
+    # k is refused before any membership test, even where the count of tests is small
+    with pytest.raises(zl.ZSetError) as e:
+        zl.ip_witness_search(member, zl.MAX_IP_GENERATORS + 1, 1)
+    assert str(e.value) == "k 21 exceeds cap 20" and e.value.kind == "size-guard"
     # k = 2 and bound 1000 allow 1000 + 2 * C(1000, 2) = 10^6 tests, the cap itself
     assert zl.ip_witness_search(zl.Z_ALL, 2, 1000)["found"] == (1, 2)
     # the CLI default, k = 3 and bound 100, exhausts its space
