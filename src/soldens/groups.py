@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
@@ -115,8 +115,8 @@ def from_table(table, label=""):
 
 
 def _check_order(kind, n):
-    """Raise for a bad parameter n of cyclic, dihedral or symmetric, or an order
-    above DEFAULT_ORDER_CAP; called before any table is built."""
+    """The order of cyclic, dihedral or symmetric with parameter n; raises for a
+    bad n or an order above DEFAULT_ORDER_CAP, before any table is built."""
     if kind == "cyclic":
         if n < 1:
             raise GroupError("cyclic order must be positive", kind=BAD_INPUT)
@@ -134,6 +134,7 @@ def _check_order(kind, n):
         order = factorial(n)
     if order > DEFAULT_ORDER_CAP:
         raise GroupError(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
+    return order
 
 
 def cyclic(n):
@@ -433,17 +434,9 @@ def quotient_map(group, n):
     return Homomorphism(group, q, coset_of)
 
 
-def build_group(spec):
-    """Build a group from a short spec string.
-
-    Formats: "cyclic:N", "dihedral:N", "symmetric:N", "s3"-style aliases,
-    and products "A x B" written as "spec*spec". Each constructor checks its
-    order against DEFAULT_ORDER_CAP before it builds a table.
-    """
+def _parse_factor(spec):
+    """(constructor, n, order) of a spec without "*", its order checked."""
     spec = spec.strip().lower()
-    if "*" in spec:
-        left, right = spec.split("*", 1)
-        return direct_product(build_group(left), build_group(right))
     if spec in ("s3", "s4", "s5"):
         kind, n = "symmetric", int(spec[1])
     elif spec in ("d4", "d3", "d5"):
@@ -457,4 +450,22 @@ def build_group(spec):
     build = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}.get(kind)
     if build is None:
         raise GroupError(f"unknown group kind {kind!r}", kind=BAD_INPUT)
-    return build(n)
+    return build, n, _check_order(kind, n)
+
+
+def build_group(spec):
+    """Build a group from a short spec string.
+
+    Formats: "cyclic:N", "dihedral:N", "symmetric:N", "s3"-style aliases,
+    and products "A x B" written as "spec*spec", nested to the right. Each
+    factor, left to right, and then the product are checked against
+    DEFAULT_ORDER_CAP before any table is built.
+    """
+    factors = [_parse_factor(part) for part in spec.split("*")]
+    if prod(order for *_, order in factors) > DEFAULT_ORDER_CAP:
+        raise GroupError("product order exceeds cap", kind=SIZE_GUARD)
+    groups = [build(n) for build, n, _ in factors]
+    group = groups.pop()
+    while groups:
+        group = direct_product(groups.pop(), group)
+    return group

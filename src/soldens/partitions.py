@@ -5,9 +5,9 @@ groups. Everything exact; sizes are guarded, not truncated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from . import groups as gr
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
@@ -108,8 +108,8 @@ MAX_SCAN_CELLS, MAX_SCAN_ORDER, MAX_PROP122_ORDER, MAX_ODD_CHECK_ORDER = 4, 8, 1
 
 def cov(group, a):
     """(minimal |F| with F*A = G, lexicographically least optimal F), by
-    least_cover over the left translates xA. The partition scans (_cov_once)
-    and verify_prop122 call it once per distinct AA^-1, read from a
+    least_cover over the left translates xA. The partition scans (_scan) and
+    verify_prop122 call it once per distinct AA^-1, read from a
     groups.difference_table; both tables live for one call of theirs only."""
     if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
@@ -117,14 +117,6 @@ def cov(group, a):
         raise PartitionError(f"cov guarded to |G| <= {MAX_COVER_POINTS}", kind=SIZE_GUARD)
     f = least_cover(group.order, [mask for _, mask in gr.translate_masks(group, a, "left")])
     return len(f), f
-
-
-def _cov_once(group, d, covs):
-    """cov(AA^-1) for the mask d of AA^-1, solved once per d in the caller's covs."""
-    result = covs.get(d)
-    if result is None:
-        result = covs[d] = cov(group, gr.GroupSubset(group, d))
-    return result
 
 
 def _trivial_ideal(s):
@@ -200,23 +192,33 @@ def thm139_bound(n):
     return max(sum(k ** i for i in range(n - k + 1)) for k in range(1, n + 1))
 
 
-def _partitions_into(n_elems, max_cells):
-    """The list of all partitions of range(n_elems) into <= max_cells nonempty
-    cells, each a tuple of cell masks ordered by least element, in the
-    lexicographic order of their restricted growth strings (Knuth, TAOCP 4A,
-    7.2.1.5). Built one element at a time: each partition of range(k), in
-    order, puts k into each of its cells in turn and then into a new cell."""
-    parts = [()]
-    for k in range(n_elems):
+def _first_partition(order, n, c, least):
+    """The first partition of range(order) into <= n cells, in restricted growth string
+    order (Knuth, TAOCP 4A, 7.2.1.5), whose every cell A has c(A) >= least, as cell masks
+    by least element, or None. Element k goes into each cell, then a new one. c must be
+    antitone (c(B) <= c(A) for A within B), so a cell below least is never grown."""
+    if n == 1:  # the one partition is range(order) itself: no partial cell needs its c
+        return ((1 << order) - 1,) if c((1 << order) - 1) >= least else None
+
+    def grow(k, cells):
+        if k == order:
+            return cells
         bit = 1 << k
-        grown = []
-        for part in parts:
-            for i, cell in enumerate(part):
-                grown.append(part[:i] + (cell | bit,) + part[i + 1:])
-            if len(part) < max_cells:
-                grown.append(part + (bit,))
-        parts = grown
-    return parts
+        for i, cell in enumerate(cells + ((0,) if len(cells) < n else ())):  # 0: a new cell
+            cell |= bit
+            if c(cell) >= least and (found := grow(k + 1, cells[:i] + (cell,) + cells[i + 1:])):
+                return found
+        return None
+
+    return grow(0, ())
+
+
+def _partition_count(n_elems, max_cells):
+    """How many partitions of range(n_elems) have <= max_cells cells: sum of S(n_elems, k)."""
+    row = [1] + [0] * max_cells  # row[k] = S(m, k), from m = 0
+    for _ in range(n_elems):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, max_cells + 1)]
+    return sum(row)
 
 
 @dataclass(frozen=True)
@@ -231,29 +233,37 @@ class PartitionVerdict:
 
 
 def _scan(group, n):
-    """The partitions of G into <= n cells, as _partitions_into lists them,
-    and a dict from each distinct cell mask A to cov(AA^-1); n and |G| are
-    checked against their caps before anything is built."""
+    """c(A) = cov(AA^-1) and cov's result for A, memoized per mask and solved once per AA^-1,
+    after the caps on n and |G|. c is antitone: AA^-1 lies within BB^-1 when A lies within B."""
     if n < 1:
         raise PartitionError("cell count must be >= 1", kind=BAD_INPUT)
     if n > MAX_SCAN_CELLS or group.order > MAX_SCAN_ORDER:
         raise PartitionError(
             f"partition scan guarded to n <= {MAX_SCAN_CELLS}, |G| <= {MAX_SCAN_ORDER}",
             kind=SIZE_GUARD)
-    parts, covs, diff = _partitions_into(group.order, n), {}, gr.difference_table(group)
-    return parts, {a: _cov_once(group, diff(a), covs) for a in set(chain.from_iterable(parts))}
+    solved, diff = {}, gr.difference_table(group)  # mask of AA^-1 -> cov(AA^-1)
+
+    def cover(a):
+        d = diff(a)
+        if d not in solved:
+            solved[d] = cov(group, gr.GroupSubset(group, d))
+        return solved[d]
+
+    return functools.cache(lambda a: cover(a)[0]), cover
 
 
 def _verify_partition_bound(group, n, bound):
-    parts, covs = _scan(group, n)
-    best = [min(covs[a][0] for a in part) for part in parts]
-    worst_val = max(best)  # the first partition that attains it is reported
-    worst = tuple(tuple(gr.GroupSubset(group, a).indices()) for a in parts[best.index(worst_val)])
+    # each search lifts the floor past the last hit's least c; the last hit is the first max-min
+    c, _ = _scan(group, n)
+    found = ((1 << group.order) - 1,)  # one cell: the first partition in growth-string order
+    while found is not None:
+        part, worst_val = found, min(map(c, found))
+        found = _first_partition(group.order, n, c, worst_val + 1)
+    worst = tuple(tuple(gr.GroupSubset(group, a).indices()) for a in part)
     if worst_val > bound:
-        raise PartitionError(
-            f"partition {worst} has every cov(A A^-1) > {bound} on {group.label}"
-        )
-    return PartitionVerdict(group.label, n, bound, True, len(parts), worst, worst_val)
+        raise PartitionError(f"partition {worst} has every cov(A A^-1) > {bound} on {group.label}")
+    return PartitionVerdict(group.label, n, bound, True, _partition_count(group.order, n),
+                            worst, worst_val)
 
 
 def verify_thm137(group, n):
@@ -268,12 +278,11 @@ def protasov_search(group, n):
     """Hunt for a partition where every cell has cov(A A^-1) > n. Expected
     empty on finite groups; a hit would be a loud surprise worth publishing,
     so it is returned with full certificates instead of raising."""
-    parts, covs = _scan(group, n)
-    for part in parts:
-        if all(covs[a][0] > n for a in part):
-            return {"counterexample": [gr.GroupSubset(group, a).indices() for a in part],
-                    "covs": [covs[a] for a in part]}
-    return None
+    c, cover = _scan(group, n)
+    part = _first_partition(group.order, n, c, n + 1)
+    return None if part is None else {
+        "counterexample": [gr.GroupSubset(group, a).indices() for a in part],
+        "covs": [cover(a) for a in part]}
 
 
 def is_odd_group(group):

@@ -132,6 +132,31 @@ def test_build_group_checks_order_before_building_tables(monkeypatch):
     assert built == ["cyclic:64"]
 
 
+def test_build_group_checks_the_product_before_building_factor_tables(monkeypatch):
+    built = []
+
+    def spy(table, label=""):
+        built.append(label)
+        return real(table, label)
+
+    real = gr.from_table
+    monkeypatch.setattr(gr, "from_table", spy)
+    for spec in ("cyclic:64*cyclic:64", "cyclic:8*cyclic:16", "cyclic:8*cyclic:8*cyclic:2"):
+        with pytest.raises(gr.GroupError, match="^product order exceeds cap$") as e:
+            gr.build_group(spec)
+        assert e.value.kind == SIZE_GUARD
+    # a bad factor anywhere is named before the product is weighed
+    for spec, message in (("cyclic:65*cyclic:2", "^group order 65 exceeds cap 64$"),
+                          ("cyclic:64*cyclic:64*weird:1", "^unknown group kind 'weird'$")):
+        with pytest.raises(gr.GroupError, match=message):
+            gr.build_group(spec)
+    assert built == []
+    # an admitted product builds its factors, nested to the right
+    label = "(cyclic:2)x((cyclic:2)x(cyclic:2))"
+    assert gr.build_group("cyclic:2*cyclic:2*cyclic:2").label == label
+    assert built == ["cyclic:2"] * 3 + ["(cyclic:2)x(cyclic:2)", label]
+
+
 def test_conjugacy_and_inner_invariance():
     s3 = gr.symmetric(3)
     # transpositions form one conjugacy class of size 3

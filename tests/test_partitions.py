@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -202,14 +204,27 @@ def test_thm43_search():
     assert rep["size"] == 4 and rep["tight"]
 
 
+def _set_partitions(n_elems, max_cells):
+    """Every partition of range(n_elems) into <= max_cells cells, as a tuple of
+    cell masks: the assignments of cells to elements that open cell j + 1 only
+    after cell j."""
+    for assign in product(range(max_cells), repeat=n_elems):
+        if all(c <= max(assign[:i], default=-1) + 1 for i, c in enumerate(assign)):
+            cells = [0] * (max(assign) + 1)
+            for i, c in enumerate(assign):
+                cells[c] |= 1 << i
+            yield tuple(cells)
+
+
 def test_subadditivity_partition_consequence():
     # in any n-cell partition some cell has density at least 1/n
-    from fractions import Fraction
-
     g = gr.dihedral(4)
-    for cells in pt._partitions_into(g.order, 3):
+    count = 0
+    for cells in _set_partitions(g.order, 3):
         best = max(Fraction(c.bit_count(), g.order) for c in cells)
         assert best >= Fraction(1, len(cells))
+        count += 1
+    assert count == pt.verify_thm137(g, 3).partitions_checked == 1094
 
 
 def test_partitions_pinned_corpus():

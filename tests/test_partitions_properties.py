@@ -5,12 +5,16 @@ oracle that tries every set of translates in itertools.combinations order, and
 the cover kernel least_cover against the same oracle on arbitrary mask families.
 pack is also checked to depend on AA^-1 alone, and its E to be independent and
 maximal in the conflict graph that AA^-1 defines.
-The partition enumerator of the scans is checked against a recursive
-restricted-growth-string generator.
+The pruned search of the partition scans is checked against a recursive
+restricted-growth-string generator: its first partition whose cells all reach
+a threshold, and its count. verify_thm137, verify_thm139 and protasov_search
+are checked against brute force over every partition, with the real cov and
+with drawn stand-ins antitone in AA^-1 that make the failure paths reachable.
 """
 
 import functools
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -186,9 +190,76 @@ def _stirling2(n, k):
     return row[k]
 
 
+def _antitone(weights):
+    """c(A) = 1 + the sum of the weights of the points outside A: it can only
+    fall as A grows, as cov(AA^-1) does."""
+    return lambda a: 1 + sum(w for x, w in enumerate(weights) if not a >> x & 1)
+
+
 @pytest.mark.parametrize("max_cells", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_elems", range(1, 9))
-def test_partitions_into_matches_the_growth_string_order(n_elems, max_cells):
-    parts = pt._partitions_into(n_elems, max_cells)
-    assert parts == list(_growth_partitions(n_elems, max_cells))
-    assert len(parts) == sum(_stirling2(n_elems, k) for k in range(1, max_cells + 1))
+def test_first_partition_is_the_first_qualifying_growth_string(n_elems, max_cells):
+    c = _antitone([(3 * x) % 4 for x in range(n_elems)])
+    parts = list(_growth_partitions(n_elems, max_cells))
+    floors = [min(map(c, part)) for part in parts]
+    for least in range(max(floors) + 2):
+        first = next((p for p, f in zip(parts, floors) if f >= least), None)
+        assert pt._first_partition(n_elems, max_cells, c, least) == first
+    assert pt._partition_count(n_elems, max_cells) == len(parts) == \
+        sum(_stirling2(n_elems, k) for k in range(1, max_cells + 1))
+
+
+def _check_scans(g, n, c, cover):
+    """The three scans against brute force over every partition into <= n
+    cells in growth-string order, where c(A) is the cov of AA^-1 that cover(A)
+    returns: the max-min of c with its first attaining partition, and the first
+    partition whose every cell has c > n."""
+    parts = list(_growth_partitions(g.order, n))
+    floors = [min(map(c, part)) for part in parts]
+    worst = max(floors)
+    cells = tuple(tuple(gr.GroupSubset(g, a).indices()) for a in parts[floors.index(worst)])
+    for verify, bound in ((pt.verify_thm137, n), (pt.verify_thm139, pt.thm139_bound(n))):
+        if worst > bound:
+            with pytest.raises(pt.PartitionError) as info:
+                verify(g, n)
+            assert str(info.value) == \
+                f"partition {cells} has every cov(A A^-1) > {bound} on {g.label}"
+        else:
+            assert verify(g, n) == pt.PartitionVerdict(g.label, n, bound, True, len(parts),
+                                                        cells, worst)
+    hit = next((part for part, f in zip(parts, floors) if f > n), None)
+    assert pt.protasov_search(g, n) == (None if hit is None else {
+        "counterexample": [gr.GroupSubset(g, a).indices() for a in hit],
+        "covs": [cover(a) for a in hit]})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("spec", [s for s in _SPECS if _GROUPS[s].order <= pt.MAX_SCAN_ORDER])
+def test_scans_match_the_brute_force_oracle(spec, n):
+    g = _GROUPS[spec]
+
+    @functools.cache
+    def cover(a):
+        return pt.cov(g, gr.difference_set(g, gr.GroupSubset(g, a)))
+
+    _check_scans(g, n, lambda a: cover(a)[0], cover)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SPECS), st.integers(1, 4), st.data())
+def test_scans_match_the_oracle_under_any_antitone_cov(spec, n, data):
+    # a stand-in for cov(D) that is antitone in D, so pruning stays exact, and
+    # that can exceed the bounds: the failure and counterexample paths run
+    g = _GROUPS[spec]
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=g.order, max_size=g.order))
+    value = _antitone(weights)
+
+    def standin(group, d):
+        assert group is g
+        return value(d.mask), tuple(x for x in g.elements() if not d.mask >> x & 1)
+
+    def cover(a):
+        return standin(g, gr.difference_set(g, gr.GroupSubset(g, a)))
+
+    with mock.patch.object(pt, "cov", standin):
+        _check_scans(g, n, lambda a: cover(a)[0], cover)
