@@ -48,10 +48,10 @@ _WIRE_FORMS = {
 def jsonable(obj):
     """The JSON value printed for obj: Fraction as "p/q", sets as sorted lists, Enum by
     value, a dataclass by its _WIRE_FORMS entry or else field by field."""
+    if isinstance(obj, (str, int, float, bool)) or obj is None:  # before the ABC check below
+        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

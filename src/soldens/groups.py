@@ -1,13 +1,14 @@
 """Finite groups as multiplication tables, with subset and translate algebra.
 
 Elements are integer indices 0..order-1; index 0 is always the identity.
-All values are immutable, so they can be shared freely.
+All values are immutable and shared freely: build_group builds each spec once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial, prod
 
@@ -15,6 +16,7 @@ from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 DEFAULT_ORDER_CAP = 64
 MAX_SYMMETRIC_DEGREE = 5  # symmetric(n) refuses a larger n before n! is computed
+MAX_CACHED_GROUPS = 64  # build_group's bound: order-1 factors admit infinitely many specs
 
 
 class GroupError(SoldensError):
@@ -456,16 +458,18 @@ def _parse_factor(spec):
 def build_group(spec):
     """Build a group from a short spec string.
 
-    Formats: "cyclic:N", "dihedral:N", "symmetric:N", "s3"-style aliases,
-    and products "A x B" written as "spec*spec", nested to the right. Each
-    factor, left to right, and then the product are checked against
-    DEFAULT_ORDER_CAP before any table is built.
+    Formats: "cyclic:N", "dihedral:N", "symmetric:N", "s3"-style aliases, and
+    products "A x B" written as "spec*spec", nested to the right. Each factor,
+    left to right, and then the product are checked against DEFAULT_ORDER_CAP
+    before any table is built; specs with equal factors share one Group, built once.
     """
     factors = [_parse_factor(part) for part in spec.split("*")]
     if prod(order for *_, order in factors) > DEFAULT_ORDER_CAP:
         raise GroupError("product order exceeds cap", kind=SIZE_GUARD)
-    groups = [build(n) for build, n, _ in factors]
-    group = groups.pop()
-    while groups:
-        group = direct_product(groups.pop(), group)
-    return group
+    return _built(tuple((build, n) for build, n, _ in factors))
+
+
+@lru_cache(maxsize=MAX_CACHED_GROUPS)
+def _built(factors):
+    groups = [build(n) for build, n in factors]  # factors first, then products from the right
+    return reduce(lambda right, left: direct_product(left, right), reversed(groups))

@@ -252,9 +252,11 @@ def _scan(group, n):
     return functools.cache(lambda a: cover(a)[0]), cover
 
 
-def _verify_partition_bound(group, n, bound):
-    # each search lifts the floor past the last hit's least c; the last hit is the first max-min
+def _verify_partition_bound(group, n, bound_of):
+    # bound_of(n) only after _scan's caps; each search lifts the floor past the last hit's
+    # least c, so the last hit is the first max-min
     c, _ = _scan(group, n)
+    bound = bound_of(n)
     found = ((1 << group.order) - 1,)  # one cell: the first partition in growth-string order
     while found is not None:
         part, worst_val = found, min(map(c, found))
@@ -267,11 +269,11 @@ def _verify_partition_bound(group, n, bound):
 
 
 def verify_thm137(group, n):
-    return _verify_partition_bound(group, n, n)
+    return _verify_partition_bound(group, n, lambda n: n)
 
 
 def verify_thm139(group, n):
-    return _verify_partition_bound(group, n, thm139_bound(n))
+    return _verify_partition_bound(group, n, thm139_bound)
 
 
 def protasov_search(group, n):

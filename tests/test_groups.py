@@ -1,10 +1,18 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import soldens.cli as cli
 import soldens.groups as gr
 from soldens.errors import BAD_INPUT, SIZE_GUARD
+
+
+@pytest.fixture
+def fresh_builds():
+    """build_group's cache emptied, so that every admitted spec builds its tables."""
+    gr._built.cache_clear()
+    return gr._built
 
 
 def test_cyclic_table_and_inverse():
@@ -108,7 +116,7 @@ def test_build_group_product_respects_order_cap():
     assert gr.build_group("cyclic:8*cyclic:8").order == gr.DEFAULT_ORDER_CAP == 64
 
 
-def test_build_group_checks_order_before_building_tables(monkeypatch):
+def test_build_group_checks_order_before_building_tables(monkeypatch, fresh_builds):
     built = []
 
     def spy(table, label=""):
@@ -132,7 +140,7 @@ def test_build_group_checks_order_before_building_tables(monkeypatch):
     assert built == ["cyclic:64"]
 
 
-def test_build_group_checks_the_product_before_building_factor_tables(monkeypatch):
+def test_build_group_checks_the_product_before_building_factor_tables(monkeypatch, fresh_builds):
     built = []
 
     def spy(table, label=""):
@@ -155,6 +163,50 @@ def test_build_group_checks_the_product_before_building_factor_tables(monkeypatc
     label = "(cyclic:2)x((cyclic:2)x(cyclic:2))"
     assert gr.build_group("cyclic:2*cyclic:2*cyclic:2").label == label
     assert built == ["cyclic:2"] * 3 + ["(cyclic:2)x(cyclic:2)", label]
+
+
+def test_build_group_builds_each_parsed_spec_once(fresh_builds):
+    s3 = gr.build_group("s3")
+    assert gr.build_group(" S3 ") is s3 and gr.build_group("symmetric:3") is s3
+    assert gr.build_group("cyclic:2*cyclic:4") is gr.build_group("cyclic:2*cyclic:4")
+    assert fresh_builds.cache_info().currsize == 2
+
+
+def test_a_refused_spec_is_refused_alike_every_time_and_never_cached(fresh_builds):
+    refused = [("weird:9", "^unknown group kind 'weird'$", BAD_INPUT),
+               ("cyclic:x", "^cannot parse group spec 'cyclic:x'$", BAD_INPUT),
+               ("cyclic:0", "^cyclic order must be positive$", BAD_INPUT),
+               ("cyclic:65", "^group order 65 exceeds cap 64$", SIZE_GUARD),
+               ("symmetric:6", "^group order 6! exceeds cap 64$", SIZE_GUARD),
+               ("cyclic:8*cyclic:16", "^product order exceeds cap$", SIZE_GUARD)]
+    for spec, message, kind in refused * 3:
+        with pytest.raises(gr.GroupError, match=message) as e:
+            gr.build_group(spec)
+        assert e.value.kind == kind
+    assert fresh_builds.cache_info().currsize == 0
+
+
+def test_the_build_cache_stays_within_its_bound(fresh_builds):
+    # order-1 factors give infinitely many admissible specs
+    for k in range(1, gr.MAX_CACHED_GROUPS + 10):
+        assert gr.build_group("*".join(["cyclic:1"] * k)).order == 1
+    assert fresh_builds.cache_info().currsize == gr.MAX_CACHED_GROUPS
+
+
+def test_a_suite_builds_each_distinct_spec_once(monkeypatch, capsys, fresh_builds):
+    built = []
+
+    def spy(table, label=""):
+        built.append(label)
+        return real(table, label)
+
+    real = gr.from_table
+    monkeypatch.setattr(gr, "from_table", spy)
+    monkeypatch.chdir(Path(__file__).with_name("data"))
+    cli.run(["suite", "wire_suite.json"])
+    assert json.loads(capsys.readouterr().out)["suite"] == "wire-format"
+    # the suite names a group 11 times, 5 of them distinct
+    assert sorted(built) == ["cyclic:3", "cyclic:4", "cyclic:6", "dihedral:3", "symmetric:3"]
 
 
 def test_conjugacy_and_inner_invariance():

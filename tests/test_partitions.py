@@ -61,6 +61,31 @@ def test_partition_verifiers():
     assert info.value.kind == "size-guard"
 
 
+def test_the_thm139_bound_waits_for_the_scan_guards(monkeypatch, capsys):
+    bounded = []
+
+    def spy(n):
+        bounded.append(n)
+        return real(n)
+
+    real = pt.thm139_bound
+    monkeypatch.setattr(pt, "thm139_bound", spy)
+    c2, scan_cap = gr.cyclic(2), "partition scan guarded to n <= 4, |G| <= 8"
+    for group, n, message, kind in ((c2, 0, "cell count must be >= 1", "bad-input"),
+                                    (c2, -3, "cell count must be >= 1", "bad-input"),
+                                    (c2, 2000, scan_cap, "size-guard"),
+                                    (gr.cyclic(9), 2, scan_cap, "size-guard")):
+        with pytest.raises(pt.PartitionError) as info:
+            pt.verify_thm139(group, n)
+        assert (str(info.value), info.value.kind) == (message, kind)
+    # the CLI refuses --cells 2000 as fast for 13.9 as for 13.7
+    argv = ["partitions", "verify", "--group", "cyclic:2", "--theorem", "13.9", "--cells", "2000"]
+    assert cli.run(argv) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": scan_cap, "kind": "size-guard"}
+    assert bounded == []
+    assert pt.verify_thm139(c2, 2).bound == 2 and bounded == [2]
+
+
 def test_scans_solve_cov_once_per_distinct_difference_set(monkeypatch):
     # the 1094 partitions of Z/8 into <= 3 cells hold 255 distinct cells but
     # only 11 distinct difference sets AA^-1
