@@ -30,7 +30,7 @@ from . import partitions as pt
 from . import perms as pm
 from . import words as wd
 from . import zline as zl
-from .errors import BAD_INPUT, EXIT_CODES, INVARIANT_FAILURE, SIZE_GUARD, SoldensError
+from .errors import BAD_INPUT, EXIT_CODES, INVARIANT_FAILURE, SIZE_GUARD, SoldensError, reading
 
 
 # Printed forms of the types whose output is not their dataclass fields.
@@ -356,12 +356,10 @@ def cmd_verify_all(args):
 
 def cmd_suite(args):
     text = _read(args.config)
-    try:
+    with reading("suite config", SoldensError):
         config = json.loads(text)
         commands = [(entry.get("id", i), entry["argv"])
                     for i, entry in enumerate(config.get("commands", []))]
-    except (ValueError, TypeError, KeyError, AttributeError) as e:
-        raise SoldensError(f"malformed suite config: {e!r}", kind=BAD_INPUT) from None
     if not all(isinstance(argv, list) and all(isinstance(a, str) for a in argv)
                for _, argv in commands):
         raise SoldensError("suite argv must be lists of strings", kind=BAD_INPUT)

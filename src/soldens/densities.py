@@ -147,7 +147,7 @@ def combine_certificates(group, a, b, cert_a, cert_b):
     wa, wb = cert_a.witness, cert_b.witness
     if not (isinstance(wa, ms.FinSuppMeasure) and isinstance(wb, ms.FinSuppMeasure)):
         raise DensityError("combination requires measure witnesses", kind=BAD_INPUT)
-    if wa.carrier is not group or wb.carrier is not group:
+    if wa.carrier != group or wb.carrier != group:
         raise DensityError("witness carrier mismatch", kind=BAD_INPUT)
     mu = ms.convolve(wa, wb)
     union = a.union(b)

@@ -9,8 +9,11 @@ where it is raised:
 - ``invariant-failure`` (the default): a certificate or re-verification
   failed.
 
-EXIT_CODES is the only place that turns a kind into a CLI exit code.
+EXIT_CODES is the only place that turns a kind into a CLI exit code, and
+reading is the only place that decides what makes outside JSON malformed.
 """
+
+from contextlib import contextmanager
 
 INVARIANT_FAILURE = "invariant-failure"
 BAD_INPUT = "bad-input"
@@ -26,3 +29,16 @@ class SoldensError(ValueError):
         super().__init__(message)
         if kind is not None:
             self.kind = kind
+
+
+@contextmanager
+def reading(what, error):
+    """with reading(what, error): a failure to decode outside JSON or read its fields, nesting
+    too deep included, raises error(f"malformed {what}: {e!r}", kind=BAD_INPUT); a SoldensError
+    raised inside passes unchanged."""
+    try:
+        yield
+    except SoldensError:
+        raise
+    except (ValueError, TypeError, LookupError, AttributeError, ArithmeticError, RecursionError) as e:
+        raise error(f"malformed {what}: {e!r}", kind=BAD_INPUT) from None

@@ -21,7 +21,7 @@ from math import lcm
 from . import densities as dn
 from . import groups as gr
 from . import measures as ms
-from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError, reading
 from .simplex import solve_lp_int
 
 MAX_PATTERN_LENGTH = 3  # of eval_extremal; its hit table has |G|^length entries
@@ -43,7 +43,7 @@ class MatrixGame:
 
     @staticmethod
     def from_json(text):
-        try:
+        with reading("game JSON", GameError):
             # decimals stay text until the shape is checked, then rational converts them
             payoff = json.loads(text, parse_float=str)["payoff"]
             if not (type(payoff) is list and all(type(row) is list for row in payoff)):
@@ -52,10 +52,6 @@ class MatrixGame:
                 raise GameError(f"payoff has more than {gr.DEFAULT_ORDER_CAP} rows or columns",
                                 kind=SIZE_GUARD)
             rows = [[rational(v) for v in row] for row in payoff]
-        except GameError:
-            raise
-        except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as e:
-            raise GameError(f"malformed game JSON: {e!r}", kind=BAD_INPUT) from None
         return game(rows)
 
 

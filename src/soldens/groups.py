@@ -12,7 +12,7 @@ from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial, prod
 
-from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError, reading
 
 DEFAULT_ORDER_CAP = 64
 MAX_SYMMETRIC_DEGREE = 5  # symmetric(n) refuses a larger n before n! is computed
@@ -90,12 +90,10 @@ class Group:
 
     @staticmethod
     def from_json(text):
-        try:
+        with reading("group JSON", GroupError):
             data = json.loads(text)
             n, flat = data["order"], list(data["table"])
             label = data.get("label", "")
-        except (ValueError, TypeError, KeyError, AttributeError) as e:
-            raise GroupError(f"malformed group JSON: {e!r}", kind=BAD_INPUT) from None
         if not all(type(v) is int for v in (n, *flat)) or n < 1 or len(flat) != n * n:
             raise GroupError("group JSON needs an order n >= 1 and n*n integer table entries",
                              kind=BAD_INPUT)
@@ -250,10 +248,16 @@ class GroupSubset:
         return _bits(self.mask)
 
     def union(self, other):
-        return GroupSubset(self.group, self.mask | other.mask)
+        return GroupSubset(self.group, self.mask | self._mask_of(other))
 
     def intersect(self, other):
-        return GroupSubset(self.group, self.mask & other.mask)
+        return GroupSubset(self.group, self.mask & self._mask_of(other))
+
+    def _mask_of(self, other):
+        """other's mask, once other is a subset of a group equal by value to this one."""
+        if other.group != self.group:
+            raise GroupError("subsets of different groups", kind=BAD_INPUT)
+        return other.mask
 
     def complement(self):
         return GroupSubset(self.group, ((1 << self.group.order) - 1) ^ self.mask)

@@ -75,7 +75,7 @@ def haar_uniform(group):
 
 
 def convolve(mu, nu):
-    if mu.carrier is None or mu.carrier is not nu.carrier:
+    if mu.carrier is None or mu.carrier != nu.carrier:
         raise MeasureError("convolution requires a common group carrier", kind=BAD_INPUT)
     g = mu.carrier
     out = {}

@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import BAD_INPUT, SoldensError
+from .errors import BAD_INPUT, SoldensError, reading
 
 
 class PermError(SoldensError):
@@ -53,14 +53,12 @@ class FinSuppPermutation:
     @staticmethod
     def from_json(text):
         mapping = {}
-        try:
+        with reading("permutation JSON", PermError):
             for cyc in json.loads(text)["cycles"]:
                 for i, x in enumerate(cyc):
                     if x in mapping:
                         raise ValueError(f"point {x!r} is named twice")
                     mapping[x] = cyc[(i + 1) % len(cyc)]
-        except (ValueError, TypeError, KeyError) as e:
-            raise PermError(f"malformed permutation JSON: {e!r}", kind=BAD_INPUT) from None
         if not all(type(x) is int for x in mapping):
             raise PermError("points must be natural numbers", kind=BAD_INPUT)
         return perm(mapping)

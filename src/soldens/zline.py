@@ -18,7 +18,7 @@ from itertools import chain
 
 from . import partitions as pt
 from .densities import EXACT, bounded
-from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError, reading
 
 
 class ZSetError(SoldensError):
@@ -57,12 +57,10 @@ class ZSet:
 
     @staticmethod
     def from_json(text):
-        try:
+        with reading("ZSet JSON", ZSetError):
             d = json.loads(text)
             m = d["m"]
             parts = [list(d["residues"]), list(d.get("add", ())), list(d.get("remove", ()))]
-        except (ValueError, TypeError, KeyError, AttributeError) as e:
-            raise ZSetError(f"malformed ZSet JSON: {e!r}", kind=BAD_INPUT) from None
         if not all(type(x) is int for x in [m, *chain(*parts)]):
             raise ZSetError("ZSet JSON holds a non-integer", kind=BAD_INPUT)
         return zset(m, *parts)
@@ -538,9 +536,6 @@ class BlockSet:
             return False
         j = int((math.isqrt(8 * x + 1) + 1) // 2)
         lo, hi = self.block(j)
-        if not lo <= x < hi:
-            j -= 1
-            lo, hi = self.block(j)
         return lo <= x < hi and (j - 1) % self.lanes == self.lane
 
     def thick_witness(self, length):

@@ -38,6 +38,16 @@ def test_density_brute_matches(capsys):
     assert json.loads(out)["value"] == "1/3"
 
 
+@pytest.mark.parametrize("group, members", [("s3", "0,1"), ("s3", "1,3,4"), ("cyclic:4", "0"),
+                                            ("cyclic:4", "0,1,3"), ("cyclic:2*cyclic:2", "1"),
+                                            ("cyclic:2*cyclic:2", "0,1,2")])
+def test_game_sigma_prints_the_exact_density(capsys, group, members):
+    code, out = run_capture(capsys, ["game", "sigma", "--group", group, "--set", members])
+    assert code == 0
+    _, exact = run_capture(capsys, ["density", "exact", "--group", group, "--set", members])
+    assert json.loads(out) == json.loads(exact)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
 
@@ -161,6 +171,7 @@ def test_suite_propagates_failure(tmp_path, capsys):
 
 
 _PERM = '{"cycles": [[1, 2]]}'
+_DEEP = "[" * 100_000  # JSON nested deeper than the decoder's recursion limit
 _HORIZON_OVER_CAP = str(zl.MAX_VERIFY_HORIZON + 1)
 
 # argv -> (exit code, printed kind); kind None means argparse rejected the argv
@@ -185,11 +196,14 @@ EXIT_TABLE = [
     (["perms", "conjugate-witness", "--perm", "[1]", "--target", "tail:3"], 2, "bad-input"),
     (["perms", "conjugate-witness", "--perm", '{"cycles": [[1, 2, 3], [3, 2, 1]]}', "--target", "tail:5"],
      2, "bad-input"),
+    (["perms", "conjugate-witness", "--perm", _DEEP, "--target", "tail:3"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/missing.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/not_json.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/no_payoff.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/exponent.json"], 2, "bad-input"),
+    (["game", "solve", "--file", "{tmp}/deep.json"], 2, "bad-input"),
     (["suite", "{tmp}/missing.json"], 2, "bad-input"),
+    (["suite", "{tmp}/deep.json"], 2, "bad-input"),
     (["game", "sigma-r"], 2, "bad-input"),
     (["game", "sigma"], 2, "bad-input"),
     (["game", "extremal"], 2, "bad-input"),
@@ -217,12 +231,14 @@ EXIT_TABLE = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, kind", EXIT_TABLE, ids=[" ".join(argv) for argv, _, _ in EXIT_TABLE])
+@pytest.mark.parametrize("argv, code, kind", EXIT_TABLE, ids=[
+    " ".join("<deep>" if a == _DEEP else a for a in argv) for argv, _, _ in EXIT_TABLE])
 def test_exit_code_table(tmp_path, capsys, argv, code, kind):
     (tmp_path / "not_json.json").write_text("{payoff")
     (tmp_path / "no_payoff.json").write_text('{"rows": [[1]]}')
     (tmp_path / "exponent.json").write_text('{"payoff": [["1e-5000", 0]]}')
     (tmp_path / "wide.json").write_text('{"payoff": [[%s]]}' % ", ".join(["0"] * 65))
+    (tmp_path / "deep.json").write_text(_DEEP)
     got, out = run_capture(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert got == code
     if code == 0:
@@ -244,6 +260,22 @@ def test_suite_that_runs_suite_is_rejected_before_any_command(tmp_path, capsys):
     assert code == 2
     assert out.count("\n") == 1  # the error line only; the density entry never ran
     assert set(json.loads(out)) == {"error", "kind"} and json.loads(out)["kind"] == "bad-input"
+
+
+def test_a_suite_entry_with_json_too_deep_fails_only_itself(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP)
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"commands": [
+        {"argv": ["game", "solve", "--file", str(deep)]},
+        {"argv": ["density", "exact", "--group", "cyclic:4", "--set", "0"]},
+    ]}))
+    code, out = run_capture(capsys, ["suite", str(config)])
+    results = json.loads(out)["results"]
+    assert code == 2
+    assert [r["code"] for r in results] == [2, 0]
+    assert json.loads(results[0]["output"])["kind"] == "bad-input"
+    assert json.loads(results[1]["output"]) == {"value": "1/4"}
 
 
 def test_cover_modulus_cap_is_checked_before_the_search(monkeypatch):
@@ -312,7 +344,8 @@ _MIXED = ('{"order": 2, "table": ["a"], "payoff": [[1, 2], [3]], "cycles": [["a"
                                    pm.FinSuppPermutation.from_json, zl.ZSet.from_json])
 @pytest.mark.parametrize("text", ["{bad", "[1]", "null", "{}", _MIXED, '{"payoff": ["12", "03"]}',
                                   '{"payoff": {"1": 0}}', '{"payoff": [{"1": 0}]}',
-                                  '{"cycles": [[1, 2, 3], [3, 2, 1]]}', '{"cycles": [[1, 1]]}'])
+                                  '{"cycles": [[1, 2, 3], [3, 2, 1]]}', '{"cycles": [[1, 1]]}',
+                                  pytest.param(_DEEP, id="deep")])
 def test_from_json_rejects_malformed_input_as_bad_input(parse, text):
     with pytest.raises(SoldensError) as info:
         parse(text)

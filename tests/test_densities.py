@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -79,6 +80,22 @@ def test_combine_certificates_convolves_witnesses():
     combined = dn.combine_certificates(g, a, b, ca, cb)
     assert combined.bound <= ca.bound + cb.bound
     assert combined.bound == Fraction(2, 6)
+
+
+def test_combine_certificates_refuses_what_it_cannot_convolve():
+    g = gr.cyclic(6)
+    a, b = gr.subset(g, [0]), gr.subset(g, [3])
+    ca = dn.certificate_from_witness(g, a, range(6))
+    refused = [
+        ("^combination requires two sigma certificates$",
+         dn.certificate_from_witness(g, b, range(6), dn.DensityKind.SIGMA_R)),
+        ("^combination requires measure witnesses$", dataclasses.replace(ca, witness=frozenset({0}))),
+        ("^witness carrier mismatch$", dataclasses.replace(ca, witness=ms.dirac(0, gr.cyclic(3)))),
+    ]
+    for message, cb in refused:
+        with pytest.raises(dn.DensityError, match=message) as e:
+            dn.combine_certificates(g, a, b, ca, cb)
+        assert e.value.kind == BAD_INPUT
 
 
 def test_subadditivize_closed_form_is_already_subadditive():

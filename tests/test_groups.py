@@ -1,10 +1,13 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import soldens.cli as cli
+import soldens.densities as dn
 import soldens.groups as gr
+import soldens.measures as ms
 from soldens.errors import BAD_INPUT, SIZE_GUARD
 
 
@@ -191,6 +194,29 @@ def test_the_build_cache_stays_within_its_bound(fresh_builds):
     for k in range(1, gr.MAX_CACHED_GROUPS + 10):
         assert gr.build_group("*".join(["cyclic:1"] * k)).order == 1
     assert fresh_builds.cache_info().currsize == gr.MAX_CACHED_GROUPS
+
+
+def test_no_result_depends_on_how_or_when_a_group_was_built(fresh_builds):
+    built = gr.build_group("cyclic:4")
+    fresh_builds.cache_clear()  # the next build makes a new object, equal by value
+    groups = [gr.cyclic(4), built, gr.build_group("cyclic:4")]
+    assert len(set(map(id, groups))) == 3
+    for g, h in product(groups, repeat=2):
+        a, b = gr.subset(g, [0, 1]), gr.subset(h, [1, 2])
+        assert a.union(b) == gr.subset(g, [0, 1, 2]) and a.intersect(b) == gr.subset(g, [1])
+        assert ms.convolve(ms.dirac(1, g), ms.dirac(2, h)) == ms.dirac(3, g)
+        ca = dn.certificate_from_witness(h, a, [0])
+        cb = dn.certificate_from_witness(h, b, [0])
+        assert dn.combine_certificates(g, a, b, ca, cb).bound == 1
+
+
+def test_subsets_of_different_groups_do_not_combine():
+    a, b = gr.subset(gr.cyclic(6), [1]), gr.subset(gr.symmetric(3), [2])
+    for x, y in ((a, b), (b, a)):
+        for combine in (x.union, x.intersect):
+            with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
+                combine(y)
+            assert e.value.kind == BAD_INPUT
 
 
 def test_a_suite_builds_each_distinct_spec_once(monkeypatch, capsys, fresh_builds):

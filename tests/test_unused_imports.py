@@ -1,4 +1,4 @@
-"""Eight ast lint rules over src/soldens, since the toolchain has no linter:
+"""Nine ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -19,7 +19,10 @@
   outside its own assignment: a cap whose guard is gone goes with it;
 - every size-guard raise sits in the body of an if whose test compares only
   against named UPPER_CASE constants and holds no number literal: each cap
-  is defined once, and its message is formatted from the same name.
+  is defined once, and its message is formatted from the same name;
+- every json.loads call sits inside a with block of errors.reading: one
+  rule decides what makes outside JSON malformed, and no parser keeps its
+  own exception set.
 """
 
 import ast
@@ -374,3 +377,43 @@ def test_the_rule_sees_a_cap_written_as_a_literal():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_size_guard_compares_with_a_named_cap(path):
     assert unnamed_caps(path.read_text(), UNCOMPARED_GUARDS.get(path.stem, ())) == []
+
+
+def _opens_reader(item):
+    call = item.context_expr
+    return isinstance(call, ast.Call) and (
+        getattr(call.func, "id", None) == "reading" or getattr(call.func, "attr", None) == "reading")
+
+
+def unguarded_json_loads(source):
+    """The line numbers of source where json.loads is called outside a with
+    block whose items include a reading(...) call."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "loads"
+                and getattr(func.value, "id", None) == "json"):
+            continue
+        owner = node
+        while owner in parent and not (isinstance(owner, ast.With) and any(map(_opens_reader, owner.items))):
+            owner = parent[owner]
+        if not isinstance(owner, ast.With):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_rule_sees_json_read_outside_the_reader():
+    source = ("def f(text):\n    with reading('x', E):\n        a = json.loads(text)\n"
+              "    with er.reading('y', E), open(text) as fh:\n        b = [json.loads(fh.read())]\n"
+              "    c = json.loads(text)\n"
+              "    with open(text) as fh:\n        d = json.loads(fh.read())\n"
+              "    try:\n        e = json.loads(text)\n    except ValueError:\n        pass\n"
+              "    return json.dumps(a), loads(text)\n")
+    assert unguarded_json_loads(source) == [6, 8, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_json_is_read_only_inside_the_reader(path):
+    assert unguarded_json_loads(path.read_text()) == []

@@ -8,7 +8,9 @@ each side is agreement everywhere. The Jin and ergodic covers are the first
 minimum covers in itertools.combinations order. Sumsets and the sets of good
 shifts agree with their definitions, searched point by point, and the cover
 check on all of Z agrees with the one on a window and with a direct count of
-every shift against every residue and removed point.
+every shift against every residue and removed point. Every natural number,
+the block boundaries included, lies in exactly one lane of a disjoint thick
+family.
 """
 
 import math
@@ -185,3 +187,14 @@ def patched_zsets_and_shifts(draw):
 def test_the_cover_check_agrees_with_the_direct_count(case):
     a, f = case
     assert zl._covers_z(f, a) == _covers_by_direct_count(f, a)
+
+
+# a block starts at each triangular number j(j-1)/2; its neighbours are the edges
+_EDGES = st.tuples(st.integers(1, 10**15), st.integers(-1, 1)).map(
+    lambda t: max(t[0] * (t[0] - 1) // 2 + t[1], 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(0, 10**30) | _EDGES, lanes=st.integers(1, 6))
+def test_large_points_lie_in_exactly_one_lane(x, lanes):
+    assert sum(x in lane for lane in zl.disjoint_thick_family(lanes)) == 1
