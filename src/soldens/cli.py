@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import random
+import shutil
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -386,15 +387,28 @@ def _positive_int(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that formats its usage line once per terminal width."""
+    _usages = {}  # (parser, columns) -> usage line
+
+    def format_usage(self):
+        key = (self, shutil.get_terminal_size().columns)  # read per call, as argparse reads it
+        if key not in self._usages:
+            self._usages[key] = super().format_usage()
+        return self._usages[key]
+
+
 _parser = None
+_commands = {}  # subcommand name -> its own parser, filled by build_parser
 
 
 def build_parser():
-    """The CLI's argparse parser, built on the first call and shared by every later one."""
+    """The CLI's argparse parser, built on the first call and shared by every later
+    one. Its subcommand parsers, of the same class, are kept by name in _commands."""
     global _parser
     if _parser is not None:
         return _parser
-    p = argparse.ArgumentParser(prog="soldens", description=__doc__)
+    p = _Parser(prog="soldens", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def command(name, fn, summary):
@@ -464,16 +478,22 @@ def build_parser():
     v.add_argument("--max-order", type=int, default=8, dest="max_order")
     v.add_argument("--seed", type=int, default=0)
 
+    _commands.update(sub.choices)
     _parser = p
     return p
 
 
 def run(argv):
-    """Parse argv, run its handler and print its result (a str as it is, anything
-    else as one JSON line through emit) or its error: the one writer to stdout.
-    Returns the exit code."""
+    """Parse argv once, by the parser of the subcommand it names, else by the top-level
+    parser; run its handler and print its result (a str as it is, anything else as one
+    JSON line through emit) or its error: the one writer to stdout. Returns the exit code."""
+    parser = build_parser()
+    command = _commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = (parser.parse_known_args(argv) if command is None
+                       else command.parse_known_args(argv[1:]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return 2 if e.code else 0
     try:

@@ -94,6 +94,8 @@ class Group:
             data = json.loads(text)
             n, flat = data["order"], list(data["table"])
             label = data.get("label", "")
+            if type(label) is not str:
+                raise TypeError(f"label is a {type(label).__name__}, not a string")
         if not all(type(v) is int for v in (n, *flat)) or n < 1 or len(flat) != n * n:
             raise GroupError("group JSON needs an order n >= 1 and n*n integer table entries",
                              kind=BAD_INPUT)

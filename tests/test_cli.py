@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import json
@@ -276,6 +277,100 @@ def test_a_suite_entry_with_json_too_deep_fails_only_itself(tmp_path, capsys):
     assert [r["code"] for r in results] == [2, 0]
     assert json.loads(results[0]["output"])["kind"] == "bad-input"
     assert json.loads(results[1]["output"]) == {"value": "1/4"}
+
+
+def test_a_suite_entry_refused_by_argparse_fails_only_itself(tmp_path, capsys):
+    good = ["density", "exact", "--group", "cyclic:4", "--set", "0"]
+    refused = [
+        ["frobnicate", "--set", "0"],  # unknown subcommand
+        ["density", "exact", "--group", "cyclic:4", "--set", "0", "--bogus", "1"],  # unknown flag
+        ["group", "--validate"],  # missing required flag
+    ]
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"name": "refusals", "seed": 3, "commands": [
+        {"id": i, "argv": argv} for i, argv in enumerate([good, *refused, good])]}))
+    assert cli.run(["suite", str(config)]) == 2
+    out, err = capsys.readouterr()
+    entry = {"code": 0, "output": '{"value": "1/4"}'}
+    assert out == cli.dumps({"suite": "refusals", "seed": 3, "pass": False, "results": [
+        {"id": 0, "argv": good, **entry},
+        *({"id": i, "argv": argv, "code": 2, "output": ""} for i, argv in enumerate(refused, 1)),
+        {"id": 4, "argv": good, **entry},
+    ]}) + "\n"
+    assert "invalid choice: 'frobnicate'" in err and "unrecognized arguments: --bogus 1" in err
+    assert "the following arguments are required: --spec" in err
+
+
+# One argv per argparse path: unknown command and no argv, help on the top level
+# and on a subcommand, an unknown trailing argument, a missing required flag, a
+# bad type= value, a bad choice, a prefix abbreviation, -- separators and
+# --flag=value.
+PARSE_PATHS = [
+    ["frobnicate"], [],
+    ["-h"], ["density", "-h"],
+    ["density", "exact", "--group", "s3", "--set", "0", "--bogus"],
+    ["density", "exact", "--set", "0"],
+    ["zline", "dstar", "--m", "x"],
+    ["density", "inexact", "--group", "s3", "--set", "0"],
+    ["density", "exact", "--gro", "s3", "--set", "0"],
+    ["density", "--group", "s3", "--set", "0", "--", "exact"],
+    ["zline", "dstar", "--m", "3", "--", "x"],
+    ["--", "density", "exact", "--group", "s3", "--set", "0"],
+    ["zline", "dstar", "--m", "3", "--add=7,9"],
+]
+
+
+def _top_level_run(argv):
+    """What cli.run prints and returns when the top-level parser parses argv and
+    hands a named subcommand's arguments to its subparser."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as e:
+        return 2 if e.code else 0
+    code, payload = args.fn(args)
+    cli.emit(payload)
+    return code
+
+
+def test_one_parse_prints_what_the_top_level_parse_prints(monkeypatch, capsys):
+    """Exit code, stdout and stderr of every argparse path match the top-level
+    parse, whose usage lines argparse formats anew, while COLUMNS changes between
+    requests in one process."""
+    refusal = {}  # COLUMNS -> stderr of the unknown command
+    for columns in ("60", "200", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in PARSE_PATHS:
+            got = (cli.run(argv), *capsys.readouterr())
+            with monkeypatch.context() as m:
+                m.setattr(type(cli.build_parser()), "format_usage", argparse.ArgumentParser.format_usage)
+                want = (_top_level_run(argv), *capsys.readouterr())
+            assert got == want, (columns, argv)
+            if argv == ["frobnicate"]:
+                refusal[columns] = got[2]
+    assert refusal["60"] != refusal["200"]
+
+
+def test_a_named_subcommand_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
+    parser = cli.build_parser()
+    real = parser.parse_known_args
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a named subcommand")
+
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    assert run_capture(capsys, ["density", "exact", "--group", "cyclic:4", "--set", "0,1"]) == (
+        0, '{"value": "1/2"}\n')
+    assert cli.run(["density", "exact", "--group", "s3", "--set", "0", "--bogus"]) == 2
+    assert capsys.readouterr().err.endswith("soldens: error: unrecognized arguments: --bogus\n")
+    calls = []
+
+    def record(args=None, namespace=None):
+        calls.append(args)
+        return real(args, namespace)
+
+    monkeypatch.setattr(parser, "parse_known_args", record)
+    assert cli.run(["frobnicate"]) == 2 and cli.run([]) == 2
+    assert calls == [["frobnicate"], []]
 
 
 def test_cover_modulus_cap_is_checked_before_the_search(monkeypatch):

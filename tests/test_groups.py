@@ -99,6 +99,22 @@ def test_json_roundtrip():
     assert data["order"] == 6 and len(data["table"]) == 36
 
 
+@pytest.mark.parametrize("label", [[1, {"a": 2}], {"a": 2}, 5])
+def test_from_json_refuses_a_label_that_is_not_a_string(label):
+    text = json.dumps({"order": 1, "table": [0], "label": label})
+    with pytest.raises(gr.GroupError, match="^malformed group JSON: TypeError") as info:
+        gr.Group.from_json(text)
+    assert info.value.kind == BAD_INPUT
+
+
+def test_a_string_label_round_trips():
+    g = gr.build_group("cyclic:2*cyclic:2")
+    again = gr.Group.from_json(cli.dumps(g))
+    assert again == g and again.label == "(cyclic:2)x(cyclic:2)"
+    assert hash(again) == hash(g)
+    assert gr.Group.from_json('{"order": 1, "table": [0]}').label == ""
+
+
 def test_build_group_specs():
     assert gr.build_group("cyclic:7").order == 7
     assert gr.build_group("s3").label == "symmetric:3"
