@@ -46,30 +46,28 @@ _WIRE_FORMS = {
 }
 
 
-def jsonable(obj):
-    """The JSON value printed for obj: Fraction as "p/q", sets as sorted lists, Enum by
-    value, a dataclass by its _WIRE_FORMS entry or else field by field."""
-    if isinstance(obj, (str, int, float, bool)) or obj is None:  # before the ABC check below
-        return obj
+def _form(obj):
+    """json.dumps's hook for a value it cannot print: Fraction as "p/q", sets as sorted
+    lists, Enum by value, a dataclass by its _WIRE_FORMS entry or else field by field,
+    anything else by repr. It goes one level deep; json.dumps walks what it returns.
+    Every dict key of a payload is a str: json.dumps sorts int keys by number and
+    prints a bool key as true."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
-        return [jsonable(v) for v in seq]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
     if isinstance(obj, Enum):
         return obj.value
     form = _WIRE_FORMS.get(type(obj))
     if form is not None:
-        return jsonable(form(obj))
+        return form(obj)
     if dataclasses.is_dataclass(obj):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     return repr(obj)
 
 
 def dumps(obj):
-    return json.dumps(jsonable(obj), sort_keys=True)
+    return json.dumps(obj, sort_keys=True, default=_form)
 
 
 def emit(payload):
@@ -230,14 +228,9 @@ def cmd_partitions(args):
 
 
 def _catalog(max_order):
-    groups = [gr.cyclic(n) for n in range(2, 9)]
-    groups += [gr.symmetric(3), gr.dihedral(4)]
-    groups += [
-        gr.direct_product(gr.cyclic(2), gr.cyclic(2)),
-        gr.direct_product(gr.cyclic(2), gr.cyclic(4)),
-        gr.direct_product(gr.cyclic(2), gr.direct_product(gr.cyclic(2), gr.cyclic(2))),
-    ]
-    return [g for g in groups if g.order <= max_order]
+    specs = [f"cyclic:{n}" for n in range(2, 9)]
+    specs += ["s3", "d4", "cyclic:2*cyclic:2", "cyclic:2*cyclic:4", "cyclic:2*cyclic:2*cyclic:2"]
+    return [g for g in map(gr.build_group, specs) if g.order <= max_order]
 
 
 def _random_measure(rng, g):

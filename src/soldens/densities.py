@@ -67,7 +67,7 @@ class BoundCertificate:
     kind: DensityKind
     direction: str  # "upper" | "lower"
     bound: Fraction
-    witness: object  # FinSuppMeasure or sorted tuple of points
+    witness: ms.FinSuppMeasure
     scope: str  # EXACT or BOUNDED(L)
     verified_sup: Fraction
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import product, repeat
 
 from . import densities as dn
+from . import measures as ms
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 MAX_WORD_LEN = 64
@@ -244,8 +245,6 @@ def fgroup_nonsubadditivity_certificate(n, check_len=8):
         worst = max(worst, fgroup_row_count(y, n), fgroup_col_count(y, n))
         if worst > 1:
             raise WordError(f"row count exceeded 1 at {y}")
-    import soldens.measures as ms
-
     bound = Fraction(1, n)
     f_a = ms.uniform_on([f"b^{i}" for i in range(1, n + 1)])
     f_b = ms.uniform_on([f"a^{i}" for i in range(1, n + 1)])

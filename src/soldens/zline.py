@@ -335,7 +335,7 @@ def jin_witness(a, b):
     if da == 0 or db == 0:
         raise ZSetError("jin witness needs positive densities", kind=BAD_INPUT)
     if not (a.is_periodic() and b.is_periodic()):
-        raise ZSetError("jin witness needs exact sumsets (no remove patches)", kind=BAD_INPUT)
+        raise ZSetError("jin witness needs exact sumsets (no add or remove patches)", kind=BAD_INPUT)
     _check_cover_modulus(math.lcm(a.m, b.m))  # the sumset's modulus, before the sumset is built
     s, scope = sumset(a, b)
     assert scope == EXACT

@@ -106,6 +106,11 @@ def test_words_and_perms_commands(capsys):
     assert json.loads(out)["conjugates"][0]["cycles"] == [[5, 6]]
 
 
+def test_a_permutation_with_empty_support_is_its_own_conjugate(capsys):
+    argv = ["perms", "conjugate-witness", "--perm", '{"cycles": []}', "--target", "tail:3"]
+    assert run_capture(capsys, argv) == (0, '{"conjugates": [{"cycles": []}], "f": {"cycles": []}}\n')
+
+
 def test_verify_all_small(capsys):
     code, out = run_capture(capsys, ["verify-all", "--max-order", "4", "--seed", "1"])
     assert code == 0
@@ -190,6 +195,7 @@ EXIT_TABLE = [
     (["zline", "delta", "--m", "2", "--residues", "0", "--eps", "1/0"], 2, None),
     (["zline", "delta", "--m", "4", "--residues", "0,1", "--eps", "1e-5000"], 2, None),
     (["game", "extremal", "--pattern", "xx", "--group", "s3", "--set", "0"], 2, "bad-input"),
+    (["game", "extremal", "--pattern", "12", "--group", "s3", "--set", "0"], 2, "bad-input"),
     (["perms", "conjugate-witness", "--perm", _PERM, "--target", "tail:x"], 2, None),
     (["perms", "conjugate-witness", "--perm", _PERM, "--target", "mod:1"], 2, None),
     (["perms", "conjugate-witness", "--perm", _PERM, "--target", "bogus"], 2, None),
@@ -203,6 +209,8 @@ EXIT_TABLE = [
     (["game", "solve", "--file", "{tmp}/no_payoff.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/exponent.json"], 2, "bad-input"),
     (["game", "solve", "--file", "{tmp}/deep.json"], 2, "bad-input"),
+    (["game", "solve", "--file", "{tmp}/no_rows.json"], 2, "bad-input"),
+    (["game", "solve", "--file", "{tmp}/empty_row.json"], 2, "bad-input"),
     (["suite", "{tmp}/missing.json"], 2, "bad-input"),
     (["suite", "{tmp}/deep.json"], 2, "bad-input"),
     (["game", "sigma-r"], 2, "bad-input"),
@@ -216,6 +224,10 @@ EXIT_TABLE = [
     (["zline", "primes", "--kmax", "0"], 2, "bad-input"),
     (["zline", "primes", "--kmax", "4", "--horizon", "100"], 2, "bad-input"),
     (["zline", "ip", "--m", "2", "--residues", "0", "--k", "0"], 2, "bad-input"),
+    (["zline", "jin", "--m", "4", "--residues", "0", "--remove", "8", "--bm", "2", "--bresidues", "0"],
+     2, "bad-input"),
+    (["zline", "jin", "--m", "4", "--residues", "0", "--add", "1", "--bm", "2", "--bresidues", "0"],
+     2, "bad-input"),
     (["verify-all", "--max-order", "0"], 2, "bad-input"),
     (["verify-all", "--max-order", "1"], 2, "bad-input"),
     (["zline", "primes", "--kmax", "9"], 3, "size-guard"),
@@ -240,6 +252,8 @@ def test_exit_code_table(tmp_path, capsys, argv, code, kind):
     (tmp_path / "exponent.json").write_text('{"payoff": [["1e-5000", 0]]}')
     (tmp_path / "wide.json").write_text('{"payoff": [[%s]]}' % ", ".join(["0"] * 65))
     (tmp_path / "deep.json").write_text(_DEEP)
+    (tmp_path / "no_rows.json").write_text('{"payoff": []}')
+    (tmp_path / "empty_row.json").write_text('{"payoff": [[]]}')
     got, out = run_capture(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert got == code
     if code == 0:
@@ -449,12 +463,13 @@ def test_from_json_rejects_malformed_input_as_bad_input(parse, text):
 
 def test_a_result_too_long_to_print_is_a_size_guard(tmp_path, capsys):
     # the value 10^-4300 parses, but its denominator has more digits than the
-    # interpreter converts to a string
+    # interpreter converts to a string: the dumps hook raises while it formats the Fraction
     game = tmp_path / "tiny.json"
     game.write_text('{"payoff": [["0.%s1"]]}' % ("0" * 4299))
     code, out = run_capture(capsys, ["game", "solve", "--file", str(game)])
     assert code == 3
     assert out.count("\n") == 1 and json.loads(out)["kind"] == "size-guard"
+    assert json.loads(out)["error"].startswith("result too large to print: ")
 
 
 def test_one_process_prints_what_fresh_processes_print(tmp_path, capsys):

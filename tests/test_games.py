@@ -92,6 +92,10 @@ def test_intersection_number_examples():
     assert gm.intersection_number([{1, 2}, {2, 3}, {1, 3}]) == Fraction(2, 3)
     assert gm.intersection_number([{1, 2, 3}]) == 1
     assert gm.intersection_number([{1}, {2}]) == Fraction(1, 2)
+    assert gm.intersection_number([set()]) == 0
+    with pytest.raises(gm.GameError, match="^empty family$") as e:
+        gm.intersection_number([])
+    assert e.value.kind == "bad-input"
 
 
 def test_intersection_number_monotone_under_supersets():

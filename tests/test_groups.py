@@ -115,6 +115,14 @@ def test_a_string_label_round_trips():
     assert gr.Group.from_json('{"order": 1, "table": [0]}').label == ""
 
 
+def test_from_json_refuses_an_order_over_the_cap():
+    n = gr.DEFAULT_ORDER_CAP + 1
+    text = json.dumps({"order": n, "table": [(i + j) % n for i in range(n) for j in range(n)]})
+    with pytest.raises(gr.GroupError, match=f"^group order {n} exceeds cap {n - 1}$") as e:
+        gr.Group.from_json(text)
+    assert e.value.kind == SIZE_GUARD
+
+
 def test_build_group_specs():
     assert gr.build_group("cyclic:7").order == 7
     assert gr.build_group("s3").label == "symmetric:3"

@@ -1,4 +1,4 @@
-"""Nine ast lint rules over src/soldens, since the toolchain has no linter:
+"""Ten ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -22,7 +22,9 @@
   is defined once, and its message is formatted from the same name;
 - every json.loads call sits inside a with block of errors.reading: one
   rule decides what makes outside JSON malformed, and no parser keeps its
-  own exception set.
+  own exception set;
+- json.dumps is read, called or imported only inside cli.dumps: every
+  result is printed by one serializer, and no second one grows back.
 """
 
 import ast
@@ -417,3 +419,31 @@ def test_the_rule_sees_json_read_outside_the_reader():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_json_is_read_only_inside_the_reader(path):
     assert unguarded_json_loads(path.read_text()) == []
+
+
+def json_writers(source):
+    """The top-level statements of source, by name, that read json.dumps or import
+    dumps from json."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute) and node.attr == "dumps"
+                    and getattr(node.value, "id", None) == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(alias.name == "dumps" for alias in node.names)):
+                found.add(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_the_rule_sees_a_second_serializer():
+    source = ("import json\ndef dumps(obj):\n    return json.dumps(obj, default=repr)\n"
+              "def to_text(obj):\n    return json.dumps(obj)\n"
+              "class Report:\n    write = staticmethod(json.dumps)\n"
+              "def quiet(obj):\n    from json import dumps as d\n    return d(obj)\n"
+              "def read(text):\n    return dumps(json.loads(text))\n")
+    assert json_writers(source) == {"dumps", "to_text", "Report", "quiet"}
+
+
+def test_json_is_written_only_by_cli_dumps():
+    writers = {f"{p.stem}.{name}" for p in MODULES for name in json_writers(p.read_text())}
+    assert writers == {"cli.dumps"}

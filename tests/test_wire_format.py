@@ -6,6 +6,7 @@ never regenerated to make a change pass: a diff here is a change of the
 output format.
 """
 
+import dataclasses
 import importlib
 import inspect
 import io
@@ -13,11 +14,21 @@ import json
 import pkgutil
 import shlex
 from contextlib import redirect_stdout
+from enum import Enum
+from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soldens
 import soldens.cli as cli
 import soldens.densities as dn
+import soldens.games as gm
+import soldens.groups as gr
+import soldens.measures as ms
+import soldens.partitions as pt
+import soldens.perms as pm
 import soldens.zline as zl
 
 DATA = Path(__file__).with_name("data")
@@ -61,3 +72,60 @@ def test_cli_is_the_only_encoder():
 def test_one_scope_vocabulary():
     assert zl.EXACT is dn.EXACT
     assert zl.bounded is dn.bounded
+
+
+# The two-pass encoder that dumps replaced, kept unchanged as the reference:
+# jsonable copies a payload into plain JSON values, then json.dumps prints the copy.
+_WIRE_FORMS = cli._WIRE_FORMS
+
+
+def jsonable(obj):
+    """The JSON value printed for obj: Fraction as "p/q", sets as sorted lists, Enum by
+    value, a dataclass by its _WIRE_FORMS entry or else field by field."""
+    if isinstance(obj, (str, int, float, bool)) or obj is None:  # before the ABC check below
+        return obj
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
+        return [jsonable(v) for v in seq]
+    if isinstance(obj, Enum):
+        return obj.value
+    form = _WIRE_FORMS.get(type(obj))
+    if form is not None:
+        return jsonable(form(obj))
+    if dataclasses.is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return repr(obj)
+
+
+_S3 = gr.build_group("s3")
+# one instance of each type a payload prints: the four _WIRE_FORMS types and
+# three printed field by field
+PRINTED = [
+    _S3,
+    ms.haar_uniform(_S3),
+    pt.verify_thm137(gr.build_group("cyclic:4"), 2),
+    pm.perm({1: 2, 2: 3, 3: 1}),
+    zl.zset(3, [0, 1], add=[5], remove=[3]),
+    gm.solve_game(gm.game([[1, 0], [0, 1]])),
+    dn.certificate_from_witness(_S3, gr.subset(_S3, [0, 1]), ms.haar_uniform(_S3),
+                                dn.DensityKind.SIGMA_R),
+]
+LEAVES = (st.integers() | st.fractions() | st.none() | st.booleans() | st.text()
+          | st.sampled_from(dn.ALL_KINDS) | st.sampled_from(PRINTED)
+          # the members of a frozenset must sort: numbers, or strs
+          | st.frozensets(st.integers() | st.fractions() | st.booleans()) | st.frozensets(st.text()))
+PAYLOADS = st.recursive(LEAVES, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PAYLOADS)
+def test_dumps_prints_what_the_two_pass_encoder_printed(payload):
+    """One json.dumps pass with a hook prints the bytes of the old encoder: jsonable's
+    copy of the payload, then json.dumps of that copy."""
+    assert cli.dumps(payload) == json.dumps(jsonable(payload), sort_keys=True)

@@ -95,6 +95,10 @@ def test_jin_witness_and_bound():
     assert rep["f"] == (0, 1, 2)
     with pytest.raises(zl.ZSetError):
         zl.jin_witness(zl.from_integers([1]), zl.zset(2, [0]))
+    for patched in (zl.zset(4, [0], add=[1]), zl.zset(4, [0], remove=[8])):
+        with pytest.raises(zl.ZSetError, match=r"\(no add or remove patches\)$") as e:
+            zl.jin_witness(patched, zl.zset(2, [0]))
+        assert e.value.kind == "bad-input"
 
 
 def test_lemma163():
@@ -137,6 +141,13 @@ def test_finitely_embeddable():
     assert same["embeddable"] and same["shift"] == 0
     patched = zl.finitely_embeddable(zl.zset(4, [0], add=[1]), zl.zset(2, [0]), depth=12)
     assert not patched["embeddable"] and patched["scope"].startswith("BOUNDED")
+    # with a patch, the verdict is bounded by the depth of the prefix it shifts
+    assert zl.finitely_embeddable(zl.zset(2, [0], add=[1]), zl.zset(1, [0])) == {
+        "embeddable": True, "scope": zl.bounded(7), "shift": -13}
+    assert zl.finitely_embeddable(zl.zset(2, [], add=[9]), zl.zset(3, [0]), depth=3) == {
+        "embeddable": True, "scope": zl.bounded(3), "shift": 0}  # the prefix is empty
+    assert zl.finitely_embeddable(zl.zset(2, [], add=[1]), zl.zset(3, [0]), depth=3) == {
+        "embeddable": True, "scope": zl.bounded(3), "shift": -19}
 
 
 def test_primes_table_small():
