@@ -79,34 +79,34 @@ def emit(payload):
     print(text)
 
 
-def _parse_set(text):
-    """argparse type for comma- or space-separated integers."""
-    try:
-        return [int(t) for t in text.replace(",", " ").split()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
+def _arg(what, convert):
+    """An argparse type that returns convert(text): the one refusal rule for argv values.
+    A ValueError or ZeroDivisionError raised by convert refuses the value as
+    "'<text>' is not <what>", which argparse prints on stderr before it exits 2."""
+    def parse(text):
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+    return parse
 
 
-def _fraction(text):
-    """argparse type for an exact rational p/q."""
-    try:
-        return gm.rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from None
+def _positive(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
 
 
 def _target(text):
-    """argparse type for a conjugation target: tail:N or mod:R/M."""
+    """A conjugation target, tail:N or mod:R/M."""
     kind, _, arg = text.partition(":")
-    try:
-        if kind == "tail":
-            return pm.tail(int(arg))
-        if kind == "mod":
-            r, m = arg.split("/")
-            return pm.residue_class(int(r), int(m))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not tail:N or mod:R/M")
+    if kind == "tail":
+        return pm.tail(int(arg))
+    if kind != "mod":
+        raise ValueError(f"unknown target kind {kind!r}")
+    r, m = arg.split("/")
+    return pm.residue_class(int(r), int(m))
 
 
 def _read(path):
@@ -369,17 +369,6 @@ def cmd_suite(args):
                    "results": results, "pass": worst == 0}
 
 
-def _positive_int(text):
-    """argparse type for counts that must be >= 1; anything else exits 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that formats its usage line once per terminal width."""
     _usages = {}  # (parser, columns) -> usage line
@@ -403,6 +392,8 @@ def build_parser():
         return _parser
     p = _Parser(prog="soldens", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    ints = _arg("a list of integers", lambda text: [int(t) for t in text.replace(",", " ").split()])
+    positive = _arg("a positive integer", _positive)
 
     def command(name, fn, summary):
         sp = sub.add_parser(name, help=summary)
@@ -416,30 +407,30 @@ def build_parser():
     m = command("measure", cmd_measure, "construct a measure")
     m.add_argument("kind", choices=["uniform", "dirac", "haar"])
     m.add_argument("--group", required=True)
-    m.add_argument("--set", type=_parse_set, default="")
+    m.add_argument("--set", type=ints, default="")
 
     d = command("density", cmd_density, "density of a subset")
     d.add_argument("mode", choices=["exact", "brute"])
     d.add_argument("--group", required=True)
-    d.add_argument("--set", type=_parse_set, required=True)
+    d.add_argument("--set", type=ints, required=True)
     d.add_argument("--kind", default="sigma", choices=[k.value for k in dn.ALL_KINDS])
 
     ga = command("game", cmd_game, "matrix games and density games")
     ga.add_argument("what", choices=["solve", "sigma-r", "sigma", "extremal"])
     ga.add_argument("--file", default="-")
     ga.add_argument("--group")
-    ga.add_argument("--set", type=_parse_set, default="")
+    ga.add_argument("--set", type=ints, default="")
     ga.add_argument("--pattern", default="is12")
 
     z = command("zline", cmd_zline, "eventually periodic integer sets")
     z.add_argument("what", choices=["dstar", "delta", "classify", "ergodic", "jin", "primes", "ip"])
     z.add_argument("--m", type=int, default=1)
-    z.add_argument("--residues", type=_parse_set, default="")
-    z.add_argument("--add", type=_parse_set, default="")
-    z.add_argument("--remove", type=_parse_set, default="")
-    z.add_argument("--eps", type=_fraction)
+    z.add_argument("--residues", type=ints, default="")
+    z.add_argument("--add", type=ints, default="")
+    z.add_argument("--remove", type=ints, default="")
+    z.add_argument("--eps", type=_arg("a fraction", gm.rational))
     z.add_argument("--bm", type=int, default=1)
-    z.add_argument("--bresidues", type=_parse_set, default="")
+    z.add_argument("--bresidues", type=ints, default="")
     z.add_argument("--kmax", type=int, default=6)
     z.add_argument("--horizon", type=int, default=10 ** 6)
     z.add_argument("--csv", action="store_true")
@@ -448,21 +439,22 @@ def build_parser():
 
     w = command("words", cmd_words, "free-group certificates")
     w.add_argument("action", choices=["fgroup-cert"])
-    w.add_argument("--n", type=_positive_int, default=4)
-    w.add_argument("--check-len", type=_positive_int, default=8, dest="check_len")
+    w.add_argument("--n", type=positive, default=4)
+    w.add_argument("--check-len", type=positive, default=8, dest="check_len")
 
     pe = command("perms", cmd_perms, "finitely supported permutations")
     pe.add_argument("action", choices=["conjugate-witness"])
     pe.add_argument("--perm", action="append", required=True,
                     help='cycle JSON, e.g. {"cycles": [[1, 2]]}; repeatable')
-    pe.add_argument("--target", type=_target, required=True, help="tail:N or mod:R/M")
+    pe.add_argument("--target", type=_arg("tail:N or mod:R/M", _target), required=True,
+                    help="tail:N or mod:R/M")
 
     pa = command("partitions", cmd_partitions, "covering and partition theorems")
     pa.add_argument("what", choices=["verify", "odd", "protasov", "cov", "pack"])
     pa.add_argument("--group", required=True)
-    pa.add_argument("--cells", type=_positive_int, default=2)
+    pa.add_argument("--cells", type=positive, default=2)
     pa.add_argument("--theorem", default="13.7", choices=["13.7", "13.9"])
-    pa.add_argument("--set", type=_parse_set, default="")
+    pa.add_argument("--set", type=ints, default="")
 
     s = command("suite", cmd_suite, "run a JSON experiment suite")
     s.add_argument("config")

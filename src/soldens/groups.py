@@ -6,13 +6,12 @@ All values are immutable and shared freely: build_group builds each spec once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial, prod
 
-from .errors import BAD_INPUT, SIZE_GUARD, SoldensError, reading
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 DEFAULT_ORDER_CAP = 64
 MAX_SYMMETRIC_DEGREE = 5  # symmetric(n) refuses a larger n before n! is computed
@@ -87,20 +86,6 @@ class Group:
 
     def __repr__(self):
         return f"Group({self.label or 'order ' + str(self.order)})"
-
-    @staticmethod
-    def from_json(text):
-        with reading("group JSON", GroupError):
-            data = json.loads(text)
-            n, flat = data["order"], list(data["table"])
-            label = data.get("label", "")
-            if type(label) is not str:
-                raise TypeError(f"label is a {type(label).__name__}, not a string")
-        if not all(type(v) is int for v in (n, *flat)) or n < 1 or len(flat) != n * n:
-            raise GroupError("group JSON needs an order n >= 1 and n*n integer table entries",
-                             kind=BAD_INPUT)
-        table = [flat[i * n : (i + 1) * n] for i in range(n)]
-        return from_table(table, label=label)
 
 
 def from_table(table, label=""):

@@ -14,10 +14,12 @@ class MeasureError(SoldensError):
 
 
 def _normalize(weights):
-    total = sum(weights.values(), Fraction(0))
+    """The sorted nonzero (point, Fraction) entries; the exact weights must sum to 1."""
+    exact = {p: Fraction(w) for p, w in weights.items()}
+    total = sum(exact.values(), Fraction(0))
     if total != 1:
         raise MeasureError(f"weights sum to {total}, not 1", kind=BAD_INPUT)
-    items = tuple(sorted((p, Fraction(w)) for p, w in weights.items() if w != 0))
+    items = tuple(sorted((p, w) for p, w in exact.items() if w != 0))
     if any(w < 0 for _, w in items):
         raise MeasureError("negative weight", kind=BAD_INPUT)
     return items

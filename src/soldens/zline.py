@@ -8,7 +8,6 @@ closed form, not to define it.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections import Counter
@@ -18,7 +17,7 @@ from itertools import chain
 
 from . import partitions as pt
 from .densities import EXACT, bounded
-from .errors import BAD_INPUT, SIZE_GUARD, SoldensError, reading
+from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 
 class ZSetError(SoldensError):
@@ -54,16 +53,6 @@ class ZSet:
 
     def is_finite(self):
         return not self.residues
-
-    @staticmethod
-    def from_json(text):
-        with reading("ZSet JSON", ZSetError):
-            d = json.loads(text)
-            m = d["m"]
-            parts = [list(d["residues"]), list(d.get("add", ())), list(d.get("remove", ()))]
-        if not all(type(x) is int for x in [m, *chain(*parts)]):
-            raise ZSetError("ZSet JSON holds a non-integer", kind=BAD_INPUT)
-        return zset(m, *parts)
 
 
 def zset(m, residues, add=(), remove=()):

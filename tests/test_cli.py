@@ -387,6 +387,47 @@ def test_a_named_subcommand_is_parsed_by_its_own_parser_alone(monkeypatch, capsy
     assert calls == [["frobnicate"], []]
 
 
+_TARGET = ["perms", "conjugate-witness", "--perm", _PERM, "--target"]
+_DELTA = ["zline", "delta", "--m", "2", "--residues", "0", "--eps"]
+_WORDS = ["words", "fgroup-cert", "--check-len", "4", "--n"]
+
+# argv -> the last line argparse writes to stderr when it refuses a value, or
+# None where the value is accepted
+ARGV_VALUES = [
+    (["density", "exact", "--group", "cyclic:4", "--set", "0,x"],
+     "soldens density: error: argument --set: '0,x' is not a list of integers"),
+    ([*_DELTA, "1/0"], "soldens zline: error: argument --eps: '1/0' is not a fraction"),
+    ([*_DELTA, "1e3"], "soldens zline: error: argument --eps: '1e3' is not a fraction"),
+    ([*_DELTA, "true"], "soldens zline: error: argument --eps: 'true' is not a fraction"),
+    ([*_TARGET, "mod:1/0"],
+     "soldens perms: error: argument --target: 'mod:1/0' is not tail:N or mod:R/M"),
+    ([*_TARGET, "mod:1/2/3"],
+     "soldens perms: error: argument --target: 'mod:1/2/3' is not tail:N or mod:R/M"),
+    ([*_TARGET, "mod:1"], "soldens perms: error: argument --target: 'mod:1' is not tail:N or mod:R/M"),
+    ([*_TARGET, "tail:"], "soldens perms: error: argument --target: 'tail:' is not tail:N or mod:R/M"),
+    ([*_TARGET, "foo:3"], "soldens perms: error: argument --target: 'foo:3' is not tail:N or mod:R/M"),
+    ([*_TARGET, ""], "soldens perms: error: argument --target: '' is not tail:N or mod:R/M"),
+    ([*_WORDS, "0"], "soldens words: error: argument --n: '0' is not a positive integer"),
+    ([*_WORDS, "-3"], "soldens words: error: argument --n: '-3' is not a positive integer"),
+    ([*_WORDS, "2.0"], "soldens words: error: argument --n: '2.0' is not a positive integer"),
+    (["partitions", "verify", "--group", "cyclic:4", "--cells", "0"],
+     "soldens partitions: error: argument --cells: '0' is not a positive integer"),
+    ([*_TARGET, "tail:-3"], None),
+    ([*_TARGET, "mod:-1/3"], None),
+    ([*_WORDS, " 3 "], None),
+]
+
+
+@pytest.mark.parametrize("argv, line", ARGV_VALUES, ids=[repr(argv[-1]) for argv, _ in ARGV_VALUES])
+def test_each_argv_value_refusal_prints_its_line(capsys, argv, line):
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    if line is None:
+        assert (code, err, out.count("\n")) == (0, "", 1)
+    else:
+        assert (code, out, err.splitlines()[-1]) == (2, "", line)
+
+
 def test_cover_modulus_cap_is_checked_before_the_search(monkeypatch):
     def least_cover(*args):
         raise AssertionError("cover search started")
@@ -444,13 +485,12 @@ def test_every_error_class_is_a_soldens_error():
     assert [cls.__name__ for cls in errors if not issubclass(cls, SoldensError)] == []
 
 
-# one JSON object that is malformed for each of the four parsers
+# one JSON object that is malformed for each of the two parsers
 _MIXED = ('{"order": 2, "table": ["a"], "payoff": [[1, 2], [3]], "cycles": [["a", 1]],'
           ' "m": "x", "residues": 5}')
 
 
-@pytest.mark.parametrize("parse", [gr.Group.from_json, gm.MatrixGame.from_json,
-                                   pm.FinSuppPermutation.from_json, zl.ZSet.from_json])
+@pytest.mark.parametrize("parse", [gm.MatrixGame.from_json, pm.FinSuppPermutation.from_json])
 @pytest.mark.parametrize("text", ["{bad", "[1]", "null", "{}", _MIXED, '{"payoff": ["12", "03"]}',
                                   '{"payoff": {"1": 0}}', '{"payoff": [{"1": 0}]}',
                                   '{"cycles": [[1, 2, 3], [3, 2, 1]]}', '{"cycles": [[1, 1]]}',

@@ -12,7 +12,7 @@ the run small: --bound is at most 30, --check-len at most 4 unless it is
 cap + 1, and --horizon never sits at its cap (a sieve of 10**7 integers).
 Both --bound and --check-len are always given, since their defaults are slow.
 
-The four JSON parsers get random JSON documents, built from the parsers' own
+The two JSON parsers get random JSON documents, built from the parsers' own
 field names and sometimes nested in lists deeper than the decoder's recursion
 limit: each returns a value or raises a SoldensError of kind bad-input or
 size-guard, never another exception.
@@ -133,7 +133,7 @@ def test_random_argv_end_in_one_exit_code(files, data):
             assert EXIT_CODES[json.loads(lines[0])["kind"]] == code, argv
 
 
-FIELDS = ["order", "table", "label", "m", "residues", "add", "remove", "payoff", "cycles", "x"]
+FIELDS = ["payoff", "cycles", "x"]
 DOCUMENTS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(FIELDS), inner),
@@ -144,8 +144,7 @@ DOCUMENTS = st.recursive(
 @given(doc=DOCUMENTS, depth=st.sampled_from([0, 0, 1, 100_000]))
 def test_json_parsers_return_or_refuse(doc, depth):
     text = "[" * depth + json.dumps(doc) + "]" * depth
-    for parse in (gr.Group.from_json, gm.MatrixGame.from_json, pm.FinSuppPermutation.from_json,
-                  zl.ZSet.from_json):
+    for parse in (gm.MatrixGame.from_json, pm.FinSuppPermutation.from_json):
         try:
             parse(text)
         except SoldensError as e:

@@ -91,35 +91,17 @@ def test_subgroup_predicates():
     assert not gr.is_subgroup(g, gr.subset(g, [0, 3]))
 
 
-def test_json_roundtrip():
+def test_a_group_prints_its_order_and_flattened_table():
     g = gr.symmetric(3)
-    again = gr.Group.from_json(cli.dumps(g))
-    assert again.table == g.table
     data = json.loads(cli.dumps(g))
-    assert data["order"] == 6 and len(data["table"]) == 36
+    assert data["order"] == 6 and data["table"] == [v for row in g.table for v in row]
 
 
-@pytest.mark.parametrize("label", [[1, {"a": 2}], {"a": 2}, 5])
-def test_from_json_refuses_a_label_that_is_not_a_string(label):
-    text = json.dumps({"order": 1, "table": [0], "label": label})
-    with pytest.raises(gr.GroupError, match="^malformed group JSON: TypeError") as info:
-        gr.Group.from_json(text)
-    assert info.value.kind == BAD_INPUT
-
-
-def test_a_string_label_round_trips():
-    g = gr.build_group("cyclic:2*cyclic:2")
-    again = gr.Group.from_json(cli.dumps(g))
-    assert again == g and again.label == "(cyclic:2)x(cyclic:2)"
-    assert hash(again) == hash(g)
-    assert gr.Group.from_json('{"order": 1, "table": [0]}').label == ""
-
-
-def test_from_json_refuses_an_order_over_the_cap():
+def test_from_table_refuses_an_order_over_the_cap():
     n = gr.DEFAULT_ORDER_CAP + 1
-    text = json.dumps({"order": n, "table": [(i + j) % n for i in range(n) for j in range(n)]})
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
     with pytest.raises(gr.GroupError, match=f"^group order {n} exceeds cap {n - 1}$") as e:
-        gr.Group.from_json(text)
+        gr.from_table(table)
     assert e.value.kind == SIZE_GUARD
 
 

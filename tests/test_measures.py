@@ -17,6 +17,16 @@ def test_measure_normalization_and_errors():
         ms.measure(g, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
 
 
+def test_weights_are_checked_as_the_exact_fractions_they_are_stored_as():
+    # 0.1 + 0.9 is 1.0 in floats, but the binary values of the two floats sum to
+    # 36028797018963969/36028797018963968
+    with pytest.raises(ms.MeasureError,
+                       match="^weights sum to 36028797018963969/36028797018963968, not 1$") as e:
+        ms.measure(None, {0: 0.1, 1: 0.9})
+    assert e.value.kind == "bad-input"
+    assert ms.measure(None, {0: 0.5, 1: 0.5}).entries == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+
+
 def test_dirac_and_uniform():
     g = gr.cyclic(3)
     assert ms.dirac(2, g).weight(2) == 1

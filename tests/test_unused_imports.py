@@ -1,4 +1,4 @@
-"""Ten ast lint rules over src/soldens, since the toolchain has no linter:
+"""Eleven ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -24,7 +24,9 @@
   rule decides what makes outside JSON malformed, and no parser keeps its
   own exception set;
 - json.dumps is read, called or imported only inside cli.dumps: every
-  result is printed by one serializer, and no second one grows back.
+  result is printed by one serializer, and no second one grows back;
+- argparse.ArgumentTypeError is named only inside cli._arg: one rule
+  refuses every bad argv value, and no argparse type keeps its own refusal.
 """
 
 import ast
@@ -447,3 +449,32 @@ def test_the_rule_sees_a_second_serializer():
 def test_json_is_written_only_by_cli_dumps():
     writers = {f"{p.stem}.{name}" for p in MODULES for name in json_writers(p.read_text())}
     assert writers == {"cli.dumps"}
+
+
+def argv_refusers(source):
+    """The top-level statements of source, by name, that name ArgumentTypeError, as an
+    attribute, a bare name or an import from argparse."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute) and node.attr == "ArgumentTypeError"
+                    or isinstance(node, ast.Name) and node.id == "ArgumentTypeError"
+                    or isinstance(node, ast.ImportFrom) and node.module == "argparse"
+                    and any(alias.name == "ArgumentTypeError" for alias in node.names)):
+                found.add(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_the_rule_sees_a_second_argv_refusal():
+    source = ("import argparse\ndef _arg(what, convert):\n    def parse(text):\n"
+              "        raise argparse.ArgumentTypeError(what)\n    return parse\n"
+              "def _cells(text):\n    raise argparse.ArgumentTypeError(text)\n"
+              "def _quiet(text):\n    from argparse import ArgumentTypeError as Refused\n"
+              "    raise Refused(text)\nclass Types:\n    error = ArgumentTypeError\n"
+              "def _ints(text):\n    raise ValueError(text)\n")
+    assert argv_refusers(source) == {"_arg", "_cells", "_quiet", "Types"}
+
+
+def test_argv_values_are_refused_only_by_cli_arg():
+    refusers = {f"{p.stem}.{name}" for p in MODULES for name in argv_refusers(p.read_text())}
+    assert refusers == {"cli._arg"}

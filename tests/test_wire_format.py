@@ -6,6 +6,7 @@ never regenerated to make a change pass: a diff here is a change of the
 output format.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -66,7 +67,12 @@ def test_cli_is_the_only_encoder():
     assert [c.__name__ for c in classes if "to_json" in vars(c)] == []
     # parsers stay only for input that comes from outside the program
     parsers = {c.__name__ for c in classes if "from_json" in vars(c)}
-    assert parsers == {"Group", "MatrixGame", "FinSuppPermutation", "ZSet"}
+    assert parsers == {"MatrixGame", "FinSuppPermutation"}
+    # and each of them is called from cli.py, where outside input comes in
+    called = {node.func.value.attr for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "from_json"
+              and isinstance(node.func.value, ast.Attribute)}
+    assert called == parsers
 
 
 def test_one_scope_vocabulary():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-import soldens.cli as cli
 import soldens.zline as zl
 
 
@@ -193,11 +192,6 @@ def test_sumset_density_monotone_random():
         s, scope = zl.sumset(a, b)
         assert scope == zl.EXACT
         assert zl.dstar(s) >= max(zl.dstar(a), zl.dstar(b))
-
-
-def test_json_roundtrip():
-    a = zl.zset(6, [0, 2], add=[3], remove=[6])
-    assert zl.z_equal(zl.ZSet.from_json(cli.dumps(a)), a)
 
 
 @pytest.mark.parametrize("parts", [
