@@ -293,6 +293,33 @@ def test_a_suite_entry_with_json_too_deep_fails_only_itself(tmp_path, capsys):
     assert json.loads(results[1]["output"]) == {"value": "1/4"}
 
 
+# a suite config, the third reader of outside JSON, -> the start of its refusal
+SUITE_CONFIGS = [
+    ("{bad", "malformed suite config: JSONDecodeError("),
+    ("[1]", "malformed suite config: AttributeError("),
+    ("null", "malformed suite config: AttributeError("),
+    ('"x"', "malformed suite config: AttributeError("),
+    ('{"commands": 5}', "malformed suite config: TypeError("),
+    ('{"commands": [5]}', "malformed suite config: AttributeError("),
+    ('{"commands": [{}]}', "malformed suite config: KeyError('argv')"),
+    ('{"commands": {"a": 1}}', "malformed suite config: AttributeError("),
+    ('{"commands": [{"argv": "density"}]}', "suite argv must be lists of strings"),
+    ('{"commands": [{"argv": [1]}]}', "suite argv must be lists of strings"),
+    (_DEEP, "malformed suite config: RecursionError("),
+]
+
+
+@pytest.mark.parametrize("text, start", SUITE_CONFIGS,
+                         ids=["<deep>" if t == _DEEP else t for t, _ in SUITE_CONFIGS])
+def test_a_malformed_suite_config_is_refused_as_bad_input(tmp_path, capsys, text, start):
+    config = tmp_path / "suite.json"
+    config.write_text(text)
+    code, out = run_capture(capsys, ["suite", str(config)])
+    assert code == 2 and out.count("\n") == 1
+    line = json.loads(out)
+    assert line["kind"] == "bad-input" and line["error"].startswith(start)
+
+
 def test_a_suite_entry_refused_by_argparse_fails_only_itself(tmp_path, capsys):
     good = ["density", "exact", "--group", "cyclic:4", "--set", "0"]
     refused = [

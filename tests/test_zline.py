@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import soldens.cli as cli
 import soldens.zline as zl
 
 
@@ -192,6 +194,11 @@ def test_sumset_density_monotone_random():
         s, scope = zl.sumset(a, b)
         assert scope == zl.EXACT
         assert zl.dstar(s) >= max(zl.dstar(a), zl.dstar(b))
+
+
+def test_a_zset_prints_its_modulus_residues_and_patches():
+    a = zl.zset(6, [0, 2], add=[3], remove=[6])
+    assert json.loads(cli.dumps(a)) == {"m": 6, "residues": [0, 2], "add": [3], "remove": [6]}
 
 
 @pytest.mark.parametrize("parts", [
