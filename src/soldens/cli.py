@@ -394,6 +394,7 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
     ints = _arg("a list of integers", lambda text: [int(t) for t in text.replace(",", " ").split()])
     positive = _arg("a positive integer", _positive)
+    integer = _arg("an integer", int)
 
     def command(name, fn, summary):
         sp = sub.add_parser(name, help=summary)
@@ -424,18 +425,18 @@ def build_parser():
 
     z = command("zline", cmd_zline, "eventually periodic integer sets")
     z.add_argument("what", choices=["dstar", "delta", "classify", "ergodic", "jin", "primes", "ip"])
-    z.add_argument("--m", type=int, default=1)
+    z.add_argument("--m", type=integer, default=1)
     z.add_argument("--residues", type=ints, default="")
     z.add_argument("--add", type=ints, default="")
     z.add_argument("--remove", type=ints, default="")
     z.add_argument("--eps", type=_arg("a fraction", gm.rational))
-    z.add_argument("--bm", type=int, default=1)
+    z.add_argument("--bm", type=integer, default=1)
     z.add_argument("--bresidues", type=ints, default="")
-    z.add_argument("--kmax", type=int, default=6)
-    z.add_argument("--horizon", type=int, default=10 ** 6)
+    z.add_argument("--kmax", type=integer, default=6)
+    z.add_argument("--horizon", type=integer, default=10 ** 6)
     z.add_argument("--csv", action="store_true")
-    z.add_argument("--k", type=int, default=3)
-    z.add_argument("--bound", type=int, default=100)
+    z.add_argument("--k", type=integer, default=3)
+    z.add_argument("--bound", type=integer, default=100)
 
     w = command("words", cmd_words, "free-group certificates")
     w.add_argument("action", choices=["fgroup-cert"])
@@ -460,8 +461,8 @@ def build_parser():
     s.add_argument("config")
 
     v = command("verify-all", cmd_verify_all, "run the invariant battery")
-    v.add_argument("--max-order", type=int, default=8, dest="max_order")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--max-order", type=integer, default=8, dest="max_order")
+    v.add_argument("--seed", type=integer, default=0)
 
     _commands.update(sub.choices)
     _parser = p

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BAD_INPUT, SoldensError
 from .groups import PATTERNS, Group, GroupSubset, subset, translate_masks
@@ -100,17 +101,21 @@ def sup_translates(mu, a, pattern="two-sided"):
     """Maximum of mu over translates of A, with the lexicographically least
     maximizing translate pair.
 
-    pattern: "two-sided" (xAy), "left" (xA), "right" (Ay).
+    pattern: "two-sided" (xAy), "left" (xA), "right" (Ay). The weights are
+    scaled once to ints over their common denominator, each translate sums
+    ints, and one Fraction is built for the result.
     """
     g = mu.carrier
     if g is None:
         raise MeasureError("sup_translates requires a group carrier", kind=BAD_INPUT)
     if pattern not in PATTERNS:
         raise MeasureError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
-    best = Fraction(-1)
+    den = lcm(*(w.denominator for _, w in mu.entries))
+    weights = [(p, w.numerator * (den // w.denominator)) for p, w in mu.entries]
+    best = -1
     arg = None
     for translate, mask in translate_masks(g, a, pattern):
-        v = sum((w for p, w in mu.entries if mask >> p & 1), Fraction(0))
+        v = sum(w for p, w in weights if mask >> p & 1)
         if v > best:
             best, arg = v, translate
-    return best, arg
+    return Fraction(best, den), arg

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import groups as gr
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
@@ -325,7 +324,7 @@ def odd_group_check(group):
 def difference_power_subgroup(group, a, n):
     """Iterate D -> D*D from D = A A^-1 until stable; for |A|/|G| >= 1/n the
     limit is a subgroup of index <= n reached at exponent <= 4^(n-1)."""
-    if n < 1 or not a.mask or Fraction(len(a), group.order) < Fraction(1, n):
+    if n < 1 or not a.mask or len(a) * n < group.order:
         raise PartitionError("density precondition |A|/|G| >= 1/n violated", kind=BAD_INPUT)
     d = diff = gr.difference_set(group, a)
     exponent = 1

@@ -216,7 +216,7 @@ def delta_eps(a, eps):
     if eps <= 0:
         return Z_ALL
     counts = Counter((r - s) % a.m for r in a.residues for s in a.residues)
-    return zset(a.m, [x for x, c in counts.items() if Fraction(c, a.m) >= eps])
+    return zset(a.m, [x for x, c in counts.items() if c * eps.denominator >= eps.numerator * a.m])
 
 
 def delta_ideal(a):

@@ -439,9 +439,20 @@ ARGV_VALUES = [
     ([*_WORDS, "2.0"], "soldens words: error: argument --n: '2.0' is not a positive integer"),
     (["partitions", "verify", "--group", "cyclic:4", "--cells", "0"],
      "soldens partitions: error: argument --cells: '0' is not a positive integer"),
+    (["zline", "dstar", "--m", "x"], "soldens zline: error: argument --m: 'x' is not an integer"),
+    (["zline", "dstar", "--bm", "1.5"], "soldens zline: error: argument --bm: '1.5' is not an integer"),
+    (["zline", "jin", "--kmax", "six"], "soldens zline: error: argument --kmax: 'six' is not an integer"),
+    (["zline", "primes", "--horizon", "1e6"],
+     "soldens zline: error: argument --horizon: '1e6' is not an integer"),
+    (["zline", "ip", "--k", "3k"], "soldens zline: error: argument --k: '3k' is not an integer"),
+    (["zline", "ip", "--bound", "0x10"], "soldens zline: error: argument --bound: '0x10' is not an integer"),
+    (["verify-all", "--max-order", "8.0"],
+     "soldens verify-all: error: argument --max-order: '8.0' is not an integer"),
+    (["verify-all", "--seed", "one"], "soldens verify-all: error: argument --seed: 'one' is not an integer"),
     ([*_TARGET, "tail:-3"], None),
     ([*_TARGET, "mod:-1/3"], None),
     ([*_WORDS, " 3 "], None),
+    (["zline", "dstar", "--residues", "0", "--m", "1_0"], None),
 ]
 
 

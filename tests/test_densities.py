@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -32,6 +33,53 @@ def test_bruteforce_witness_is_size_lex_least():
     v, witness = dn.density_bruteforce(g, a, dn.DensityKind.SIGMA_R)
     assert v == Fraction(1, 2)
     assert witness == (0, 1)
+
+
+def _reference_bruteforce(group, a, kind):
+    """The first F in (size, lex) order whose translate supremum, recomputed with
+    Fractions straight from group.table, reaches |A|/|G|; with that supremum."""
+    t, n = group.table, group.order
+    xs = range(n) if kind.pattern != "right" else [0]
+    ys = range(n) if kind.pattern != "left" else [0]
+    translates = [{t[t[x][q]][y] for q in a} for x in xs for y in ys]
+    target = Fraction(len(a), n)
+    for size in range(1, n + 1):
+        for f in combinations(range(n), size):
+            v = max(Fraction(len(s.intersection(f)), size) for s in translates)
+            if v == target:
+                return v, f
+    raise AssertionError("no witness reaches |A|/|G|")
+
+
+def test_bruteforce_matches_an_independent_fraction_reference():
+    cases = [(g, bits) for g in map(gr.build_group, ("cyclic:4", "cyclic:5", "s3"))
+             for bits in range(2 ** g.order)]
+    rng = random.Random(30)
+    for spec in ("d4", "cyclic:2*cyclic:4", "cyclic:7"):
+        g = gr.build_group(spec)
+        cases += [(g, bits) for bits in rng.sample(range(2 ** g.order), 4)]
+    for g, bits in cases:
+        a = gr.GroupSubset(g, bits)
+        for kind in dn.ALL_KINDS:
+            assert dn.density_bruteforce(g, a, kind) == _reference_bruteforce(g, a, kind), (g.label, bits, kind)
+
+
+def test_the_kernels_build_one_fraction_per_result(monkeypatch):
+    g = gr.cyclic(8)
+    a, mu = gr.subset(g, [0]), ms.haar_uniform(g)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(dn, "Fraction", counting)
+    monkeypatch.setattr(ms, "Fraction", counting)
+    assert dn.density_bruteforce(g, a) == (Fraction(1, 8), tuple(range(8)))
+    assert len(built) <= 2
+    built.clear()
+    assert ms.sup_translates(mu, a, "two-sided") == (Fraction(1, 8), (0, 0))
+    assert len(built) <= 1
 
 
 def test_certificate_from_witness_and_post_check():

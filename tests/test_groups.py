@@ -8,6 +8,7 @@ import soldens.cli as cli
 import soldens.densities as dn
 import soldens.groups as gr
 import soldens.measures as ms
+import soldens.partitions as pt
 from soldens.errors import BAD_INPUT, SIZE_GUARD
 
 
@@ -223,6 +224,22 @@ def test_subsets_of_different_groups_do_not_combine():
             with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
                 combine(y)
             assert e.value.kind == BAD_INPUT
+
+
+def test_no_kernel_reads_a_subset_against_another_groups_table():
+    s3, c4, c6 = gr.symmetric(3), gr.cyclic(4), gr.cyclic(6)
+    foreign = gr.subset(c4, [0, 1])
+    calls = [
+        lambda: dn.density_bruteforce(s3, foreign),
+        lambda: ms.sup_translates(ms.haar_uniform(s3), foreign, "left"),
+        lambda: dn.certificate_from_witness(s3, foreign, [0]),
+        lambda: dn.density_bruteforce(c4, gr.subset(c6, [5])),
+        lambda: pt.cov(s3, foreign),
+    ]
+    for call in calls:
+        with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
+            call()
+        assert e.value.kind == BAD_INPUT
 
 
 def test_a_suite_builds_each_distinct_spec_once(monkeypatch, capsys, fresh_builds):
