@@ -13,7 +13,9 @@ junction, which for two reduced words is the whole free reduction, returns
 ``u + v`` at once when the junction does not cancel, checks the cap, and
 allocates its result itself rather than through ``_trusted``, one call fewer
 per product. ``_prefix_decompose`` returns its argument as the rest when
-nothing is stripped.
+nothing is stripped; the free-group count calls it only for a word that
+starts with gen^-1, and decides every other word on its first letter alone,
+building no word for it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 MAX_WORD_LEN = 64
 MAX_CHECK_LEN = 10  # fgroup certificate enumerates 2*3^check_len words
+# cross-check products of one fgroup certificate, 2*n*(2*3^check_len - 1);
+# at the cap, n = 4 with check_len = 10 (944 776 products) took 0.66 s and
+# n = 38 with check_len = 8 (997 196) 0.57 s on a 2-vCPU Xeon VM, Python 3.11.7
+MAX_CERT_PRODUCTS = 10 ** 6
 
 _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _INVERT = str.maketrans(_INV)
@@ -67,12 +73,13 @@ class ReducedWord:
 
 
 _set_letters = ReducedWord.letters.__set__  # the slot setter, bypassing frozen
+_new = object.__new__
 
 
 def _trusted(letters):
     """A ReducedWord without validation, for letters that are reduced and
     within MAX_WORD_LEN by construction."""
-    w = object.__new__(ReducedWord)
+    w = _new(ReducedWord)
     _set_letters(w, letters)
     return w
 
@@ -85,7 +92,7 @@ def _trusted_all(strings):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        words = list(map(object.__new__, repeat(ReducedWord, len(strings))))
+        words = list(map(_new, repeat(ReducedWord, len(strings))))
         deque(map(_set_letters, words, strings), 0)
     finally:
         if enabled:
@@ -124,7 +131,7 @@ def word_multiply(u, v):
         letters = a[:len(a) - k] + b[k:]
     if len(letters) > MAX_WORD_LEN:
         raise _too_long()
-    w = object.__new__(ReducedWord)
+    w = _new(ReducedWord)
     _set_letters(w, letters)
     return w
 
@@ -146,11 +153,13 @@ def word_power(letter, k):
 _POWERS = {x: [_trusted(x * k) for k in range(MAX_WORD_LEN + 1)] for x in "ab"}
 
 
+# the partition class of a word, keyed by its first letter ("" for e)
+_CLASS = {"": "B", "a": "A", "A": "A", "b": "B", "B": "B"}
+
+
 def partition_class(w):
     """'A' for words starting with a or a^-1, 'B' otherwise (including e)."""
-    if w.letters and w.letters[0] in "aA":
-        return "A"
-    return "B"
+    return _CLASS[w.letters[:1]]
 
 
 def all_reduced_words(max_len):
@@ -183,43 +192,57 @@ def _prefix_decompose(y, letter):
     return j, _trusted(rest) if j else y
 
 
-def _fgroup_count(y, n, gen, cls, cross_check):
-    """|{i in [1, n] : gen^i y in class cls}|, where words starting gen-type
-    lie outside class cls, by the prefix case analysis.
+def _fgroup_count(y, n, inv, cls, powers):
+    """|{i in [1, n] : gen^i y in class cls}|, where inv = gen^-1 and words
+    starting gen-type lie outside class cls, by the prefix case analysis.
 
-    Write y = gen^j w with w not starting gen-type. Then gen^i y = gen^{i+j} w
-    lies outside cls unless i + j = 0; so the count is 1 when -j lands in
-    [1, n] and w is in class cls, else 0, and never more than 1 for any y.
+    Write y = gen^-k w with w not starting gen-type. Then gen^i y lies outside
+    cls unless i = k; so the count is 1 when k lands in [1, n] and w is in
+    class cls, else 0, and never more than 1 for any y. A y that does not
+    start with inv has k <= 0 and count 0, and is decided on its first letter.
 
-    The cross-check reads each gen^i from ``_POWERS`` but still forms every
-    product gen^i y through the module's ``word_multiply``.
+    With powers (gen^1, ..., gen^n, from ``_powers``) the count is
+    cross-checked: every product gen^i y is formed through the module's
+    ``word_multiply`` and classed by its first letter. The guards on n are
+    the caller's, checked once per count or per certificate.
     """
-    if n < 1:
-        raise WordError("n must be >= 1", kind=BAD_INPUT)
-    j, w = _prefix_decompose(y, gen)
-    structural = 1 if 1 <= -j <= n and partition_class(w) == cls else 0
-    if cross_check:
-        if n > MAX_WORD_LEN:
-            word_power(gen, n)  # raises the size guard, as the products would
-        multiply, classify, direct = word_multiply, partition_class, 0
-        for p in _POWERS[gen][1:n + 1]:
-            if classify(multiply(p, y)) == cls:
+    structural = 0
+    if y.letters[:1] == inv:
+        k, w = _prefix_decompose(y, inv)
+        if k <= n and _CLASS[w.letters[:1]] == cls:
+            structural = 1
+    if powers is not None:
+        multiply, direct = word_multiply, 0
+        for p in powers:
+            if _CLASS[multiply(p, y).letters[:1]] == cls:
                 direct += 1
         if direct != structural:
             raise WordError(f"case analysis disagrees with direct product at y={y}")
     return structural
 
 
+def _powers(gen, n, cross_check):
+    """Check n, and return gen^1, ..., gen^n for the cross-check, or None
+    without one."""
+    if n < 1:
+        raise WordError("n must be >= 1", kind=BAD_INPUT)
+    if not cross_check:
+        return None
+    if n > MAX_WORD_LEN:
+        word_power(gen, n)  # raises the size guard, as the products would
+    return _POWERS[gen][1:n + 1]
+
+
 def fgroup_row_count(y, n, cross_check=True):
     """|{i in [1, n] : b^i y in class A}| by the prefix case analysis: 1 when
     y = b^-i w for some i in [1, n] with w starting a-type, else 0."""
-    return _fgroup_count(y, n, "b", "A", cross_check)
+    return _fgroup_count(y, n, "B", "A", _powers("b", n, cross_check))
 
 
 def fgroup_col_count(y, n):
     """Mirror count for class B with F = {a, ..., a^n}; same case analysis
     with the roles of the generators swapped, always cross-checked."""
-    return _fgroup_count(y, n, "a", "B", True)
+    return _fgroup_count(y, n, "A", "B", _powers("a", n, True))
 
 
 def fgroup_nonsubadditivity_certificate(n, check_len=8):
@@ -240,9 +263,15 @@ def fgroup_nonsubadditivity_certificate(n, check_len=8):
     if n + check_len > MAX_WORD_LEN:
         raise WordError(f"n {n} + check_len {check_len} exceeds word-length cap {MAX_WORD_LEN}",
                         kind=SIZE_GUARD)
-    worst = 0
+    # the cross-check forms n row and n column products for each of the
+    # 2*3^check_len - 1 words
+    products = 2 * n * (2 * 3 ** check_len - 1)
+    if products > MAX_CERT_PRODUCTS:
+        raise WordError(f"n {n} and check_len {check_len} form {products} products, "
+                        f"above cap {MAX_CERT_PRODUCTS}", kind=SIZE_GUARD)
+    rows, cols, worst = _powers("b", n, True), _powers("a", n, True), 0
     for y in all_reduced_words(check_len):
-        worst = max(worst, fgroup_row_count(y, n), fgroup_col_count(y, n))
+        worst = max(worst, _fgroup_count(y, n, "B", "A", rows), _fgroup_count(y, n, "A", "B", cols))
         if worst > 1:
             raise WordError(f"row count exceeded 1 at {y}")
     bound = Fraction(1, n)

@@ -460,7 +460,7 @@ def _sieve(limit):
 
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
     return flags

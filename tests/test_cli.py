@@ -421,42 +421,66 @@ _WORDS = ["words", "fgroup-cert", "--check-len", "4", "--n"]
 # argv -> the last line argparse writes to stderr when it refuses a value, or
 # None where the value is accepted
 ARGV_VALUES = [
-    (["density", "exact", "--group", "cyclic:4", "--set", "0,x"],
-     "soldens density: error: argument --set: '0,x' is not a list of integers"),
-    ([*_DELTA, "1/0"], "soldens zline: error: argument --eps: '1/0' is not a fraction"),
-    ([*_DELTA, "1e3"], "soldens zline: error: argument --eps: '1e3' is not a fraction"),
-    ([*_DELTA, "true"], "soldens zline: error: argument --eps: 'true' is not a fraction"),
-    ([*_TARGET, "mod:1/0"],
-     "soldens perms: error: argument --target: 'mod:1/0' is not tail:N or mod:R/M"),
-    ([*_TARGET, "mod:1/2/3"],
-     "soldens perms: error: argument --target: 'mod:1/2/3' is not tail:N or mod:R/M"),
-    ([*_TARGET, "mod:1"], "soldens perms: error: argument --target: 'mod:1' is not tail:N or mod:R/M"),
-    ([*_TARGET, "tail:"], "soldens perms: error: argument --target: 'tail:' is not tail:N or mod:R/M"),
-    ([*_TARGET, "foo:3"], "soldens perms: error: argument --target: 'foo:3' is not tail:N or mod:R/M"),
-    ([*_TARGET, ""], "soldens perms: error: argument --target: '' is not tail:N or mod:R/M"),
-    ([*_WORDS, "0"], "soldens words: error: argument --n: '0' is not a positive integer"),
-    ([*_WORDS, "-3"], "soldens words: error: argument --n: '-3' is not a positive integer"),
-    ([*_WORDS, "2.0"], "soldens words: error: argument --n: '2.0' is not a positive integer"),
-    (["partitions", "verify", "--group", "cyclic:4", "--cells", "0"],
-     "soldens partitions: error: argument --cells: '0' is not a positive integer"),
-    (["zline", "dstar", "--m", "x"], "soldens zline: error: argument --m: 'x' is not an integer"),
-    (["zline", "dstar", "--bm", "1.5"], "soldens zline: error: argument --bm: '1.5' is not an integer"),
-    (["zline", "jin", "--kmax", "six"], "soldens zline: error: argument --kmax: 'six' is not an integer"),
-    (["zline", "primes", "--horizon", "1e6"],
-     "soldens zline: error: argument --horizon: '1e6' is not an integer"),
-    (["zline", "ip", "--k", "3k"], "soldens zline: error: argument --k: '3k' is not an integer"),
-    (["zline", "ip", "--bound", "0x10"], "soldens zline: error: argument --bound: '0x10' is not an integer"),
-    (["verify-all", "--max-order", "8.0"],
-     "soldens verify-all: error: argument --max-order: '8.0' is not an integer"),
-    (["verify-all", "--seed", "one"], "soldens verify-all: error: argument --seed: 'one' is not an integer"),
-    ([*_TARGET, "tail:-3"], None),
-    ([*_TARGET, "mod:-1/3"], None),
-    ([*_WORDS, " 3 "], None),
-    (["zline", "dstar", "--residues", "0", "--m", "1_0"], None),
+    pytest.param(["density", "exact", "--group", "cyclic:4", "--set", "0,x"],
+                 "soldens density: error: argument --set: '0,x' is not a list of integers", id="'0,x'"),
+    pytest.param([*_DELTA, "1/0"], "soldens zline: error: argument --eps: '1/0' is not a fraction",
+                 id="'1/0'"),
+    pytest.param([*_DELTA, "1e3"], "soldens zline: error: argument --eps: '1e3' is not a fraction",
+                 id="'1e3'"),
+    pytest.param([*_DELTA, "true"], "soldens zline: error: argument --eps: 'true' is not a fraction",
+                 id="'true'"),
+    pytest.param([*_TARGET, "mod:1/0"],
+                 "soldens perms: error: argument --target: 'mod:1/0' is not tail:N or mod:R/M",
+                 id="'mod:1/0'"),
+    pytest.param([*_TARGET, "mod:1/2/3"],
+                 "soldens perms: error: argument --target: 'mod:1/2/3' is not tail:N or mod:R/M",
+                 id="'mod:1/2/3'"),
+    pytest.param([*_TARGET, "mod:1"],
+                 "soldens perms: error: argument --target: 'mod:1' is not tail:N or mod:R/M", id="'mod:1'"),
+    pytest.param([*_TARGET, "tail:"],
+                 "soldens perms: error: argument --target: 'tail:' is not tail:N or mod:R/M", id="'tail:'"),
+    pytest.param([*_TARGET, "foo:3"],
+                 "soldens perms: error: argument --target: 'foo:3' is not tail:N or mod:R/M", id="'foo:3'"),
+    pytest.param([*_TARGET, ""], "soldens perms: error: argument --target: '' is not tail:N or mod:R/M",
+                 id="''"),
+    pytest.param([*_WORDS, "0"], "soldens words: error: argument --n: '0' is not a positive integer",
+                 id="'0' --n"),
+    pytest.param([*_WORDS, "-3"], "soldens words: error: argument --n: '-3' is not a positive integer",
+                 id="'-3'"),
+    pytest.param([*_WORDS, "2.0"], "soldens words: error: argument --n: '2.0' is not a positive integer",
+                 id="'2.0'"),
+    pytest.param(["partitions", "verify", "--group", "cyclic:4", "--cells", "0"],
+                 "soldens partitions: error: argument --cells: '0' is not a positive integer",
+                 id="'0' --cells"),
+    pytest.param(["zline", "dstar", "--m", "x"], "soldens zline: error: argument --m: 'x' is not an integer",
+                 id="'x'"),
+    pytest.param(["zline", "dstar", "--bm", "1.5"],
+                 "soldens zline: error: argument --bm: '1.5' is not an integer", id="'1.5'"),
+    pytest.param(["zline", "jin", "--kmax", "six"],
+                 "soldens zline: error: argument --kmax: 'six' is not an integer", id="'six'"),
+    pytest.param(["zline", "primes", "--horizon", "1e6"],
+                 "soldens zline: error: argument --horizon: '1e6' is not an integer", id="'1e6'"),
+    pytest.param(["zline", "ip", "--k", "3k"], "soldens zline: error: argument --k: '3k' is not an integer",
+                 id="'3k'"),
+    pytest.param(["zline", "ip", "--bound", "0x10"],
+                 "soldens zline: error: argument --bound: '0x10' is not an integer", id="'0x10'"),
+    pytest.param(["verify-all", "--max-order", "8.0"],
+                 "soldens verify-all: error: argument --max-order: '8.0' is not an integer", id="'8.0'"),
+    pytest.param(["verify-all", "--seed", "one"],
+                 "soldens verify-all: error: argument --seed: 'one' is not an integer", id="'one'"),
+    pytest.param([*_TARGET, "tail:-3"], None, id="'tail:-3'"),
+    pytest.param([*_TARGET, "mod:-1/3"], None, id="'mod:-1/3'"),
+    pytest.param([*_WORDS, " 3 "], None, id="' 3 '"),
+    pytest.param(["zline", "dstar", "--residues", "0", "--m", "1_0"], None, id="'1_0'"),
 ]
 
 
-@pytest.mark.parametrize("argv, line", ARGV_VALUES, ids=[repr(argv[-1]) for argv, _ in ARGV_VALUES])
+def test_argv_value_rows_have_distinct_ids():
+    ids = [row.id for row in ARGV_VALUES]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("argv, line", ARGV_VALUES)
 def test_each_argv_value_refusal_prints_its_line(capsys, argv, line):
     code = cli.run(argv)
     out, err = capsys.readouterr()
