@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from . import densities as dn
 from . import groups as gr
@@ -87,15 +88,16 @@ def _solve(ints, den):
     lift = den - min(min(row) for row in ints)  # den * (1 - min payoff)
     # Row player's LP scaled by den: maximize sum(x) s.t. den (M + shift)^T x <= den.
     # Bland's rule pivots as without the scaling, which divides the duals by den.
-    d, x, duals = solve_lp_int([1] * m, [[v + lift for v in col] for col in zip(*ints)], [den] * n)
+    cols = list(zip(*ints))
+    d, x, duals = solve_lp_int([1] * m, [[v + lift for v in col] for col in cols], [den] * n)
     total = sum(x)  # the LP objective is total/d
     if total <= 0:
         raise GameError("degenerate LP objective")
     # Row i plays x_i/total and column j duals_j den/total; the value is top/(total den).
     top = d * den - lift * total
-    if any(sum(xi * v for xi, v in zip(x, col)) > top for col in zip(*ints)):
+    if any(sum(map(mul, x, col)) > top for col in cols):
         raise GameError("row strategy fails its guarantee")
-    if any(den * sum(yj * v for yj, v in zip(duals, row)) < top for row in ints):
+    if any(den * sum(map(mul, duals, row)) < top for row in ints):
         raise GameError("column strategy fails its guarantee")
     # Both strategies are probability vectors, checked in ints; the entries
     # below are then already the normalized, index-ordered ones.

@@ -1,4 +1,4 @@
-"""Exact simplex for small LPs on a fraction-free integer tableau.
+"""Exact simplex for small LPs on a condensed fraction-free integer tableau.
 
 Solves  max c.x  s.t.  A x <= b, x >= 0  with b >= 0, which is all the game
 engine ever needs. solve_lp_int is the pivot loop, on ints; the game kernel
@@ -20,17 +20,25 @@ and with them the duals, are the unscaled ones.
 Invariant (Edmonds 1967, Bareiss 1968): the tableau holds Python ints equal
 to d times the rational tableau of the scaled LP, where d > 0 is the last
 pivot entry (1 before the first pivot) and equals |det| of the current
-basis. A pivot on entry p sets every entry outside the pivot row to
-(p*v - f*w) // d, where f is the entry of its row in the pivot column and w
-the entry of the pivot row in its column. That division is always exact,
-since the result is an entry of adj(B) times the integer input. The pivot
-row stays as it is and d becomes p.
+basis. The column of the i-th basic variable is then d*e_i, so it is not
+kept: the tableau is condensed, as in Avis's lrs, to one column per
+nonbasic variable (nb names the variable of each) and the rhs. A pivot on
+entry p in row r and column q sets every entry outside row r and column q
+to (p*v - f*w) // d, where f is the entry of its row in column q and w the
+entry of row r in its column. That division is always exact, since the
+result is an entry of adj(B) times the integer input. Column q then holds
+the leaving variable, whose full column d*e_r has become -f in each other
+row and d in row r: so column q gets -f, the pivot entry gets d, the rest
+of row r stays as it is, and d becomes p. Every entry is the one the full
+tableau holds in that variable's column.
 
 Bland's rule keeps the pivoting deterministic and free of cycles: the
-entering column is the least index with positive reduced cost, the leaving
-row has the minimum ratio rhs/entry over positive entries, and a tie goes to
-the smaller basic variable index. Ratios are compared by cross-multiplying
-integers, which orders them exactly as the rational tableau does.
+entering variable is the least label (x_j is j, slack i is n + i) with
+positive reduced cost, whatever column it sits in; the leaving row has the
+minimum ratio rhs/entry over positive entries, and a tie goes to the
+smaller basic variable label. Ratios are compared by cross-multiplying
+integers, which orders them exactly as the rational tableau does. A basic
+slack has dual 0, and a nonbasic one minus its reduced cost.
 """
 
 from __future__ import annotations
@@ -73,23 +81,24 @@ def solve_lp_int(c, a_rows, b):
     m, n = len(a_rows), len(c)
     if any(bi < 0 for bi in b):
         raise SimplexError("requires b >= 0")
-    # Tableau rows: [a | slack I | rhs]; objective row holds reduced costs.
-    tab = [[*a_rows[i]] + [int(j == i) for j in range(m)] + [b[i]] for i in range(m)]
-    obj = [*c] + [0] * (m + 1)
-    basis = [n + i for i in range(m)]
-    width = n + m
+    # Rows: [nonbasic columns | rhs], the last one the reduced costs; column j
+    # holds variable nb[j], row i < m basic variable basis[i].
+    tab = [[*row, bi] for row, bi in zip(a_rows, b)] + [[*c, 0]]
+    nb, basis = list(range(n)), list(range(n, n + m))
     d = 1
 
     while True:
-        # Bland: entering = least-index column with positive reduced cost.
-        enter = next((j for j in range(width) if obj[j] > 0), None)
-        if enter is None:
+        obj = tab[m]
+        # Bland: enter the least variable with positive reduced cost.
+        ready = [(v, j) for j, v in enumerate(nb) if obj[j] > 0]
+        if not ready:
             break
+        enter = min(ready)[1]
         leave = None
         for i in range(m):
             col = tab[i][enter]
             if col > 0:
-                rhs = tab[i][width]
+                rhs = tab[i][n]
                 if leave is None:
                     leave, best_rhs, best_col = i, rhs, col
                     continue
@@ -101,34 +110,20 @@ def solve_lp_int(c, a_rows, b):
             raise SimplexError("unbounded LP")
         prow = tab[leave]
         piv = prow[enter]
-        support = [j for j, w in enumerate(prow) if w]
-        for i in range(m):
-            if i != leave:
-                tab[i] = _eliminate(tab[i], prow, support, enter, piv, d)
-        obj = _eliminate(obj, prow, support, enter, piv, d)
-        basis[leave] = enter
+        for i, row in enumerate(tab):
+            f = row[enter]  # a row with f == 0 only scales by piv/d
+            if i != leave and (f or piv != d):
+                tab[i] = [(piv * v - f * w) // d for v, w in zip(row, prow)]
+                tab[i][enter] = -f
+        prow[enter] = d
+        nb[enter], basis[leave] = basis[leave], nb[enter]
         d = piv
 
-    x = [0] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i][width]
-    return d, x, [-obj[n + i] for i in range(m)]
-
-
-def _eliminate(row, prow, support, enter, piv, d):
-    """The row after the pivot: (piv*v - f*w) // d entrywise. Where the pivot
-    row is 0 that is piv*v // d, so f*w is taken over its support only; when
-    piv == d that scaling is the identity, and a row with f == 0 stays as it
-    is."""
-    f = row[enter]
-    if piv == d:
-        if not f:
-            return row
-        new = row[:]
-    else:
-        new = [v * piv // d for v in row]
-    if f:
-        for j in support:
-            new[j] = (row[j] * piv - f * prow[j]) // d
-    return new
+    x, duals = [0] * n, [0] * m
+    for i, v in enumerate(basis):
+        if v < n:
+            x[v] = tab[i][n]
+    for j, v in enumerate(nb):
+        if v >= n:
+            duals[v - n] = -obj[j]
+    return d, x, duals

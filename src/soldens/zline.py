@@ -317,6 +317,11 @@ def _check_cover_modulus(m):
         raise ZSetError(f"cover modulus {m} exceeds cap {MAX_COVER_MODULUS}", kind=SIZE_GUARD)
 
 
+def _ceil_reciprocal(q):
+    """ceil(1/q) of a Fraction q > 0, in ints."""
+    return -(-q.denominator // q.numerator)
+
+
 def jin_witness(a, b):
     """Minimal F with F + A + B thick, with the density-product cardinality
     bound asserted."""
@@ -329,7 +334,7 @@ def jin_witness(a, b):
     s, scope = sumset(a, b)
     assert scope == EXACT
     f = _min_cover(s.m, s.residues)
-    limit = math.ceil(1 / (da * db))
+    limit = _ceil_reciprocal(da * db)
     if len(f) > limit:
         raise ZSetError(f"cover size {len(f)} exceeds the density bound {limit}")
     shifted = Z_EMPTY
@@ -369,7 +374,7 @@ def ergodic_sup_check(a):
     f = tuple(t + j * a.m for t in f for j in range(len(a.remove) + 1))
     if not _covers_z(f, a):
         raise ZSetError("ergodic witness failed its cover check")
-    return {"value": 1, "f": f, "reciprocal_bound": math.ceil(1 / dstar(a))}
+    return {"value": 1, "f": f, "reciprocal_bound": _ceil_reciprocal(dstar(a))}
 
 
 def bohr_congruence(m, residues):

@@ -3,8 +3,8 @@
 Each argv is built from ``build_parser()``'s own subcommands, flags and
 choices; each flag takes its value from a small pool of edge values (-1, 0,
 1, 2, its cap and cap + 1, "x", the empty string, small group specs). Whatever
-the argv, ``cli.run`` returns one code in {0, 1, 2, 3} and never raises; on a
-nonzero exit stdout is empty (argparse rejected the argv) or one JSON line
+the argv, ``cli.run`` returns one code in {0, 1, 2, 3} and never raises; on
+exit 0 stdout holds no float, and on a nonzero exit stdout is empty (argparse rejected the argv) or one JSON line
 whose kind maps to that code.
 
 verify-all is left out (it takes seconds whatever its flags). The pools keep
@@ -20,6 +20,7 @@ size-guard, never another exception.
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import sys
@@ -114,6 +115,21 @@ def _argv(data):
     return argv
 
 
+def parse_float(text):
+    raise AssertionError(f"a float, {text}, was printed")
+
+
+def _assert_exact(argv, stdout):
+    """An exit-0 stdout holds no float: it is one JSON document, or the int
+    cells of zline primes --csv under their header."""
+    if "primes" in argv and "--csv" in argv:
+        for row in list(csv.reader(io.StringIO(stdout)))[1:]:
+            for cell in row:
+                int(cell)
+    else:
+        json.loads(stdout, parse_float=parse_float, parse_constant=parse_float)
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_random_argv_end_in_one_exit_code(files, data):
@@ -126,7 +142,9 @@ def test_random_argv_end_in_one_exit_code(files, data):
     finally:
         sys.stdin = old_stdin
     assert code in (0, 1, 2, 3), argv
-    if code:
+    if not code:
+        _assert_exact(argv, out.getvalue())
+    else:
         lines = out.getvalue().splitlines()
         assert len(lines) <= 1, argv
         if lines:

@@ -1,4 +1,4 @@
-"""Eleven ast lint rules over src/soldens, since the toolchain has no linter:
+"""Twelve ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -26,10 +26,15 @@
 - json.dumps is read, called or imported only inside cli.dumps: every
   result is printed by one serializer, and no second one grows back;
 - argparse.ArgumentTypeError is named only inside cli._arg: one rule
-  refuses every bad argv value, and no argparse type keeps its own refusal.
+  refuses every bad argv value, and no argparse type keeps its own refusal;
+- no true division, float literal, float( call or float-valued math name
+  (any but the integer ones: ceil, floor, isqrt, ...) appears outside
+  FLOAT_ALLOWED, which holds only zline.folner_density, the estimator that
+  says it is one: every certified result is exact, and no float creeps in.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -478,3 +483,45 @@ def test_the_rule_sees_a_second_argv_refusal():
 def test_argv_values_are_refused_only_by_cli_arg():
     refusers = {f"{p.stem}.{name}" for p in MODULES for name in argv_refusers(p.read_text())}
     assert refusers == {"cli._arg"}
+
+
+# The math names that are exact on ints; every other public math name is a
+# float-valued function or a float constant.
+EXACT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm", "prod", "trunc"}
+FLOAT_MATH = {name for name in dir(math) if not name.startswith("_")} - EXACT_MATH
+FLOAT_ALLOWED = {"zline.folner_density"}
+
+
+def float_sources(source):
+    """The top-level statements of source, by name, that hold a true division, a
+    float literal, a float( call or a float-valued math name, read as an
+    attribute of math or imported from it."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                    or isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+                    or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+                    or isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+                    and getattr(node.value, "id", None) == "math"
+                    or isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(alias.name in FLOAT_MATH for alias in node.names)):
+                found.add(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_the_rule_sees_a_float():
+    source = ("import math\nfrom math import gcd, sqrt\n"
+              "def ratio(a, b):\n    return a / b\n"
+              "def halve(a):\n    a /= 2\n    return a\n"
+              "def half():\n    return 0.5\n"
+              "def parse(text):\n    return float(text)\n"
+              "def root(n):\n    return math.sqrt(n)\n"
+              "class Circle:\n    def area(self, r):\n        return math.pi * r * r\n"
+              "def exact(n, q):\n    return math.isqrt(n) + n // 2 + math.ceil(q) + gcd(n, 4) + int('7')\n")
+    assert float_sources(source) == {"<module>", "ratio", "halve", "half", "parse", "root", "Circle"}
+
+
+def test_no_float_reaches_a_result():
+    found = {f"{p.stem}.{name}" for p in MODULES for name in float_sources(p.read_text())}
+    assert found == FLOAT_ALLOWED

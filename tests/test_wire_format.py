@@ -3,7 +3,7 @@
 `data/wire_suite.out` holds the expected stdout and exit code of each argv in
 `data/wire_suite.json` (a `soldens suite` config, run from `data/`). It is
 never regenerated to make a change pass: a diff here is a change of the
-output format.
+output format. Every exit-0 line parses as JSON that holds no float.
 """
 
 import ast
@@ -51,7 +51,17 @@ def render(commands):
 def test_suite_output_is_pinned(monkeypatch):
     monkeypatch.chdir(DATA)
     commands = json.loads(Path("wire_suite.json").read_text())["commands"]
-    assert render(commands) == Path("wire_suite.out").read_text()
+    text = render(commands)
+    assert text == Path("wire_suite.out").read_text()
+    lines = text.splitlines()
+    assert len(lines) == 3 * len(commands)  # one stdout line per argv
+    for out, code in zip(lines[1::3], lines[2::3]):
+        if code == "[exit 0]":
+            json.loads(out, parse_float=parse_float, parse_constant=parse_float)
+
+
+def parse_float(text):
+    raise AssertionError(f"a float, {text}, was printed")
 
 
 def _classes():
