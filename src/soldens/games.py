@@ -8,7 +8,10 @@ solve are those of the GameSolution that _solve makes from the kernel's ints.
 Value-only callers go through _value, which pivots only when the uniform (Haar)
 strategy pair does not meet; the callers that return strategies always pivot.
 The extremal patterns read each payoff from one hit table: for each
-assignment in G^n, the bit "the product in substitution order lies in A".
+assignment in G^n, the bit "the product in substitution order lies in A",
+built in one pass that folds each assignment through the table's rows. An
+interval pattern slices it once into |G| outer and |G| middle blocks of |G|^2
+entries; a Dirac candidate is one block, and Haar their column sums.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from . import densities as dn
 from . import groups as gr
@@ -133,8 +137,10 @@ def intersection_number(family, universe=None):
 
 
 def sigma_R_via_game(group, a):
-    """Right density via the shift game, cross-checked against the transposed
-    maximin game; both values must agree exactly (LP duality)."""
+    """Right density via the shift game, cross-checked against the maximin
+    game: the minimax payoff with its rows relabelled g -> g^-1, solved on its
+    own Bland path. Both values must agree exactly."""
+    gr.check_carrier(group, a)
     n = group.order
     m = a.mask
     if not m:
@@ -183,11 +189,10 @@ class ExtremalPattern:
     @staticmethod
     def parse(text):
         head = "".join(c for c in text if c in "isIS")
-        try:
-            substitution = tuple(int(c) for c in text[len(head):])
-        except ValueError:
-            raise GameError(f"cannot parse pattern {text!r}", kind=BAD_INPUT) from None
-        return ExtremalPattern(head, substitution)
+        tail = text[len(head):]
+        if any(c not in "0123456789" for c in tail):  # int takes any Unicode digit
+            raise GameError(f"cannot parse pattern {text!r}", kind=BAD_INPUT)
+        return ExtremalPattern(head, tuple(map(int, tail)))
 
     def kinds(self):
         return self.quantifiers.lower()
@@ -195,13 +200,14 @@ class ExtremalPattern:
 
 def _hit_table(group, a, substitution):
     """For every assignment in G^n, flat in itertools.product order, the bit
-    "the product in substitution order lies in A"."""
-    t, size, n = group.table, group.order, len(substitution)
-    prods = [0] * size ** n
-    for pos in substitution:
-        stride = size ** (n - pos)  # entry i assigns i // stride % size to pos
-        prods = [t[p][i // stride % size] for i, p in enumerate(prods)]
-    return [a.mask >> p & 1 for p in prods]
+    "the product in substitution order lies in A". One pass: each assignment,
+    padded with the identity to three factors, is read in substitution order,
+    folded through the table's rows and looked up in A's bit list."""
+    t, n = group.table, len(substitution)
+    inside = [a.mask >> g & 1 for g in range(group.order)]
+    # index n picks the padding identity, so a length-2 word folds as x y e
+    pick = itemgetter(*(p - 1 for p in substitution), *[n] * (MAX_PATTERN_LENGTH - n))
+    return [inside[t[t[x][y]][z]] for x, y, z in map(pick, product(*[range(group.order)] * n, [0]))]
 
 
 def eval_extremal(pattern, group, a):
@@ -212,6 +218,7 @@ def eval_extremal(pattern, group, a):
     to |A|/|G|. Patterns with two alternations return
     ("interval", (lo, hi)) from candidate-strategy bounds.
     """
+    gr.check_carrier(group, a)
     n = len(pattern.quantifiers)
     if n > MAX_PATTERN_LENGTH:
         raise GameError(f"patterns longer than {MAX_PATTERN_LENGTH} are unsupported", kind=SIZE_GUARD)
@@ -235,32 +242,29 @@ def eval_extremal(pattern, group, a):
             raise GameError("mixed pattern failed the uniform collapse")
         return "exact", value
 
-    # Three alternating blocks: certified interval only. Each Dirac and the
-    # Haar measure, as int weights over one denominator.
-    els = range(size)
+    # Three alternating blocks: certified interval only. Outer block o holds
+    # the (g1, g2) payoffs of outer o and middle block h the (g0, g2) payoffs
+    # of middle h; each Dirac is its block, and Haar their column sums over |G|.
     sq = size * size
-    candidates = [([(g, 1)], 1) for g in els] + [([(h, 1) for h in els], size)]
+    outer = [t[i:i + sq] for i in range(0, len(t), sq)]
+    middle = [[v for i in range(h * size, len(t), sq) for v in t[i:i + size]] for h in range(size)]
+    outer.append(list(map(sum, zip(*outer))))
+    middle.append(list(map(sum, zip(*middle))))
+    dens = [1] * size + [size]
 
-    def two_block_value(outer):
+    def two_block_value(block, den):
         # Remaining middle-vs-inner game with the outer measure folded in.
-        weights, den = outer
-        payload = [[sum(w * t[h * sq + g1 * size + g2] for h, w in weights) for g2 in els]
-                   for g1 in els]
+        payload = [block[i:i + size] for i in range(0, sq, size)]
         if kinds[1] == "s":
             payload = list(zip(*payload))
         return _value(payload, den)
 
-    def pure_sweep(mid, optimum):
-        weights, den = mid
-        return Fraction(optimum(sum(w * t[g0 * sq + h * size + g2] for h, w in weights)
-                                for g0 in els for g2 in els), den)
-
     if kinds[0] == "s":
-        lo = max(two_block_value(c) for c in candidates)
-        hi = min(pure_sweep(c, max) for c in candidates)
+        lo = max(map(two_block_value, outer, dens))
+        hi = min(Fraction(max(block), den) for block, den in zip(middle, dens))
     else:
-        hi = min(two_block_value(c) for c in candidates)
-        lo = max(pure_sweep(c, min) for c in candidates)
+        hi = min(map(two_block_value, outer, dens))
+        lo = max(Fraction(min(block), den) for block, den in zip(middle, dens))
     if lo > hi:
         raise GameError("interval bounds crossed")
     return "interval", (lo, hi)

@@ -274,6 +274,12 @@ def _images(maps, members):
     return out
 
 
+def check_carrier(group, a):
+    """Refuse a subset A of a group other than group, by identity first, then by value."""
+    if a.group is not group and a.group != group:
+        raise GroupError("subsets of different groups", kind=BAD_INPUT)
+
+
 def translate_masks(group, a, pattern):
     """Every translate of A with its mask, as [(translate, mask)] in
     lexicographic order of the translate: (x,) for xA when pattern is "left",

@@ -38,13 +38,15 @@ positive reduced cost, whatever column it sits in; the leaving row has the
 minimum ratio rhs/entry over positive entries, and a tie goes to the
 smaller basic variable label. Ratios are compared by cross-multiplying
 integers, which orders them exactly as the rational tableau does. A basic
-slack has dual 0, and a nonbasic one minus its reduced cost.
+slack has dual 0, and a nonbasic one minus its reduced cost. Since Bland's
+rule never repeats a basis, a pivot count above C(m + n, m), the number of
+bases, means the rule cycles, and the kernel raises SimplexError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import SoldensError
 
@@ -86,6 +88,7 @@ def solve_lp_int(c, a_rows, b):
     tab = [[*row, bi] for row, bi in zip(a_rows, b)] + [[*c, 0]]
     nb, basis = list(range(n)), list(range(n, n + m))
     d = 1
+    budget = comb(m + n, m)  # the number of bases, none of which Bland's rule repeats
 
     while True:
         obj = tab[m]
@@ -94,6 +97,9 @@ def solve_lp_int(c, a_rows, b):
         if not ready:
             break
         enter = min(ready)[1]
+        budget -= 1
+        if budget < 0:
+            raise SimplexError(f"more than C({m + n}, {m}) pivots: the pivot rule cycles")
         leave = None
         for i in range(m):
             col = tab[i][enter]

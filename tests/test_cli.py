@@ -93,6 +93,15 @@ def test_game_extremal(capsys):
     assert code == 0 and json.loads(out)["exact"] == "1/2"
 
 
+@pytest.mark.parametrize("pattern", ["is\u0661\u0662", "si\uff12\uff11", "sis\u0967\u0968\u0969"])
+def test_game_extremal_refuses_a_substitution_in_other_digits(capsys, pattern):
+    # Arabic-Indic, fullwidth and Devanagari digits, each of which int() reads
+    code, out = run_capture(
+        capsys, ["game", "extremal", "--group", "cyclic:4", "--set", "0", "--pattern", pattern])
+    assert code == 2
+    assert json.loads(out) == {"error": f"cannot parse pattern {pattern!r}", "kind": "bad-input"}
+
+
 def test_words_and_perms_commands(capsys):
     code, out = run_capture(capsys, ["words", "fgroup-cert", "--n", "3", "--check-len", "4"])
     assert code == 0

@@ -1,15 +1,20 @@
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soldens.cli as cli
 import soldens.densities as dn
 import soldens.games as gm
 import soldens.groups as gr
 from soldens.simplex import solve_lp_max
+from test_partitions_properties import _GROUPS, _SPECS
 
 LP_PINNED = Path(__file__).parent / "data" / "lp_pinned.json"
 GAMES_PINNED = Path(__file__).parent / "data" / "games_pinned.json"
@@ -188,6 +193,80 @@ def test_extremal_pinned_corpus():
             gm.ExtremalPattern.parse(case["pattern"]), g, gr.subset(g, case["set"]))
         got = [_pq(v[0]), _pq(v[1])] if shape == "interval" else _pq(v)
         assert (shape, got) == (case["shape"], case["value"]), case
+
+
+def _naive_hit_table(g, a, substitution):
+    """_hit_table by definition: each assignment's factors multiplied with
+    group.mul in substitution order."""
+    return [int(reduce(g.mul, (gs[pos - 1] for pos in substitution)) in a)
+            for gs in product(g.elements(), repeat=len(substitution))]
+
+
+def _interval_oracle(kinds, g, a, substitution):
+    """The interval endpoints as the per-entry payoff builders computed them
+    before the block slices: each candidate, a Dirac or Haar as int weights
+    over one denominator, summed into every payoff entry by entry."""
+    t = _naive_hit_table(g, a, substitution)
+    size, els = g.order, range(g.order)
+    sq = size * size
+    candidates = [([(x, 1)], 1) for x in els] + [([(h, 1) for h in els], size)]
+
+    def two_block_value(outer):
+        weights, den = outer
+        payload = [[sum(w * t[h * sq + g1 * size + g2] for h, w in weights) for g2 in els]
+                   for g1 in els]
+        if kinds[1] == "s":
+            payload = list(zip(*payload))
+        return gm._value(payload, den)
+
+    def pure_sweep(mid, optimum):
+        weights, den = mid
+        return Fraction(optimum(sum(w * t[g0 * sq + h * size + g2] for h, w in weights)
+                                for g0 in els for g2 in els), den)
+
+    if kinds[0] == "s":
+        return (max(two_block_value(c) for c in candidates),
+                min(pure_sweep(c, max) for c in candidates))
+    return (max(pure_sweep(c, min) for c in candidates),
+            min(two_block_value(c) for c in candidates))
+
+
+@st.composite
+def _group_and_subset(draw):
+    g = _GROUPS[draw(st.sampled_from(_SPECS))]
+    return g, gr.subset(g, draw(st.sets(st.integers(0, g.order - 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_and_subset())
+def test_hit_table_matches_a_fold_through_mul(case):
+    g, a = case
+    for n in (2, 3):
+        for substitution in permutations(range(1, n + 1)):
+            assert gm._hit_table(g, a, substitution) == _naive_hit_table(g, a, substitution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_and_subset())
+def test_interval_endpoints_match_the_per_entry_oracle(case):
+    g, a = case
+    for kinds in ("sis", "isi"):
+        for substitution in permutations((1, 2, 3)):
+            pattern = gm.ExtremalPattern(kinds, substitution)
+            want = _interval_oracle(kinds, g, a, substitution)
+            assert gm.eval_extremal(pattern, g, a) == ("interval", want)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6"])
+def test_games_refuse_a_subset_of_another_group(spec):
+    # cyclic:6 has the order of s3, so only its table tells the two apart
+    s3, foreign = gr.symmetric(3), gr.subset(gr.build_group(spec), [0, 1])
+    for call in (lambda: gm.sigma_R_via_game(s3, foreign),
+                 lambda: gm.eval_extremal(gm.ExtremalPattern.parse("is12"), s3, foreign),
+                 lambda: gm.eval_extremal(gm.ExtremalPattern.parse("ss12"), s3, foreign)):
+        with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
+            call()
+        assert e.value.kind == "bad-input"
 
 
 def test_windowed_bound_scopes():

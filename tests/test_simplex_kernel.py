@@ -15,6 +15,7 @@ Never regenerate it to make a change pass.
 """
 
 import copy
+import inspect
 import json
 import signal
 from pathlib import Path
@@ -22,6 +23,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soldens.groups as gr
+import soldens.simplex as sx
 from soldens.simplex import SimplexError, solve_lp_int
 
 LP_INT_PINNED = Path(__file__).parent / "data" / "lp_int_pinned.json"
@@ -159,3 +162,20 @@ def test_kernel_matches_the_full_tableau_oracle(lp):
     before = copy.deepcopy(lp)
     assert _outcome(solve_lp_int, c, a_rows, b) == _outcome(_full_tableau_lp_int, c, a_rows, b)
     assert lp == before  # the kernel pivots on its own rows
+
+
+def test_a_cycling_pivot_rule_fails_at_the_pivot_cap():
+    # Entering the first positive column instead of the least label cycles on
+    # the maximin LP of sigma_R_via_game(cyclic(8), {0, 1, 6}); Bland's rule
+    # visits no basis twice, so the kernel stops after C(16, 8) pivots.
+    source = inspect.getsource(sx.solve_lp_int)
+    assert source.count("enter = min(ready)[1]") == 1
+    scope = dict(vars(sx))
+    exec(source.replace("enter = min(ready)[1]", "enter = ready[0][1]"), scope)
+    g = gr.cyclic(8)
+    mask = gr.subset(g, [0, 1, 6]).mask
+    payoff = [[mask >> h & 1 for h in g.table[g.inverse[x]]] for x in g.elements()]
+    c, a_rows, b = [1] * 8, [[v + 1 for v in col] for col in zip(*payoff)], [1] * 8
+    assert _outcome(scope["solve_lp_int"], c, a_rows, b) == (
+        "more than C(16, 8) pivots: the pivot rule cycles")
+    assert _outcome(solve_lp_int, c, a_rows, b) == (99, [9] * 8, [9] * 8)
