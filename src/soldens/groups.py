@@ -284,8 +284,7 @@ def translate_masks(group, a, pattern):
     """Every translate of A with its mask, as [(translate, mask)] in
     lexicographic order of the translate: (x,) for xA when pattern is "left",
     (y,) for Ay when "right", (x, y) for xAy when "two-sided"."""
-    if a.group is not group and a.group != group:
-        raise GroupError("subsets of different groups", kind=BAD_INPUT)
+    check_carrier(group, a)
     t = group.table
     members = a.indices()
     if pattern == "left":  # row x of the table maps q to xq

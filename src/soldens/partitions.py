@@ -16,9 +16,13 @@ class PartitionError(SoldensError):
     pass
 
 
-def least_cover(n, translates):
-    """The first minimum-size cover of range(n) by the given masks, as the
-    tuple of their indices in itertools.combinations order.
+def least_cover(n, translates, covered=0):
+    """The first minimum-size cover of the points of range(n) outside the mask
+    covered by the given masks, as the tuple of their indices in
+    itertools.combinations order. cov and zline._min_cover pass the masks of
+    every translate but A itself, with covered = A: translating an optimal F
+    by f^-1, for one of its own f, gives an optimum that holds the identity,
+    and such an optimum comes first in combinations order.
 
     Two exact phases, both pruned by need(free), a lower bound on the masks
     still needed: a greedy count of uncovered points that pairwise share no
@@ -36,13 +40,13 @@ def least_cover(n, translates):
     covering = [[] for _ in range(n)]  # covering[p]: the distinct masks that cover p
     reach = [0] * n  # reach[p]: every point that shares a mask with p
     for mask in set(translates):
-        rest = mask & full
+        rest = mask & full & ~covered
         while rest:
             p = (rest & -rest).bit_length() - 1
             covering[p].append(mask)
             reach[p] |= mask
             rest &= rest - 1
-    if not all(covering):
+    if any(not covering[p] for p in range(n) if not covered >> p & 1):
         raise PartitionError("the masks do not cover")
 
     def need(free):
@@ -72,7 +76,7 @@ def least_cover(n, translates):
                 if not any(g != h and g & h == g for h in gains):
                     smallest(depth + 1, covered | g)
 
-    smallest(0, 0)
+    smallest(0, covered & full)
     k = len(translates)
     dead = [full] * (k + 1)  # dead[c]: the points no mask at index >= c covers
     for c in range(k - 1, -1, -1):
@@ -93,7 +97,7 @@ def least_cover(n, translates):
                     return (c,) + rest
         return None
 
-    return first(0, best, 0)
+    return first(0, best, covered)
 
 
 # The order cap of cov and zline._min_cover: least_cover is exponential in the
@@ -107,14 +111,17 @@ MAX_SCAN_CELLS, MAX_SCAN_ORDER, MAX_PROP122_ORDER, MAX_ODD_CHECK_ORDER = 4, 8, 1
 
 def cov(group, a):
     """(minimal |F| with F*A = G, lexicographically least optimal F), by
-    least_cover over the left translates xA. The partition scans (_scan) and
-    verify_prop122 call it once per distinct AA^-1, read from a
-    groups.difference_table; both tables live for one call of theirs only."""
+    least_cover over the left translates xA. The family is left-invariant, so
+    some optimum holds the identity (index 0) and the first one does: F is 0
+    and the first least cover of G - A by the other translates. The partition
+    scans (_scan) and verify_prop122 call it once per distinct AA^-1, read from
+    a groups.difference_table; both tables live for one call of theirs only."""
     if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
     if group.order > MAX_COVER_POINTS:
         raise PartitionError(f"cov guarded to |G| <= {MAX_COVER_POINTS}", kind=SIZE_GUARD)
-    f = least_cover(group.order, [mask for _, mask in gr.translate_masks(group, a, "left")])
+    masks = [mask for _, mask in gr.translate_masks(group, a, "left")]
+    f = (0, *(x + 1 for x in least_cover(group.order, masks[1:], masks[0])))
     return len(f), f
 
 
@@ -139,7 +146,11 @@ def delta_I_finite(group, a, ideal=_trivial_ideal):
 def pack(group, a):
     """(maximal number of pairwise disjoint translates xA, lexicographically
     least optimal E). xA meets yA exactly when y is in x*AA^-1, so the result
-    depends on AA^-1 alone. Include-first branch and bound on int masks."""
+    depends on AA^-1 alone. Include-first branch and bound on int masks, in
+    the branch that holds the identity (index 0) only: f^-1 E is an optimum
+    that holds it, for any optimal E and f in E, so the branch that excludes
+    it never finds a larger packing."""
+    gr.check_carrier(group, a)
     if not a.mask:
         raise PartitionError("pack of an empty set", kind=BAD_INPUT)
     if group.order > MAX_PACK_ORDER:
@@ -160,7 +171,7 @@ def pack(group, a):
         search(chosen + (x,), rest & ~conflict[x])
         search(chosen, rest)
 
-    search((), (1 << group.order) - 1)
+    search((0,), ((1 << group.order) - 2) & ~conflict[0])
     return len(best), best
 
 
@@ -324,6 +335,7 @@ def odd_group_check(group):
 def difference_power_subgroup(group, a, n):
     """Iterate D -> D*D from D = A A^-1 until stable; for |A|/|G| >= 1/n the
     limit is a subgroup of index <= n reached at exponent <= 4^(n-1)."""
+    gr.check_carrier(group, a)
     if n < 1 or not a.mask or len(a) * n < group.order:
         raise PartitionError("density precondition |A|/|G| >= 1/n violated", kind=BAD_INPUT)
     d = diff = gr.difference_set(group, a)
@@ -350,6 +362,7 @@ def difference_power_subgroup(group, a, n):
 
 def thm43_search(group, a):
     """cov-optimal F for A A^-1 with the density cardinality bound."""
+    gr.check_carrier(group, a)
     if not a.mask:
         raise PartitionError("empty set", kind=BAD_INPUT)
     size, f = cov(group, gr.difference_set(group, a))

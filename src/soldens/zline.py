@@ -306,10 +306,14 @@ def classify(a):
 
 def _min_cover(m, base_residues):
     """Lexicographically least minimum set of shifts t with the translates
-    t + base covering Z/m, for a nonempty base in range(m); callers check m."""
+    t + base covering Z/m, for a nonempty base in range(m); callers check m.
+    Shifting an optimal set by minus one of its own shifts gives an optimum
+    that holds 0, so the first optimum is 0 and the first least cover of
+    Z/m - base by the shifts 1..m-1."""
     base = sum(1 << r for r in base_residues)
     # the mask of t + base is the base mask rotated left by t places
-    return pt.least_cover(m, [(base << t | base >> (m - t)) & ((1 << m) - 1) for t in range(m)])
+    rotations = [(base << t | base >> (m - t)) & ((1 << m) - 1) for t in range(1, m)]
+    return (0, *(t + 1 for t in pt.least_cover(m, rotations, base)))
 
 
 def _check_cover_modulus(m):
@@ -440,10 +444,11 @@ _PRIMES8 = (2, 3, 5, 7, 11, 13, 17, 19)
 # still admits k_max = 8: its window period n_8 = 9 699 690 must fit in the horizon.
 MAX_VERIFY_HORIZON = 10 ** 7
 # _min_cover is exponential in the modulus. On 200 random bases of 2 to 6
-# residues mod 32 (Python 3.11.7 on a 2-vCPU Xeon VM) the slowest took 0.82 s,
-# for {3, 5, 21, 25}, and the sparse {0, 12, 16} took 0.06 s; mod 40 the
-# slowest of 20 took 4.1 s, a sample too small to admit 40. partitions.cov runs
-# the same kernel under the same cap.
+# residues mod 32 (Python 3.11.7 on a 2-vCPU Xeon VM) the slowest took 0.15 to
+# 0.18 s, {3, 5, 21, 25} 0.07 s and the sparse {0, 12, 16} 0.007 s; mod 40 the
+# slowest of 20 took 6.0 to 6.9 s, almost all in the phase that walks to the
+# first optimum, a sample too small to admit 40. partitions.cov runs the same
+# kernel under the same cap.
 MAX_COVER_MODULUS = pt.MAX_COVER_POINTS
 # The witnesses of classify and ergodic_sup_check hold m * (|remove| + 1)
 # shifts, |remove| + 1 in each of their classes, so _covers_z rotates the

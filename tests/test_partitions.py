@@ -29,6 +29,17 @@ def test_pack_examples():
     assert pt.pack(c6, gr.subset(c6, [2]))[0] == 6
 
 
+@pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6"])
+def test_partitions_refuse_a_subset_of_another_group(spec):
+    # cyclic:6 has the order of s3, so only its table tells the two apart
+    s3, foreign = gr.symmetric(3), gr.subset(gr.build_group(spec), [0, 1, 2])
+    for call in (lambda: pt.pack(s3, foreign), lambda: pt.thm43_search(s3, foreign),
+                 lambda: pt.difference_power_subgroup(s3, foreign, 2)):
+        with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
+            call()
+        assert e.value.kind == "bad-input"
+
+
 def test_delta_ideal_matches_difference_set():
     c6 = gr.cyclic(6)
     a = gr.subset(c6, [0, 1])

@@ -2,7 +2,8 @@
 
 The branch and bound of cov and of pack is each checked against a brute-force
 oracle that tries every set of translates in itertools.combinations order, and
-the cover kernel least_cover against the same oracle on arbitrary mask families.
+the cover kernel least_cover against the same oracle on arbitrary mask families,
+also with points already covered, which it must leave out.
 pack is also checked to depend on AA^-1 alone, and its E to be independent and
 maximal in the conflict graph that AA^-1 defines.
 The pruned search of the partition scans is checked against a recursive
@@ -17,7 +18,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soldens.groups as gr
@@ -161,6 +162,32 @@ def test_least_cover_is_the_first_minimal_cover_of_any_family(family):
             pt.least_cover(n, masks)
     else:
         assert pt.least_cover(n, masks) == f
+
+
+@st.composite
+def _family_and_covered(draw):
+    n, masks = draw(_mask_family())
+    return n, masks, draw(st.integers(0, (1 << n) - 1))
+
+
+def _restrict(mask, points):
+    """The mask over range(len(points)) whose bit i is the bit of points[i]."""
+    return sum(1 << i for i, p in enumerate(points) if mask >> p & 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_family_and_covered())
+@example((3, [0b001], 0b110))  # covered points 1 and 2 lie in no mask: accepted
+@example((3, [0b001], 0b100))  # free point 1 lies in no mask: refused
+def test_least_cover_covers_only_the_points_outside_covered(case):
+    n, masks, covered = case
+    free = [p for p in range(n) if not covered >> p & 1]
+    f = _first_least_cover(len(free), [_restrict(mask, free) for mask in masks])
+    if f is None:
+        with pytest.raises(pt.PartitionError, match="do not cover"):
+            pt.least_cover(n, masks, covered)
+    else:
+        assert pt.least_cover(n, masks, covered) == f
 
 
 def _growth_partitions(n_elems, max_cells):

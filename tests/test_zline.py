@@ -127,6 +127,12 @@ def test_min_cover_at_the_cap_on_a_sparse_base():
     assert zl._min_cover(32, [0, 12, 16]) == tuple(range(16))
 
 
+def test_min_cover_at_the_cap_on_the_slowest_sampled_base():
+    # the base mod 32 that the README's cover-cap timings name; this is the answer
+    # the search gave when it still branched on every shift
+    assert zl._min_cover(32, [3, 5, 21, 25]) == (0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 14, 15)
+
+
 def test_bohr_decomposition():
     rep = zl.piecewise_bohr_check(zl.zset(3, [1], remove=[1]))
     assert rep["ok"]
