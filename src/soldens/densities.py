@@ -80,6 +80,7 @@ class BoundCertificate:
 def density_closed_form(group, a, kind=DensityKind.SIGMA):
     """|A|/|G|, exact; the same for every kind on a finite group."""
     assert isinstance(kind, DensityKind)
+    gr.check_carrier(group, a)
     return Fraction(len(a), group.order)
 
 

@@ -5,8 +5,14 @@ Row player minimizes, column player maximizes, everywhere. A payoff is an
 int matrix over one denominator > 0 (0/1 over 1 in every game built here).
 Its LP runs on ints in simplex.solve_lp_int, and the only Fractions of a
 solve are those of the GameSolution that _solve makes from the kernel's ints.
-Value-only callers go through _value, which pivots only when the uniform (Haar)
-strategy pair does not meet; the callers that return strategies always pivot.
+On a finite group the densities equal Haar measure |A|/|G| (the paper's
+sigma = lambda), and the uniform (Haar) strategy pair is optimal in every
+game built from a finite group here. Value-only callers go through _value,
+which pivots only when that pair does not meet. The callers that return
+strategies pivot unless the pair is the unique optimum (_certified: a square
+payoff on which the pair meets and whose lifted matrix is nonsingular): a
+unique optimum is the vertex Bland's rule stops on, so the pair's ints are
+the kernel's, over another d.
 The extremal patterns read each payoff from one hit table: for each
 assignment in G^n, the bit "the product in substitution order lies in A",
 built in one pass that folds each assignment through the table's rows. An
@@ -86,14 +92,21 @@ def solve_game(g):
     return _solve([[v.numerator * (den // v.denominator) for v in row] for row in g.payoff], den)
 
 
-def _solve(ints, den):
-    """solve_game for the payoff ints/den: int rows and an int den > 0."""
+def _solve(ints, den, certified=None):
+    """solve_game for the payoff ints/den: int rows and an int den > 0.
+    certified is _certified(ints, den), which None decides here."""
     m, n = len(ints), len(ints[0])
     lift = den - min(min(row) for row in ints)  # den * (1 - min payoff)
     # Row player's LP scaled by den: maximize sum(x) s.t. den (M + shift)^T x <= den.
     # Bland's rule pivots as without the scaling, which divides the duals by den.
     cols = list(zip(*ints))
-    d, x, duals = solve_lp_int([1] * m, [[v + lift for v in col] for col in cols], [den] * n)
+    if certified is None:
+        certified = _certified(ints, den)
+    if certified:
+        # The uniform pair, over the lifted row sum: (den, ..., den) and (1, ..., 1).
+        d, x, duals = sum(ints[0]) + n * lift, [den] * m, [1] * n
+    else:
+        d, x, duals = solve_lp_int([1] * m, [[v + lift for v in col] for col in cols], [den] * n)
     total = sum(x)  # the LP objective is total/d
     if total <= 0:
         raise GameError("degenerate LP objective")
@@ -113,13 +126,49 @@ def _solve(ints, den):
     return GameSolution(Fraction(top, total * den), rows, cols)
 
 
-def _value(ints, den):
-    """_solve(ints, den).value, exact without a pivot when the uniform strategies
-    meet: they hold it in [min row sum/(n den), max column sum/(m den)]."""
+def _meet(ints):
+    """The common row sum when the uniform strategies meet, else None. They
+    hold the value in [min row sum/(n den), max column sum/(m den)], and the
+    two ends agree only when every row sum and every column sum is equal."""
     low, high = min(map(sum, ints)), max(map(sum, zip(*ints)))
-    if low * len(ints) == high * len(ints[0]):
+    return low if low * len(ints) == high * len(ints[0]) else None
+
+
+def _value(ints, den):
+    """_solve(ints, den).value, exact without a pivot when the uniform strategies meet."""
+    low = _meet(ints)
+    if low is not None:
         return Fraction(low, len(ints[0]) * den)
-    return _solve(ints, den).value
+    return _solve(ints, den, False).value
+
+
+def _certified(ints, den):
+    """Whether the uniform pair is the unique optimum of _solve's LP. It is
+    when ints is square, the pair meets and the lifted payoff B = ints + lift
+    is nonsingular: both strategies are > 0, so by strict complementary
+    slackness every optimum has B^T x = den and B y = 1. A singular B leaves
+    a kernel vector that moves x along the optimal face, so this is an iff."""
+    if len(ints) != len(ints[0]) or _meet(ints) is None:
+        return False
+    lift = den - min(min(row) for row in ints)
+    return _nonsingular([[v + lift for v in row] for row in ints])
+
+
+def _nonsingular(rows):
+    """Whether the square int matrix rows has det != 0, by fraction-free
+    (Bareiss) elimination: after each pivot every remaining entry is a minor
+    of the input, so the division by the previous pivot is exact."""
+    d = 1
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return False
+        pivot = rows[k]
+        p = pivot[0]
+        rows = [[(p * v - row[0] * w) // d for v, w in zip(row[1:], pivot[1:])]
+                for i, row in enumerate(rows) if i != k]
+        d = p
+    return True
 
 
 def intersection_number(family, universe=None):
@@ -139,7 +188,9 @@ def intersection_number(family, universe=None):
 def sigma_R_via_game(group, a):
     """Right density via the shift game, cross-checked against the maximin
     game: the minimax payoff with its rows relabelled g -> g^-1, solved on its
-    own Bland path. Both values must agree exactly."""
+    own. A row permutation keeps the balance and |det|, so one _certified
+    decides both: each then skips the pivots, or runs its own Bland path.
+    Both values must agree exactly."""
     gr.check_carrier(group, a)
     n = group.order
     m = a.mask
@@ -147,8 +198,10 @@ def sigma_R_via_game(group, a):
         trivial = _solve([[0]], 1)
         return trivial.value, trivial, trivial
     t = group.table
-    minimax = _solve([[m >> h & 1 for h in t[g]] for g in range(n)], 1)
-    maximin = _solve([[m >> h & 1 for h in t[group.inverse[x]]] for x in range(n)], 1)
+    rows = [[m >> h & 1 for h in t[g]] for g in range(n)]
+    certified = _certified(rows, 1)
+    minimax = _solve(rows, 1, certified)
+    maximin = _solve([rows[group.inverse[x]] for x in range(n)], 1, certified)
     if minimax.value != maximin.value:
         raise GameError("minimax and maximin values disagree")
     return minimax.value, minimax, maximin

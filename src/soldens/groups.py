@@ -360,6 +360,7 @@ def difference_table(group):
 
 def difference_set(group, a):
     """AA^-1"""
+    check_carrier(group, a)
     return GroupSubset(group, difference_mask(group, a.mask))
 
 
@@ -375,6 +376,7 @@ def is_inner_invariant(group, a):
 def is_subgroup(group, h):
     """A subset holding the identity and closed under products: in a finite
     group that makes it closed under inverses too."""
+    check_carrier(group, h)
     members = h.indices()
     return h.mask & 1 == 1 and _product(group, members, members) == h.mask
 

@@ -13,7 +13,7 @@ import soldens.cli as cli
 import soldens.densities as dn
 import soldens.games as gm
 import soldens.groups as gr
-from soldens.simplex import solve_lp_max
+from soldens.simplex import solve_lp_int, solve_lp_max
 from test_partitions_properties import _GROUPS, _SPECS
 
 LP_PINNED = Path(__file__).parent / "data" / "lp_pinned.json"
@@ -320,7 +320,8 @@ def test_game_json_size_guard_runs_before_any_entry_is_converted(monkeypatch):
 
 def test_balanced_value_only_games_never_reach_the_lp_kernel(monkeypatch):
     # Every value-only game below is balanced, so the uniform (Haar) pair
-    # certifies it; callers that return strategies pivot even then.
+    # certifies it; callers that return strategies skip the pivots only when
+    # the pair is also the unique optimum (square, lifted payoff nonsingular).
     def kernel(c, a_rows, b):
         raise AssertionError("pivoted")
 
@@ -339,13 +340,20 @@ def test_balanced_value_only_games_never_reach_the_lp_kernel(monkeypatch):
         fam = [gr.left_translate(s3, x, a).members for x in s3.elements()]
         assert gm.intersection_number(fam) == target
         assert gm.sigma_via_game(s3, a) == target
+    c4 = gr.cyclic(4)
     for pivots in (lambda: gm.intersection_number([{1}, {1, 2}]),
-                   lambda: gm.solve_game(gm.game([[1, 0], [0, 1]])),
-                   lambda: gm.sigma_R_via_game(s3, gr.subset(s3, [0])),
-                   lambda: gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1], [{0}, {1}],
-                                             "structural")):
+                   lambda: gm.solve_game(gm.game([[2, 0], [0, 1]])),  # unbalanced
+                   lambda: gm.solve_game(gm.game([[1, 1], [1, 1]])),  # balanced, singular
+                   lambda: gm.sigma_R_via_game(c4, gr.subset(c4, [0, 2])),  # duplicate rows
+                   lambda: gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1, 2], [{0}, {1}],
+                                             "structural")):  # not square
         with pytest.raises(AssertionError, match="pivoted"):
             pivots()
+    # balanced, square and nonsingular once lifted: the uniform pair is the unique optimum
+    assert gm.solve_game(gm.game([[1, 0], [0, 1]])).value == Fraction(1, 2)
+    assert gm.sigma_R_via_game(s3, gr.subset(s3, [0]))[0] == Fraction(1, 6)
+    cert = gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1], [{0}, {1}], "structural")
+    assert cert.bound == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("attestation, horizon", [
@@ -357,22 +365,22 @@ def test_windowed_bound_refuses_an_unknown_attestation_or_horizon(attestation, h
 
 
 @pytest.mark.parametrize("kernel, message", [
-    # x = (2, 0) over d = 3 puts all row weight on row 0, which column 0 punishes
-    ((3, [2, 0], [1, 1]), "row strategy fails its guarantee"),
-    # duals (2, 0) put all column weight on column 0, which row 1 escapes
-    ((3, [1, 1], [2, 0]), "column strategy fails its guarantee"),
+    # x = (2, 1) over d = 5 puts 2/3 of the row weight on row 0, which column 0 punishes
+    ((5, [2, 1], [1, 2]), "row strategy fails its guarantee"),
+    # duals (2, 1) put 2/3 of the column weight on column 0, which row 1 escapes
+    ((5, [1, 2], [2, 1]), "column strategy fails its guarantee"),
 ])
 def test_both_guarantee_checks_reject_a_wrong_kernel_result(monkeypatch, kernel, message):
-    # the LP of [[1, 0], [0, 1]]: payoffs lifted by 1, transposed
-    assert gm.solve_lp_int([1, 1], [[2, 1], [1, 2]], [1, 1]) == (3, [1, 1], [1, 1])
+    # the LP of [[2, 0], [0, 1]], unbalanced so it pivots: payoffs lifted by 1, transposed
+    assert gm.solve_lp_int([1, 1], [[3, 1], [1, 2]], [1, 1]) == (5, [1, 2], [1, 2])
     monkeypatch.setattr(gm, "solve_lp_int", lambda c, a_rows, b: kernel)
     with pytest.raises(gm.GameError, match=f"^{message}$"):
-        gm.solve_game(gm.game([[1, 0], [0, 1]]))
+        gm.solve_game(gm.game([[2, 0], [0, 1]]))
 
 
 @pytest.mark.parametrize("payoff, kernel", [
-    # duals (2, 2) pass the column check but weigh 2 in all
-    ([[1, 0], [0, 1]], (3, [1, 1], [2, 2])),
+    # duals (2, 4) pass the column check but weigh 2 in all
+    ([[2, 0], [0, 1]], (5, [1, 2], [2, 4])),
     # on the zero game both checks pass for any x and duals with the same sum
     ([[0, 0], [0, 0]], (1, [2, -1], [1, 0])),
     ([[0, 0], [0, 0]], (1, [1, 0], [2, -1])),
@@ -382,3 +390,115 @@ def test_strategies_must_be_probability_vectors(monkeypatch, payoff, kernel):
     with pytest.raises(gm.GameError, match="^a strategy is not a probability vector$") as e:
         gm.solve_game(gm.game(payoff))
     assert e.value.kind == "invariant-failure"
+
+
+def _forced_bland(call):
+    """call() with _certified forced to False, so every _solve runs Bland's rule."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gm, "_certified", lambda ints, den: False)
+        return call()
+
+
+@st.composite
+def _permutation_sum(draw):
+    """A sum of weighted n x n permutation matrices, weights of either sign:
+    every row sum and every column sum is the sum of the weights."""
+    n = draw(st.integers(1, 5))
+    ints = [[0] * n for _ in range(n)]
+    for _ in range(draw(st.integers(1, 4))):
+        w, perm = draw(st.integers(-4, 4)), draw(st.permutations(range(n)))
+        for i, j in enumerate(perm):
+            ints[i][j] += w
+    return ints
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_and_subset())
+def test_certified_sigma_r_equals_the_forced_bland_path(case):
+    g, a = case
+    assert repr(gm.sigma_R_via_game(g, a)) == repr(_forced_bland(lambda: gm.sigma_R_via_game(g, a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutation_sum(), st.sampled_from([1, 2, 6, 35]))
+def test_certified_solve_equals_the_forced_bland_path(ints, den):
+    assert repr(gm._solve(ints, den)) == repr(_forced_bland(lambda: gm._solve(ints, den)))
+
+
+def test_only_uncertified_sigma_r_payoffs_reach_the_lp_kernel(monkeypatch):
+    calls = []
+
+    def kernel(c, a_rows, b):
+        calls.append(len(c))
+        return solve_lp_int(c, a_rows, b)
+
+    monkeypatch.setattr(gm, "solve_lp_int", kernel)
+    c4, c8 = gr.cyclic(4), gr.cyclic(8)
+    # {0, 2} of cyclic:4 gives rows g and g + 2 the same payoff: singular, so both solves pivot
+    assert gm.sigma_R_via_game(c4, gr.subset(c4, [0, 2]))[0] == Fraction(1, 2)
+    assert calls == [4, 4]
+    calls.clear()
+    assert gm.sigma_R_via_game(c8, gr.subset(c8, [0, 1, 2]))[0] == Fraction(3, 8)
+    assert calls == []
+
+
+def _fraction_det(rows):
+    """det by Gaussian elimination over Fractions, the oracle of _nonsingular."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p], det = a[p], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [v - f * w for v, w in zip(a[i], a[k])]
+    return det
+
+
+@st.composite
+def _square_int_matrix(draw):
+    """A random n x n int matrix; one in three has a row copied from another
+    row, and one in three a row that is the sum of two others."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "duplicate", "sum"]))
+    if shape == "duplicate" and n >= 2:
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = list(rows[j])
+    elif shape == "sum" and n >= 3:
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        rows[i] = [v + w for v, w in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_int_matrix())
+def test_nonsingular_agrees_with_a_fraction_determinant(rows):
+    assert gm._nonsingular(rows) == (_fraction_det(rows) != 0)
+
+
+@pytest.mark.parametrize("rows, det", [
+    ([[1, 2, 3], [4, 5, 6], [1, 2, 3]], 0),  # a duplicated row
+    ([[1, 2, 3], [4, 5, 6], [5, 7, 9]], 0),  # row 2 = row 0 + row 1
+    ([[0, 2], [3, 0]], -6),  # the first column's pivot is in row 1
+    ([[2, 1, 1], [1, 2, 1], [1, 1, 2]], 4),  # the lifted payoff of the 3 x 3 identity
+])
+def test_nonsingular_on_dependent_rows_and_a_zero_leading_entry(rows, det):
+    assert _fraction_det(rows) == det
+    assert gm._nonsingular(rows) == (det != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutation_sum(), st.sampled_from([1, 2, 6, 35]))
+def test_certified_is_a_nonzero_lifted_determinant(ints, den):
+    lift = den - min(map(min, ints))
+    want = _fraction_det([[v + lift for v in row] for row in ints]) != 0
+    assert gm._certified(ints, den) == want
+    # a missing column or an unbalanced entry is never certified
+    if len(ints) > 1:
+        assert not gm._certified([row[1:] for row in ints], den)
+        assert not gm._certified([[ints[0][0] + 1, *ints[0][1:]], *ints[1:]], den)

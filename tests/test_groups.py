@@ -242,6 +242,17 @@ def test_no_kernel_reads_a_subset_against_another_groups_table():
         assert e.value.kind == BAD_INPUT
 
 
+@pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6"])
+def test_closed_form_difference_set_and_subgroup_test_refuse_a_subset_of_another_group(spec):
+    # cyclic:6 has the order of s3, so only its table tells the two apart
+    s3, foreign = gr.symmetric(3), gr.subset(gr.build_group(spec), [0, 1])
+    for call in (lambda: dn.density_closed_form(s3, foreign),
+                 lambda: gr.difference_set(s3, foreign), lambda: gr.is_subgroup(s3, foreign)):
+        with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
+            call()
+        assert e.value.kind == BAD_INPUT
+
+
 def test_a_suite_builds_each_distinct_spec_once(monkeypatch, capsys, fresh_builds):
     built = []
 
