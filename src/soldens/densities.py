@@ -93,6 +93,7 @@ def density_bruteforce(group, a, kind=DensityKind.SIGMA):
     Stops early once the provable finite-group optimum |A|/|G| is reached, so
     the returned witness is the (size, lex)-least minimizer.
     """
+    gr.check_carrier(group, a)
     n = group.order
     candidates = 2 ** n - 1
     if candidates > MAX_BRUTE_WITNESSES:

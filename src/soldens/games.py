@@ -14,10 +14,13 @@ payoff on which the pair meets and whose lifted matrix is nonsingular): a
 unique optimum is the vertex Bland's rule stops on, so the pair's ints are
 the kernel's, over another d.
 The extremal patterns read each payoff from one hit table: for each
-assignment in G^n, the bit "the product in substitution order lies in A",
-built in one pass that folds each assignment through the table's rows. An
-interval pattern slices it once into |G| outer and |G| middle blocks of |G|^2
-entries; a Dirac candidate is one block, and Haar their column sums.
+assignment in G^n, the bit "the product in substitution order lies in A".
+It is built as bytes (every index is below DEFAULT_ORDER_CAP <= 256): each
+factor, in assignment order, joins every product so far at once, by a join
+of the table's rows (or columns) indexed by those products; then one
+translate through A's 0/1 bytes. An interval pattern slices it once into
+|G| outer and |G| middle blocks of |G|^2 entries; a Dirac candidate is one
+block, and Haar their column sums.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain
 from math import lcm
-from operator import itemgetter, mul
+from operator import mul
 
 from . import densities as dn
 from . import groups as gr
@@ -36,6 +39,7 @@ from .errors import BAD_INPUT, SIZE_GUARD, SoldensError, reading
 from .simplex import solve_lp_int
 
 MAX_PATTERN_LENGTH = 3  # of eval_extremal; its hit table has |G|^length entries
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # the ASCII digits of a binary numeral to 0/1
 
 
 class GameError(SoldensError):
@@ -120,9 +124,10 @@ def _solve(ints, den, certified=None):
     # below are then already the normalized, index-ordered ones.
     if min(x) < 0 or min(duals) < 0 or den * sum(duals) != total:
         raise GameError("a strategy is not a probability vector")
-    rows = ms.FinSuppMeasure(None, tuple((i, Fraction(xi, total)) for i, xi in enumerate(x) if xi))
-    cols = ms.FinSuppMeasure(
-        None, tuple((j, Fraction(yj * den, total)) for j, yj in enumerate(duals) if yj))
+    ys = [yj * den for yj in duals]
+    share = {w: Fraction(w, total) for w in {*x, *ys} if w}  # one Fraction per distinct weight
+    rows = ms.FinSuppMeasure(None, tuple((i, share[xi]) for i, xi in enumerate(x) if xi))
+    cols = ms.FinSuppMeasure(None, tuple((j, share[yj]) for j, yj in enumerate(ys) if yj))
     return GameSolution(Fraction(top, total * den), rows, cols)
 
 
@@ -157,16 +162,16 @@ def _certified(ints, den):
 def _nonsingular(rows):
     """Whether the square int matrix rows has det != 0, by fraction-free
     (Bareiss) elimination: after each pivot every remaining entry is a minor
-    of the input, so the division by the previous pivot is exact."""
+    of the input, so the division by the previous pivot is exact. Each step
+    builds new rows; rows itself is left as it is."""
     d = 1
     while rows:
         k = next((i for i, row in enumerate(rows) if row[0]), None)
         if k is None:
             return False
-        pivot = rows[k]
-        p = pivot[0]
-        rows = [[(p * v - row[0] * w) // d for v, w in zip(row[1:], pivot[1:])]
-                for i, row in enumerate(rows) if i != k]
+        p, tail = rows[k][0], rows[k][1:]
+        rows = [[(p * v - row[0] * w) // d for v, w in zip(row[1:], tail)] if row[0]
+                else [p * v // d for v in row[1:]] for row in rows[:k] + rows[k + 1:]]
         d = p
     return True
 
@@ -197,8 +202,8 @@ def sigma_R_via_game(group, a):
     if not m:
         trivial = _solve([[0]], 1)
         return trivial.value, trivial, trivial
-    t = group.table
-    rows = [[m >> h & 1 for h in t[g]] for g in range(n)]
+    inside = _bit_bytes(m)
+    rows = [row.translate(inside) for row in map(bytes, group.table)]
     certified = _certified(rows, 1)
     minimax = _solve(rows, 1, certified)
     maximin = _solve([rows[group.inverse[x]] for x in range(n)], 1, certified)
@@ -210,6 +215,7 @@ def sigma_R_via_game(group, a):
 def sigma_via_game(group, a):
     """Two-sided density via the game with columns deduplicated by the
     translate they induce; asserted equal to the closed form."""
+    gr.check_carrier(group, a)
     if not a.mask:
         return Fraction(0)
     masks = {mask for _, mask in gr.translate_masks(group, a, "two-sided")}
@@ -241,8 +247,8 @@ class ExtremalPattern:
 
     @staticmethod
     def parse(text):
-        head = "".join(c for c in text if c in "isIS")
-        tail = text[len(head):]
+        tail = text.lstrip("isIS")
+        head = text[:len(text) - len(tail)]
         if any(c not in "0123456789" for c in tail):  # int takes any Unicode digit
             raise GameError(f"cannot parse pattern {text!r}", kind=BAD_INPUT)
         return ExtremalPattern(head, tuple(map(int, tail)))
@@ -251,16 +257,37 @@ class ExtremalPattern:
         return self.quantifiers.lower()
 
 
+def _bit_bytes(mask):
+    """The bytes.translate table that maps each group element g to bit g of mask."""
+    return format(mask, "0256b")[::-1].encode().translate(_DIGITS)
+
+
 def _hit_table(group, a, substitution):
-    """For every assignment in G^n, flat in itertools.product order, the bit
-    "the product in substitution order lies in A". One pass: each assignment,
-    padded with the identity to three factors, is read in substitution order,
-    folded through the table's rows and looked up in A's bit list."""
-    t, n = group.table, len(substitution)
-    inside = [a.mask >> g & 1 for g in range(group.order)]
-    # index n picks the padding identity, so a length-2 word folds as x y e
-    pick = itemgetter(*(p - 1 for p in substitution), *[n] * (MAX_PATTERN_LENGTH - n))
-    return [inside[t[t[x][y]][z]] for x, y, z in map(pick, product(*[range(group.order)] * n, [0]))]
+    """For every assignment in G^n (n <= 3), flat in itertools.product order,
+    the bit "the product in substitution order lies in A". The products are
+    bytes, grown one factor at a time in assignment order, each new factor
+    the fastest axis: it joins the word at its right end by row p of the
+    table for each product p so far, or at its left end by column p. When x1
+    and x2 are apart in the word (x1 x3 x2 or x2 x3 x1), it grows from x2
+    and x1 joins last, and one transpose moves x1's axis to the front. One
+    translate through A's 0/1 bytes maps the products to bits."""
+    size, n = group.order, len(substitution)
+    place = [substitution.index(k) for k in range(1, n + 1)]  # of each factor in the word
+    order = (1, 2, 0) if n == 3 and abs(place[0] - place[1]) == 2 else range(n)
+    high = place[order[0]]  # the right end of the word so far
+    rows = list(map(bytes, group.table))
+    cols = list(map(bytes, zip(*group.table))) if high else None  # for factors left of the first
+    prods = rows[0]  # row 0 is the identity's: the first factor alone
+    for k in order[1:]:
+        if place[k] > high:
+            high += 1
+            prods = b"".join(map(rows.__getitem__, prods))
+        else:
+            prods = b"".join(map(cols.__getitem__, prods))
+    bits = prods.translate(_bit_bytes(a.mask))
+    if order[0]:  # the axes are x2 x3 x1
+        bits = b"".join([bits[g::size] for g in range(size)])
+    return list(bits)
 
 
 def eval_extremal(pattern, group, a):
@@ -300,7 +327,8 @@ def eval_extremal(pattern, group, a):
     # of middle h; each Dirac is its block, and Haar their column sums over |G|.
     sq = size * size
     outer = [t[i:i + sq] for i in range(0, len(t), sq)]
-    middle = [[v for i in range(h * size, len(t), sq) for v in t[i:i + size]] for h in range(size)]
+    middle = [list(chain.from_iterable(t[i:i + size] for i in range(h * size, len(t), sq)))
+              for h in range(size)]
     outer.append(list(map(sum, zip(*outer))))
     middle.append(list(map(sum, zip(*middle))))
     dens = [1] * size + [size]

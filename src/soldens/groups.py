@@ -300,6 +300,7 @@ def translate_masks(group, a, pattern):
 
 def translate(group, a, x, y):
     """xAy as a GroupSubset."""
+    check_carrier(group, a)
     t = group.table
     return GroupSubset(group, _mask(t[t[x][g]][y] for g in a))
 
@@ -313,6 +314,7 @@ def right_translate(group, a, y):
 
 
 def invert_set(group, a):
+    check_carrier(group, a)
     return GroupSubset(group, _mask(group.inverse[g] for g in a))
 
 
@@ -323,6 +325,8 @@ def _product(group, left, right):
 
 
 def product_set(group, a, b):
+    check_carrier(group, a)
+    check_carrier(group, b)
     return GroupSubset(group, _product(group, a.indices(), b.indices()))
 
 
@@ -369,6 +373,7 @@ def conjugacy_class(group, x):
 
 
 def is_inner_invariant(group, a):
+    check_carrier(group, a)
     members = a.indices()
     return all(_mask(group.conjugate(g, x) for x in members) == a.mask for g in group.elements())
 
@@ -384,6 +389,7 @@ def is_subgroup(group, h):
 def subgroup_generated(group, s):
     """Breadth-first search from the identity, right-multiplying by each
     generator; in a finite group every inverse is a positive power."""
+    check_carrier(group, s)
     if not s.mask:
         raise GroupError("cannot generate from an empty set", kind=BAD_INPUT)
     t, gens = group.table, s.indices()

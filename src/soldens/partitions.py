@@ -116,6 +116,7 @@ def cov(group, a):
     and the first least cover of G - A by the other translates. The partition
     scans (_scan) and verify_prop122 call it once per distinct AA^-1, read from
     a groups.difference_table; both tables live for one call of theirs only."""
+    gr.check_carrier(group, a)
     if not a.mask:
         raise PartitionError("cov of an empty set", kind=BAD_INPUT)
     if group.order > MAX_COVER_POINTS:

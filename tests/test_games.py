@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from fractions import Fraction
@@ -140,6 +141,35 @@ def test_extremal_pattern_parsing_and_validation():
         gm.ExtremalPattern.parse("is11")
 
 
+def _join_split_parse(text):
+    """ExtremalPattern.parse as it split the text before the prefix strip:
+    every i, s, I and S of the text joined into the head."""
+    head = "".join(c for c in text if c in "isIS")
+    tail = text[len(head):]
+    if any(c not in "0123456789" for c in tail):
+        raise gm.GameError(f"cannot parse pattern {text!r}", kind="bad-input")
+    return gm.ExtremalPattern(head, tuple(map(int, tail)))
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except gm.GameError as e:
+        return str(e), e.kind
+
+
+# non-ASCII digits that int() reads: Arabic-Indic, Extended Arabic-Indic, Devanagari, fullwidth
+_PATTERN_CHARS = "isIS0123456789x\u0661\u06f2\u0967\uff13"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(_PATTERN_CHARS, max_size=8),
+                 st.builds(str.__add__, st.text("isIS", max_size=4),
+                           st.text(_PATTERN_CHARS, max_size=4))))
+def test_parse_agrees_with_the_join_split(text):
+    assert _parsed(gm.ExtremalPattern.parse, text) == _parsed(_join_split_parse, text)
+
+
 def test_extremal_pure_patterns():
     g = gr.cyclic(4)
     a = gr.subset(g, [0, 1])
@@ -244,6 +274,27 @@ def test_hit_table_matches_a_fold_through_mul(case):
     for n in (2, 3):
         for substitution in permutations(range(1, n + 1)):
             assert gm._hit_table(g, a, substitution) == _naive_hit_table(g, a, substitution)
+
+
+def test_hit_table_on_dihedral_6_matches_the_fold_in_full():
+    g = gr.build_group("dihedral:6")
+    for a in (gr.subset(g, [0, 1, 5, 7, 10]), gr.subset(g, range(0, 12, 2))):
+        for substitution in permutations((1, 2, 3)):
+            assert gm._hit_table(g, a, substitution) == _naive_hit_table(g, a, substitution)
+
+
+def test_hit_table_at_the_order_cap_matches_the_fold_on_a_sample():
+    g = gr.cyclic(gr.DEFAULT_ORDER_CAP)
+    a = gr.subset(g, [0, 3, 10, 17, 29, 41, 52])
+    rng = random.Random(36)
+    for n in (2, 3):
+        for substitution in permutations(range(1, n + 1)):
+            table = gm._hit_table(g, a, substitution)
+            assert len(table) == g.order ** n
+            for _ in range(500):
+                gs = [rng.randrange(g.order) for _ in range(n)]
+                index = reduce(lambda i, x: i * g.order + x, gs)
+                assert table[index] == int(reduce(g.mul, (gs[pos - 1] for pos in substitution)) in a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -425,6 +476,23 @@ def test_certified_solve_equals_the_forced_bland_path(ints, den):
     assert repr(gm._solve(ints, den)) == repr(_forced_bland(lambda: gm._solve(ints, den)))
 
 
+def test_sigma_r_payoff_entry_gh_is_the_bit_of_gh_in_a(monkeypatch):
+    payoffs = []
+    real = gm._solve
+
+    def spy(ints, den, certified=None):
+        payoffs.append([list(row) for row in ints])
+        return real(ints, den, certified)
+
+    monkeypatch.setattr(gm, "_solve", spy)
+    s3 = gr.symmetric(3)
+    a = gr.subset(s3, [0, 1, 3])
+    gm.sigma_R_via_game(s3, a)
+    minimax = [[int(s3.mul(g, h) in a) for h in range(6)] for g in range(6)]
+    assert minimax != [list(col) for col in zip(*minimax)]  # s3 tells gh from hg here
+    assert payoffs == [minimax, [minimax[s3.inv(x)] for x in range(6)]]
+
+
 def test_only_uncertified_sigma_r_payoffs_reach_the_lp_kernel(monkeypatch):
     calls = []
 
@@ -490,6 +558,15 @@ def test_nonsingular_agrees_with_a_fraction_determinant(rows):
 def test_nonsingular_on_dependent_rows_and_a_zero_leading_entry(rows, det):
     assert _fraction_det(rows) == det
     assert gm._nonsingular(rows) == (det != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_int_matrix())
+def test_nonsingular_leaves_its_argument_unchanged(rows):
+    rows[0][0] = 0  # a zero leading entry: that row is only scaled at the first pivot
+    before = copy.deepcopy(rows)
+    gm._nonsingular(rows)
+    assert rows == before
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,15 +1,20 @@
+import importlib
+import inspect
 import json
+import pkgutil
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import soldens
 import soldens.cli as cli
 import soldens.densities as dn
+import soldens.games as gm
 import soldens.groups as gr
 import soldens.measures as ms
 import soldens.partitions as pt
-from soldens.errors import BAD_INPUT, SIZE_GUARD
+from soldens.errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 
 @pytest.fixture
@@ -251,6 +256,89 @@ def test_closed_form_difference_set_and_subgroup_test_refuse_a_subset_of_another
         with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
             call()
         assert e.value.kind == BAD_INPUT
+
+
+def _carrier_calls(s3, own, foreign):
+    """Every public function that takes a group and a subset, as (function,
+    call): call passes foreign in one subset position, with s3 as the group
+    and own, a subset of s3, in any other."""
+    trivial = gr.subset(s3, [0])
+    cert = dn.certificate_from_witness(s3, own, [0])
+    return [
+        (gr.check_carrier, lambda: gr.check_carrier(s3, foreign)),
+        (gr.translate_masks, lambda: gr.translate_masks(s3, foreign, "left")),
+        (gr.translate, lambda: gr.translate(s3, foreign, 1, 2)),
+        (gr.left_translate, lambda: gr.left_translate(s3, 1, foreign)),
+        (gr.right_translate, lambda: gr.right_translate(s3, foreign, 1)),
+        (gr.invert_set, lambda: gr.invert_set(s3, foreign)),
+        (gr.product_set, lambda: gr.product_set(s3, foreign, own)),
+        (gr.product_set, lambda: gr.product_set(s3, own, foreign)),
+        (gr.difference_set, lambda: gr.difference_set(s3, foreign)),
+        (gr.is_inner_invariant, lambda: gr.is_inner_invariant(s3, foreign)),
+        (gr.is_subgroup, lambda: gr.is_subgroup(s3, foreign)),
+        (gr.subgroup_generated, lambda: gr.subgroup_generated(s3, foreign)),
+        (gr.index_of, lambda: gr.index_of(s3, foreign)),
+        (gr.is_normal, lambda: gr.is_normal(s3, foreign)),
+        (gr.quotient_map, lambda: gr.quotient_map(s3, foreign)),
+        (dn.density_closed_form, lambda: dn.density_closed_form(s3, foreign)),
+        (dn.density_bruteforce, lambda: dn.density_bruteforce(s3, foreign)),
+        (dn.certificate_from_witness, lambda: dn.certificate_from_witness(s3, foreign, [0])),
+        (dn.combine_certificates, lambda: dn.combine_certificates(s3, foreign, own, cert, cert)),
+        (dn.combine_certificates, lambda: dn.combine_certificates(s3, own, foreign, cert, cert)),
+        (dn.relative_density, lambda: dn.relative_density(s3, foreign, own)),
+        (dn.relative_density, lambda: dn.relative_density(s3, trivial, foreign)),
+        (gm.sigma_R_via_game, lambda: gm.sigma_R_via_game(s3, foreign)),
+        (gm.sigma_via_game, lambda: gm.sigma_via_game(s3, foreign)),
+        (gm.eval_extremal, lambda: gm.eval_extremal(gm.ExtremalPattern.parse("is12"), s3, foreign)),
+        (pt.cov, lambda: pt.cov(s3, foreign)),
+        (pt.delta_I_finite, lambda: pt.delta_I_finite(s3, foreign)),
+        (pt.pack, lambda: pt.pack(s3, foreign)),
+        (pt.difference_power_subgroup, lambda: pt.difference_power_subgroup(s3, foreign, 6)),
+        (pt.thm43_search, lambda: pt.thm43_search(s3, foreign)),
+    ]
+
+
+# public functions with a group parameter whose other parameters hold no subset
+_TAKES_NO_SUBSET = {
+    gr.subset,  # indices, checked one by one
+    gr.difference_mask,  # an int mask, documented as unchecked
+    gr.conjugacy_class,  # an element
+    pt.verify_thm137, pt.verify_thm139, pt.protasov_search,  # an int n
+}
+
+
+@pytest.mark.parametrize("points", [[0, 1], []])
+@pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6"])
+def test_every_call_of_a_group_and_a_subset_refuses_a_subset_of_another_group(spec, points):
+    # cyclic:6 has the order of s3, so only its table tells the two apart
+    s3 = gr.symmetric(3)
+    foreign = gr.subset(gr.build_group(spec), points)
+    for function, call in _carrier_calls(s3, gr.subset(s3, [0, 1]), foreign):
+        try:
+            call()
+        except SoldensError as e:
+            assert (type(e), str(e), e.kind) == (gr.GroupError, "subsets of different groups",
+                                                 BAD_INPUT), function.__name__
+        else:
+            pytest.fail(f"{function.__name__} accepted a subset of {spec}")
+
+
+def test_the_carrier_table_lists_every_function_of_a_group_and_a_subset():
+    s3 = gr.symmetric(3)
+    own = gr.subset(s3, [0, 1])
+    listed = {function for function, _ in _carrier_calls(s3, own, own)}  # none is called
+    found = set()
+    for info in pkgutil.iter_modules(soldens.__path__):
+        module = importlib.import_module(f"soldens.{info.name}")
+        for name, function in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(function)
+                    and function.__module__ == module.__name__):
+                params = inspect.signature(function).parameters
+                if "group" in params and len(params) > 1:
+                    found.add(function)
+    assert not listed & _TAKES_NO_SUBSET
+    assert {f.__qualname__ for f in found - _TAKES_NO_SUBSET - listed} == set()  # missing rows
+    assert listed <= found
 
 
 def test_a_suite_builds_each_distinct_spec_once(monkeypatch, capsys, fresh_builds):
