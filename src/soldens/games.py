@@ -124,10 +124,9 @@ def _solve(ints, den, certified=None):
     # below are then already the normalized, index-ordered ones.
     if min(x) < 0 or min(duals) < 0 or den * sum(duals) != total:
         raise GameError("a strategy is not a probability vector")
-    ys = [yj * den for yj in duals]
-    share = {w: Fraction(w, total) for w in {*x, *ys} if w}  # one Fraction per distinct weight
-    rows = ms.FinSuppMeasure(None, tuple((i, share[xi]) for i, xi in enumerate(x) if xi))
-    cols = ms.FinSuppMeasure(None, tuple((j, share[yj]) for j, yj in enumerate(ys) if yj))
+    rows = ms.FinSuppMeasure(None, tuple((i, Fraction(xi, total)) for i, xi in enumerate(x) if xi))
+    cols = ms.FinSuppMeasure(
+        None, tuple((j, Fraction(yj * den, total)) for j, yj in enumerate(duals) if yj))
     return GameSolution(Fraction(top, total * den), rows, cols)
 
 
@@ -170,8 +169,8 @@ def _nonsingular(rows):
         if k is None:
             return False
         p, tail = rows[k][0], rows[k][1:]
-        rows = [[(p * v - row[0] * w) // d for v, w in zip(row[1:], tail)] if row[0]
-                else [p * v // d for v in row[1:]] for row in rows[:k] + rows[k + 1:]]
+        rows = [[(p * v - row[0] * w) // d for v, w in zip(row[1:], tail)]
+                for row in rows[:k] + rows[k + 1:]]
         d = p
     return True
 
