@@ -1,5 +1,5 @@
 """Invariant densities on finite groups: closed form, brute-force witness
-search, bound certificates, subadditivization, and relative densities.
+search and bound certificates.
 
 On a finite group all five density kinds collapse to |A|/|G|; the brute-force
 search exists as an independent oracle for that closed form.
@@ -48,7 +48,6 @@ EXACT = "EXACT"
 # cyclic:12 and 0.12-0.18 s on cyclic:16, and 8.5 s on cyclic:20 when it still
 # built a Fraction per witness. The cap admits every group of order <= 16.
 MAX_BRUTE_WITNESSES = 2 ** 16
-MAX_SUBADDITIVE_GROUND = 20  # subadditivize: 2^20 subsets, two oracle calls each
 
 
 def bounded(horizon):
@@ -127,20 +126,6 @@ def certificate_from_witness(group, a, witness, kind=DensityKind.SIGMA):
     return BoundCertificate(kind, "upper", sup, mu, EXACT, sup)
 
 
-def certificate_from_translates(kind, witness_mu, translate_sets, scope):
-    """Upper certificate for an infinite model: the caller supplies the
-    translate enumeration (sets of points) and attests to its completeness
-    via the scope tag."""
-    if not witness_mu.entries:
-        raise DensityError("empty witness", kind=BAD_INPUT)
-    sup = Fraction(0)
-    for s in translate_sets:
-        v = witness_mu.measure_of(s)
-        if v > sup:
-            sup = v
-    return BoundCertificate(kind, "upper", sup, witness_mu, scope, sup)
-
-
 def combine_certificates(group, a, b, cert_a, cert_b):
     """Union certificate via the convolution of the two witnesses; the stored
     bound is the re-verified supremum, which may beat the sum."""
@@ -157,29 +142,3 @@ def combine_certificates(group, a, b, cert_a, cert_b):
     if sup > cert_a.bound + cert_b.bound:
         raise DensityError("combined supremum exceeds the sum of bounds")
     return BoundCertificate(DensityKind.SIGMA, "upper", sup, mu, EXACT, sup)
-
-
-def subadditivize(density_oracle, a, ground):
-    """The least subadditive majorant value at A: the maximum over subsets B
-    of `ground` of oracle(A u B) - oracle(B), exhaustive, with B taken by
-    size then lexicographically."""
-    ground = sorted(set(ground))
-    if len(ground) > MAX_SUBADDITIVE_GROUND:
-        raise DensityError(f"ground of {len(ground)} points exceeds cap {MAX_SUBADDITIVE_GROUND}",
-                           kind=SIZE_GUARD)
-    aset = frozenset(a)
-    return max(density_oracle(aset | b) - density_oracle(b)
-               for size in range(len(ground) + 1)
-               for b in map(frozenset, combinations(ground, size)))
-
-
-def relative_density(group, h, a):
-    """Density of A inside the subgroup H, computed in H itself."""
-    if not gr.is_subgroup(group, h):
-        raise DensityError("relative density requires a subgroup", kind=BAD_INPUT)
-    elems = h.indices()
-    pos = {g: i for i, g in enumerate(elems)}
-    table = [[pos[group.mul(x, y)] for y in elems] for x in elems]
-    sub = gr.from_table(table, label=f"{group.label}|H{len(elems)}")
-    a_in_h = gr.subset(sub, [pos[g] for g in a.intersect(h)])
-    return density_closed_form(sub, a_in_h)

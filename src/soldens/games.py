@@ -1,5 +1,5 @@
-"""Exact zero-sum matrix games: minimax densities, intersection numbers, the
-extremal-density hierarchy, and windowed upper bounds for infinite models.
+"""Exact zero-sum matrix games: minimax densities, intersection numbers and
+the extremal-density hierarchy.
 
 Row player minimizes, column player maximizes, everywhere. A payoff is an
 int matrix over one denominator > 0 (0/1 over 1 in every game built here).
@@ -348,28 +348,3 @@ def eval_extremal(pattern, group, a):
     if lo > hi:
         raise GameError("interval bounds crossed")
     return "interval", (lo, hi)
-
-
-def windowed_bound(kind, window_points, translate_sets, attestation, horizon=None):
-    """Upper BoundCertificate from the game restricted to a finite witness
-    window, valid whenever the supplied translate enumeration is complete
-    (structural attestation) or complete up to a horizon."""
-    if attestation == "structural":
-        scope = dn.EXACT
-    elif attestation == "bounded" and type(horizon) is int and horizon >= 0:
-        scope = dn.bounded(horizon)
-    else:
-        raise GameError("attestation must be 'structural', or 'bounded' with an int "
-                        f"horizon >= 0 (got {attestation!r}, horizon {horizon!r})", kind=BAD_INPUT)
-    window = sorted(set(window_points))
-    if not window:
-        raise GameError("empty window", kind=BAD_INPUT)
-    cols = [frozenset(s) for s in translate_sets]
-    if not cols:
-        raise GameError("no translates supplied", kind=BAD_INPUT)
-    sol = _solve([[int(p in c) for c in cols] for p in window], 1)
-    witness = ms.measure(None, {window[i]: w for i, w in sol.row_strategy.entries})
-    cert = dn.certificate_from_translates(kind, witness, cols, scope)
-    if cert.bound != sol.value:
-        raise GameError("verified supremum differs from game value")
-    return cert

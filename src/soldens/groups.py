@@ -237,9 +237,6 @@ class GroupSubset:
     def union(self, other):
         return GroupSubset(self.group, self.mask | self._mask_of(other))
 
-    def intersect(self, other):
-        return GroupSubset(self.group, self.mask & self._mask_of(other))
-
     def _mask_of(self, other):
         """other's mask, once other is a subset of a group equal by value to this one."""
         if other.group != self.group:
@@ -309,10 +306,6 @@ def left_translate(group, x, a):
     return translate(group, a, x, 0)
 
 
-def right_translate(group, a, y):
-    return translate(group, a, 0, y)
-
-
 def invert_set(group, a):
     check_carrier(group, a)
     return GroupSubset(group, _mask(group.inverse[g] for g in a))
@@ -368,10 +361,6 @@ def difference_set(group, a):
     return GroupSubset(group, difference_mask(group, a.mask))
 
 
-def conjugacy_class(group, x):
-    return GroupSubset(group, _mask(group.conjugate(g, x) for g in group.elements()))
-
-
 def is_inner_invariant(group, a):
     check_carrier(group, a)
     members = a.indices()
@@ -400,13 +389,6 @@ def subgroup_generated(group, s):
                 closure |= 1 << p
                 queue.append(p)
     return GroupSubset(group, closure)
-
-
-def index_of(group, h):
-    if not is_subgroup(group, h):
-        raise GroupError("index requires a subgroup", kind=BAD_INPUT)
-    assert group.order % len(h) == 0  # Lagrange
-    return group.order // len(h)
 
 
 def is_normal(group, n):

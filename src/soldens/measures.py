@@ -48,10 +48,6 @@ class FinSuppMeasure:
     def support(self):
         return [p for p, _ in self.entries]
 
-    def measure_of(self, points):
-        members = set(points)
-        return sum((w for p, w in self.entries if p in members), Fraction(0))
-
 
 def measure(carrier, weights):
     return FinSuppMeasure(carrier, _normalize(dict(weights)))

@@ -126,24 +126,6 @@ def cov(group, a):
     return len(f), f
 
 
-def _trivial_ideal(s):
-    return not s.mask
-
-
-def delta_I_finite(group, a, ideal=_trivial_ideal):
-    """Shifts x with A intersect xA outside the ideal, a predicate on
-    GroupSubsets; with the trivial ideal this is exactly A A^-1."""
-    out = 0
-    for (x,), mask in gr.translate_masks(group, a, "left"):
-        if not ideal(gr.GroupSubset(group, a.mask & mask)):
-            out |= 1 << x
-    result = gr.GroupSubset(group, out)
-    if ideal is _trivial_ideal and a.mask:
-        if result != gr.difference_set(group, a):
-            raise PartitionError("delta with trivial ideal must equal AA^-1")
-    return result
-
-
 def pack(group, a):
     """(maximal number of pairwise disjoint translates xA, lexicographically
     least optimal E). xA meets yA exactly when y is in x*AA^-1, so the result

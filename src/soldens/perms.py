@@ -76,21 +76,6 @@ def perm(mapping):
 IDENTITY = perm({})
 
 
-def transposition(x, y):
-    return perm({x: y, y: x})
-
-
-def perm_compose(f, g):
-    """(f o g)(x) = f(g(x))."""
-    fm, gm = dict(f.mapping), dict(g.mapping)
-    gx = {x: gm.get(x, x) for x in fm.keys() | gm.keys()}
-    return perm({x: fm.get(y, y) for x, y in gx.items()})
-
-
-def perm_invert(f):
-    return perm({b: a for a, b in f.mapping})
-
-
 def perm_conjugate(f, g):
     """f g f^-1, built as the relabelling f(x) -> f(g(x)) of supp(g); its
     support is the f-image of supp(g)."""
@@ -170,11 +155,3 @@ def conjugation_witness(perms, target):
             raise PermError("conjugation changed the support size")
         conjugates.append(c)
     return {"f": f, "conjugates": conjugates}
-
-
-def conjugation_pair(perms, target):
-    """The witness pair (x, y) = (f, f^-1) translating the finite set into
-    the subgroup supported on the target."""
-    res = conjugation_witness(perms, target)
-    f = res["f"]
-    return {"x": f, "y": perm_invert(f), "conjugates": res["conjugates"]}

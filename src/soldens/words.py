@@ -5,7 +5,7 @@ class-A / class-B partition and its non-subadditivity exhibit.
 Trust boundary: the public ``ReducedWord(...)`` constructor and ``word()``
 validate (letters, reducedness, the ``MAX_WORD_LEN`` cap); ``word_power``
 checks its letter and the cap. The internal builders (``word_multiply``,
-``word_invert``, ``_prefix_decompose``, the bulk wrap ``_trusted_all`` that
+``_prefix_decompose``, the bulk wrap ``_trusted_all`` that
 ``all_reduced_words`` applies once to its letter strings, and the ``_POWERS``
 table of generator powers built at import) make words that are reduced by
 construction and skip validation. ``word_multiply`` cancels only at the
@@ -24,7 +24,7 @@ import gc
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import repeat
 
 from . import densities as dn
 from . import measures as ms
@@ -38,7 +38,6 @@ MAX_CHECK_LEN = 10  # fgroup certificate enumerates 2*3^check_len words
 MAX_CERT_PRODUCTS = 10 ** 6
 
 _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
-_INVERT = str.maketrans(_INV)
 # letters that may follow the last letter of a reduced word, in ascending order
 _NEXT = {x: "".join(c for c in "ABab" if c != _INV.get(x)) for x in ("", *_INV)}
 
@@ -136,10 +135,6 @@ def word_multiply(u, v):
     return w
 
 
-def word_invert(u):
-    return _trusted(u.letters[::-1].translate(_INVERT))
-
-
 def word_power(letter, k):
     """letter^k for k in Z."""
     if letter not in _INV:
@@ -155,11 +150,6 @@ _POWERS = {x: [_trusted(x * k) for k in range(MAX_WORD_LEN + 1)] for x in "ab"}
 
 # the partition class of a word, keyed by its first letter ("" for e)
 _CLASS = {"": "B", "a": "A", "A": "A", "b": "B", "B": "B"}
-
-
-def partition_class(w):
-    """'A' for words starting with a or a^-1, 'B' otherwise (including e)."""
-    return _CLASS[w.letters[:1]]
 
 
 def all_reduced_words(max_len):
@@ -239,12 +229,6 @@ def fgroup_row_count(y, n, cross_check=True):
     return _fgroup_count(y, n, "B", "A", _powers("b", n, cross_check))
 
 
-def fgroup_col_count(y, n):
-    """Mirror count for class B with F = {a, ..., a^n}; same case analysis
-    with the roles of the generators swapped, always cross-checked."""
-    return _fgroup_count(y, n, "A", "B", _powers("a", n, True))
-
-
 def fgroup_nonsubadditivity_certificate(n, check_len=8):
     """EXACT upper certificates for both halves of the partition.
 
@@ -289,13 +273,3 @@ def fgroup_nonsubadditivity_certificate(n, check_len=8):
         "max_row_count_checked": worst,
         "check_len": check_len,
     }
-
-
-def translate_pair_search(a_oracle, f_words, max_len=6):
-    """Least (length-lex) pair (x, y) with x f y in A for every f in F, or a
-    bounded-failure report."""
-    candidates = all_reduced_words(max_len)
-    for x, y in product(candidates, repeat=2):
-        if all(a_oracle(word_multiply(word_multiply(x, f), y)) for f in f_words):
-            return {"found": (x, y), "horizon": None}
-    return {"found": None, "horizon": max_len}

@@ -9,7 +9,6 @@ closed form, not to define it.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,11 +67,6 @@ def zset(m, residues, add=(), remove=()):
     return ZSet(m, res, norm_add, norm_remove)
 
 
-def from_integers(points):
-    """Finite set of integers as a ZSet."""
-    return zset(1, (), add=points)
-
-
 Z_ALL = zset(1, (0,))
 Z_EMPTY = zset(1, ())
 
@@ -89,41 +83,18 @@ def _common(a, b):
     return lift(a, big), lift(b, big)
 
 
-def z_equal(a, b):
-    la, lb = _common(a, b)
-    return (la.residues, la.add, la.remove) == (lb.residues, lb.add, lb.remove)
-
-
-def _pointwise(a, b, op):
-    """{x : op(x in a, x in b)} for op = operator.or_ or operator.and_, which
-    act on the lifted residue sets as they do on the two memberships."""
+def z_union(a, b):
+    """{x : x in a or x in b}; the union of the lifted residue sets is the
+    periodic part, and the patch points are decided one by one."""
     la, lb = _common(a, b)
     pts = a.add | a.remove | b.add | b.remove
-    add = {x for x in pts if op(x in a, x in b)}
-    return zset(la.m, op(la.residues, lb.residues), add, pts - add)
-
-
-def z_union(a, b):
-    return _pointwise(a, b, operator.or_)
-
-
-def z_intersect(a, b):
-    return _pointwise(a, b, operator.and_)
-
-
-def z_complement(a):
-    res = frozenset(range(a.m)) - a.residues
-    return zset(a.m, res, add=a.remove, remove=a.add)
+    add = {x for x in pts if x in a or x in b}
+    return zset(la.m, la.residues | lb.residues, add, pts - add)
 
 
 def z_shift(a, t):
     res = frozenset((r + t) % a.m for r in a.residues)
     return ZSet(a.m, res, frozenset(p + t for p in a.add), frozenset(p + t for p in a.remove))
-
-
-def z_negate(a):
-    res = frozenset((-r) % a.m for r in a.residues)
-    return ZSet(a.m, res, frozenset(-p for p in a.add), frozenset(-p for p in a.remove))
 
 
 def dstar(a):
@@ -203,11 +174,6 @@ def sumset(a, b):
     return claimed, bounded(h)
 
 
-def difference_set(a):
-    """a - a, with the same scope discipline as sumset."""
-    return sumset(a, z_negate(a))
-
-
 def delta_eps(a, eps):
     """Shifts x with d*(A intersect (x+A)) >= eps; depends on x mod m only.
     |R intersect (R + x)| counts the residue pairs (r, s) with r - s = x mod m,
@@ -240,11 +206,6 @@ def large_witness(a):
     r0 = min(a.residues)
     copies = len(a.remove) + 1
     return tuple(sorted(c - r0 + j * a.m for c in range(a.m) for j in range(copies)))
-
-
-def covers(f, a, window):
-    """Check F + A = Z on [-window, window]."""
-    return all(any((x - t) in a for t in f) for x in range(-window, window + 1))
 
 
 def _covers_z(f, a):
@@ -390,7 +351,8 @@ def bohr_congruence(m, residues):
 
 def piecewise_bohr_check(a):
     """Decompose A above a congruence class: U = r + mZ, T = Z minus the
-    removals; U intersect T sits inside A. Refuses finite sets."""
+    removals; U intersect T sits inside A. A finite set has no such
+    decomposition: for it the result is {"ok": False, "reason": ...}."""
     if not a.residues:
         return {"ok": False, "reason": "finite sets are not piecewise Bohr"}
     r = min(a.residues)
@@ -401,42 +363,6 @@ def piecewise_bohr_check(a):
         if x in u and x in t and x not in a:
             raise ZSetError(f"Bohr decomposition leaks at {x}")
     return {"ok": True, "u": u, "t": t}
-
-
-def finitely_embeddable(a, b, depth=None):
-    """Every finite prefix of A shifts into B?
-
-    Purely periodic inputs reduce exactly to one residue test; with patches
-    the verdict is bounded by the depth horizon.
-    """
-    big = math.lcm(a.m, b.m)
-    la, lb = lift(a, big), lift(b, big)
-    if a.is_periodic() and b.is_periodic():
-        shifts = [x for x in range(big) if all((r + x) % big in lb.residues for r in la.residues)]
-        if not shifts:
-            if a.residues:
-                return {"embeddable": False, "scope": EXACT,
-                        "obstruction": "no residue shift embeds the period"}
-            return {"embeddable": True, "scope": EXACT, "shift": 0}
-        shift = shifts[0]
-        if dstar(a) > dstar(b):
-            raise ZSetError("embeddable yet denser; density monotonicity broken")
-        da, _ = difference_set(a)
-        db, _ = difference_set(b)
-        if not z_equal(z_intersect(da, db), da):
-            raise ZSetError("embeddable yet A-A escapes B-B")
-        return {"embeddable": True, "scope": EXACT, "shift": shift}
-    if depth is None:
-        depth = 3 * big + a.patch_span()
-    prefix = [x for x in range(-depth, depth + 1) if x in a]
-    if not prefix:
-        return {"embeddable": True, "scope": bounded(depth), "shift": 0}
-    span = big * (len(b.remove) + 2) + b.patch_span() + depth + big
-    for x in range(-span, span + 1):
-        if all((p + x) in b for p in prefix):
-            return {"embeddable": True, "scope": bounded(depth), "shift": x}
-    return {"embeddable": False, "scope": bounded(depth),
-            "obstruction": f"no shift in [-{span}, {span}] fits the depth-{depth} prefix"}
 
 
 _PRIMES8 = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -516,38 +442,6 @@ def primes_bound_table(k_max, verify_horizon=10 ** 6):
             raise ZSetError(f"empirical window count {empirical} beats the bound at k={k}")
         rows.append({"k": k, "n_k": n, "phi": phi, "bound": bound, "empirical_max": empirical})
     return rows
-
-
-@dataclass(frozen=True)
-class BlockSet:
-    """One lane of a round-robin schedule of disjoint intervals with strictly
-    increasing lengths: block j >= 1 is [j(j-1)/2, j(j-1)/2 + j)."""
-
-    lane: int
-    lanes: int
-
-    def block(self, j):
-        start = j * (j - 1) // 2
-        return (start, start + j)
-
-    def __contains__(self, x):
-        if x < 0:
-            return False
-        j = int((math.isqrt(8 * x + 1) + 1) // 2)
-        lo, hi = self.block(j)
-        return lo <= x < hi and (j - 1) % self.lanes == self.lane
-
-    def thick_witness(self, length):
-        j = self.lane + 1
-        while j < length:
-            j += self.lanes
-        return self.block(j)
-
-
-def disjoint_thick_family(n):
-    if n < 1:
-        raise ZSetError("need at least one lane", kind=BAD_INPUT)
-    return [BlockSet(lane, n) for lane in range(n)]
 
 
 def ip_witness_search(member, k, bound):

@@ -627,7 +627,6 @@ def test_ip_and_cover_window_caps_refuse_before_the_work(monkeypatch, capsys, ar
     def work(*args):
         raise AssertionError("cover check or cover search started")
 
-    monkeypatch.setattr(zl, "covers", work)
     monkeypatch.setattr(zl, "_covers_z", work)
     monkeypatch.setattr(zl.pt, "least_cover", work)
     code, out = run_capture(capsys, argv)

@@ -112,14 +112,6 @@ def test_witness_points_must_be_elements_of_the_group():
     assert dn.certificate_from_witness(g, a, [0, 2]).bound == Fraction(1, 2)
 
 
-def test_certificate_from_translates_scope_tagging():
-    mu = ms.uniform_on([0, 1])
-    cert = dn.certificate_from_translates(
-        dn.DensityKind.SIGMA_CAP_R, mu, [{0, 2}, {1, 3}], dn.bounded(50))
-    assert cert.bound == Fraction(1, 2)
-    assert cert.scope == "BOUNDED(50)"
-
-
 def test_combine_certificates_convolves_witnesses():
     g = gr.cyclic(6)
     a, b = gr.subset(g, [0]), gr.subset(g, [3])
@@ -144,31 +136,3 @@ def test_combine_certificates_refuses_what_it_cannot_convolve():
         with pytest.raises(dn.DensityError, match=message) as e:
             dn.combine_certificates(g, a, b, ca, cb)
         assert e.value.kind == BAD_INPUT
-
-
-def test_subadditivize_closed_form_is_already_subadditive():
-    g = gr.cyclic(4)
-    rng = random.Random(3)
-    oracle = lambda s: Fraction(len(s), 4)
-    for _ in range(5):
-        a = frozenset(rng.sample(range(4), rng.randint(0, 4)))
-        # the closed form is additive, so the majorant construction returns it
-        assert dn.subadditivize(oracle, a, range(4)) == oracle(a)
-
-
-def test_relative_density_inside_subgroup():
-    g = gr.cyclic(8)
-    h = gr.subset(g, [0, 2, 4, 6])
-    a = gr.subset(g, [0, 2])
-    assert dn.relative_density(g, h, a) == Fraction(1, 2)
-    with pytest.raises(dn.DensityError):
-        dn.relative_density(g, gr.subset(g, [0, 3]), a)
-
-
-def test_subadditivize_refuses_a_large_ground_before_the_oracle():
-    def oracle(s):
-        raise AssertionError("oracle called")
-
-    with pytest.raises(dn.DensityError, match="^ground of 21 points exceeds cap 20$") as info:
-        dn.subadditivize(oracle, {0}, range(21))
-    assert info.value.kind == "size-guard"

@@ -6,6 +6,7 @@ every cross-check product through ``word_multiply`` itself."""
 import json
 
 import pytest
+from helpers import fgroup_col_count
 from test_fgroup_cross_check import WRONG_PRODUCTS
 
 import soldens.cli as cli
@@ -31,7 +32,7 @@ def test_both_counts_match_a_naive_count_on_every_short_word(n):
         row = _naive("b", y, n, "A")
         assert wd.fgroup_row_count(y, n) == row
         assert wd.fgroup_row_count(y, n, cross_check=False) == row
-        assert wd.fgroup_col_count(y, n) == _naive("a", y, n, "B")
+        assert fgroup_col_count(y, n) == _naive("a", y, n, "B")
 
 
 def test_a_word_not_led_by_the_inverse_generator_builds_no_word(monkeypatch):
@@ -63,7 +64,7 @@ def test_a_wrong_product_fails_the_certificate(monkeypatch, wrong):
 @pytest.mark.parametrize("n", [0, -1])
 def test_counts_refuse_n_below_one(n):
     y = wd.word("Ba")
-    for count in (wd.fgroup_row_count, wd.fgroup_col_count,
+    for count in (wd.fgroup_row_count, fgroup_col_count,
                   lambda y, n: wd.fgroup_row_count(y, n, cross_check=False)):
         with pytest.raises(wd.WordError, match="n must be >= 1") as err:
             count(y, n)

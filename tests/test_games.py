@@ -318,20 +318,6 @@ def test_games_refuse_a_subset_of_another_group(spec):
         assert e.value.kind == "bad-input"
 
 
-def test_windowed_bound_scopes():
-    cert = gm.windowed_bound(
-        dn.DensityKind.SIGMA_CAP_R,
-        window_points=[0, 1],
-        translate_sets=[{0, 2, 4}, {1, 3, 5}],
-        attestation="structural",
-    )
-    assert cert.bound == Fraction(1, 2)
-    assert cert.scope == dn.EXACT
-    cert2 = gm.windowed_bound(
-        dn.DensityKind.SIGMA_CAP_R, [0, 1], [{0}, {1}], "bounded", horizon=9)
-    assert cert2.scope == "BOUNDED(9)"
-
-
 def test_game_json_roundtrip():
     g = gm.game([[Fraction(1, 2), 0], [1, Fraction(-2, 3)]])
     again = gm.MatrixGame.from_json(cli.dumps(g))
@@ -394,23 +380,12 @@ def test_balanced_value_only_games_never_reach_the_lp_kernel(monkeypatch):
                    lambda: gm.solve_game(gm.game([[2, 0], [0, 1]])),  # unbalanced
                    lambda: gm.solve_game(gm.game([[1, 1], [1, 1]])),  # balanced, singular
                    lambda: gm.sigma_R_via_game(c4, gr.subset(c4, [0, 2])),  # duplicate rows
-                   lambda: gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1, 2], [{0}, {1}],
-                                             "structural")):  # not square
+                   lambda: gm.solve_game(gm.game([[1, 0], [0, 1], [0, 0]]))):  # not square
         with pytest.raises(AssertionError, match="pivoted"):
             pivots()
     # balanced, square and nonsingular once lifted: the uniform pair is the unique optimum
     assert gm.solve_game(gm.game([[1, 0], [0, 1]])).value == Fraction(1, 2)
     assert gm.sigma_R_via_game(s3, gr.subset(s3, [0]))[0] == Fraction(1, 6)
-    cert = gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1], [{0}, {1}], "structural")
-    assert cert.bound == Fraction(1, 2)
-
-
-@pytest.mark.parametrize("attestation, horizon", [
-    ("structual", None), ("bounded", None), ("bounded", -1), ("bounded", "9"), ("bounded", True)])
-def test_windowed_bound_refuses_an_unknown_attestation_or_horizon(attestation, horizon):
-    with pytest.raises(gm.GameError) as e:
-        gm.windowed_bound(dn.DensityKind.SIGMA_CAP_R, [0, 1], [{0}, {1}], attestation, horizon)
-    assert e.value.kind == "bad-input"
 
 
 @pytest.mark.parametrize("kernel, message", [

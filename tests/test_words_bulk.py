@@ -8,6 +8,7 @@ import json
 from itertools import product
 
 import pytest
+from helpers import fgroup_col_count
 
 import soldens.cli as cli
 import soldens.words as wd
@@ -57,7 +58,7 @@ def test_uncancelled_products_concatenate(s, t):
     assert wd.word_multiply(u, v).letters == s + t
 
 
-@pytest.mark.parametrize("count", [wd.fgroup_row_count, wd.fgroup_col_count])
+@pytest.mark.parametrize("count", [wd.fgroup_row_count, fgroup_col_count])
 def test_counts_past_the_powers_table_raise_the_size_guard(count):
     y = wd.word("Ba")
     with pytest.raises(wd.WordError, match="exceeds cap") as err:

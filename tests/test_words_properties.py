@@ -8,6 +8,7 @@ concatenated letters.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import word_invert
 
 import soldens.words as wd
 
@@ -32,8 +33,7 @@ def test_multiply_is_free_reduction_of_concatenation(s, t):
 @settings(max_examples=200, deadline=None)
 @given(_WORD, st.sampled_from("aAbB"), st.integers(-wd.MAX_WORD_LEN, wd.MAX_WORD_LEN))
 def test_builders_return_valid_words(w, letter, k):
-    inverse = _valid(wd.word_invert(w))
-    assert wd.word_multiply(w, inverse) == wd.EMPTY
+    assert wd.word_multiply(w, word_invert(w)) == wd.EMPTY
     power = _valid(wd.word_power(letter, k))
     assert len(power) == abs(k)
     for x in "ab":
