@@ -133,7 +133,7 @@ def cmd_measure(args):
     if args.kind == "haar":
         return 0, ms.haar_uniform(g)
     if len(args.set) != 1:
-        raise ms.MeasureError("dirac takes exactly one index", kind=BAD_INPUT)
+        raise SoldensError("dirac takes exactly one index", kind=BAD_INPUT)
     (x,) = gr.subset(g, args.set)
     return 0, ms.dirac(x, g)
 
@@ -158,7 +158,7 @@ def cmd_game(args):
         text = sys.stdin.read() if args.file == "-" else _read(args.file)
         return 0, gm.solve_game(gm.MatrixGame.from_json(text))
     if args.group is None:
-        raise gm.GameError(f"game {args.what} needs --group", kind=BAD_INPUT)
+        raise SoldensError(f"game {args.what} needs --group", kind=BAD_INPUT)
     g = gr.build_group(args.group)
     a = gr.subset(g, args.set)
     if args.what == "sigma-r":
@@ -350,7 +350,7 @@ def cmd_verify_all(args):
 
 def cmd_suite(args):
     text = _read(args.config)
-    with reading("suite config", SoldensError):
+    with reading("suite config"):
         config = json.loads(text)
         commands = [(entry.get("id", i), entry["argv"])
                     for i, entry in enumerate(config.get("commands", []))]

@@ -17,10 +17,6 @@ from . import measures as ms
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 
-class DensityError(SoldensError):
-    pass
-
-
 class DensityKind(Enum):
     SIGMA = "sigma"            # two-sided translates
     SIGMA_L = "sigma_l"        # left translates, measure witnesses
@@ -73,7 +69,7 @@ class BoundCertificate:
 
     def __post_init__(self):
         if self.verified_sup != self.bound:
-            raise DensityError("certificate bound differs from verified supremum")
+            raise SoldensError("certificate bound differs from verified supremum")
 
 
 def density_closed_form(group, a, kind=DensityKind.SIGMA):
@@ -96,7 +92,7 @@ def density_bruteforce(group, a, kind=DensityKind.SIGMA):
     n = group.order
     candidates = 2 ** n - 1
     if candidates > MAX_BRUTE_WITNESSES:
-        raise DensityError(f"{candidates} witnesses exceed cap {MAX_BRUTE_WITNESSES}", kind=SIZE_GUARD)
+        raise SoldensError(f"{candidates} witnesses exceed cap {MAX_BRUTE_WITNESSES}", kind=SIZE_GUARD)
     if not a.mask:
         return Fraction(0), (0,)
     translates = {mask for _, mask in gr.translate_masks(group, a, kind.pattern)}
@@ -120,7 +116,7 @@ def certificate_from_witness(group, a, witness, kind=DensityKind.SIGMA):
     else:
         points = list(witness)
         if not points:
-            raise DensityError("empty witness", kind=BAD_INPUT)
+            raise SoldensError("empty witness", kind=BAD_INPUT)
         mu = ms.uniform_on(points, carrier=group)
     sup, _ = ms.sup_translates(mu, a, kind.pattern)
     return BoundCertificate(kind, "upper", sup, mu, EXACT, sup)
@@ -130,15 +126,15 @@ def combine_certificates(group, a, b, cert_a, cert_b):
     """Union certificate via the convolution of the two witnesses; the stored
     bound is the re-verified supremum, which may beat the sum."""
     if cert_a.kind != cert_b.kind or cert_a.kind != DensityKind.SIGMA:
-        raise DensityError("combination requires two sigma certificates", kind=BAD_INPUT)
+        raise SoldensError("combination requires two sigma certificates", kind=BAD_INPUT)
     wa, wb = cert_a.witness, cert_b.witness
     if not (isinstance(wa, ms.FinSuppMeasure) and isinstance(wb, ms.FinSuppMeasure)):
-        raise DensityError("combination requires measure witnesses", kind=BAD_INPUT)
+        raise SoldensError("combination requires measure witnesses", kind=BAD_INPUT)
     if wa.carrier != group or wb.carrier != group:
-        raise DensityError("witness carrier mismatch", kind=BAD_INPUT)
+        raise SoldensError("witness carrier mismatch", kind=BAD_INPUT)
     mu = ms.convolve(wa, wb)
     union = a.union(b)
     sup, _ = ms.sup_translates(mu, union, "two-sided")
     if sup > cert_a.bound + cert_b.bound:
-        raise DensityError("combined supremum exceeds the sum of bounds")
+        raise SoldensError("combined supremum exceeds the sum of bounds")
     return BoundCertificate(DensityKind.SIGMA, "upper", sup, mu, EXACT, sup)

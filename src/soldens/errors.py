@@ -1,7 +1,8 @@
 """The one error taxonomy of soldens.
 
-Every error the package raises is a SoldensError, and its kind is chosen
-where it is raised:
+SoldensError is the package's only exception class: every error it raises
+is one, and no module subclasses it. The kind, chosen where the error is
+raised, is the taxonomy:
 
 - ``bad-input``: the value is malformed, unknown, below its range, or empty
   where it must be nonempty;
@@ -32,13 +33,13 @@ class SoldensError(ValueError):
 
 
 @contextmanager
-def reading(what, error):
-    """with reading(what, error): a failure to decode outside JSON or read its fields, nesting
-    too deep included, raises error(f"malformed {what}: {e!r}", kind=BAD_INPUT); a SoldensError
+def reading(what):
+    """with reading(what): a failure to decode outside JSON or read its fields, nesting too deep
+    included, raises SoldensError(f"malformed {what}: {e!r}", kind=BAD_INPUT); a SoldensError
     raised inside passes unchanged."""
     try:
         yield
     except SoldensError:
         raise
     except (ValueError, TypeError, LookupError, AttributeError, ArithmeticError, RecursionError) as e:
-        raise error(f"malformed {what}: {e!r}", kind=BAD_INPUT) from None
+        raise SoldensError(f"malformed {what}: {e!r}", kind=BAD_INPUT) from None

@@ -2,17 +2,19 @@
 the extremal-density hierarchy.
 
 Row player minimizes, column player maximizes, everywhere. A payoff is an
-int matrix over one denominator > 0 (0/1 over 1 in every game built here).
-Its LP runs on ints in simplex.solve_lp_int, and the only Fractions of a
-solve are those of the GameSolution that _solve makes from the kernel's ints.
-On a finite group the densities equal Haar measure |A|/|G| (the paper's
-sigma = lambda), and the uniform (Haar) strategy pair is optimal in every
-game built from a finite group here. Value-only callers go through _value,
-which pivots only when that pair does not meet. The callers that return
-strategies pivot unless the pair is the unique optimum (_certified: a square
-payoff on which the pair meets and whose lifted matrix is nonsingular): a
-unique optimum is the vertex Bland's rule stops on, so the pair's ints are
-the kernel's, over another d.
+int matrix over one denominator > 0: 0/1 over 1 in every game built from a
+set here but one: the Haar candidate of an interval pattern holds column
+sums in [0, |G|] over |G|. A game read from JSON is over the lcm of its
+denominators. Its LP runs on ints in simplex.solve_lp_int, and the only
+Fractions of a solve are those of the GameSolution that _solve makes from
+the kernel's ints. On a finite group the densities equal Haar measure
+|A|/|G| (the paper's sigma = lambda), and the uniform (Haar) strategy pair
+is optimal in every game built from a finite group here. Value-only callers
+go through _value, which pivots only when that pair does not meet. The
+callers that return strategies pivot unless the pair is the unique optimum
+(_certified: a square payoff on which the pair meets and whose lifted matrix
+is nonsingular): a unique optimum is the vertex Bland's rule stops on, so
+the pair's ints are the kernel's, over another d.
 The extremal patterns read each payoff from one hit table: for each
 assignment in G^n, the bit "the product in substitution order lies in A".
 It is built as bytes (every index is below DEFAULT_ORDER_CAP <= 256): each
@@ -42,30 +44,26 @@ MAX_PATTERN_LENGTH = 3  # of eval_extremal; its hit table has |G|^length entries
 _DIGITS = bytes.maketrans(b"01", b"\0\1")  # the ASCII digits of a binary numeral to 0/1
 
 
-class GameError(SoldensError):
-    pass
-
-
 @dataclass(frozen=True)
 class MatrixGame:
     payoff: tuple  # tuple of row tuples of Fractions
 
     def __post_init__(self):
         if not self.payoff or not self.payoff[0]:
-            raise GameError("empty payoff matrix", kind=BAD_INPUT)
+            raise SoldensError("empty payoff matrix", kind=BAD_INPUT)
         if any(len(row) != len(self.payoff[0]) for row in self.payoff):
-            raise GameError("payoff rows differ in length", kind=BAD_INPUT)
+            raise SoldensError("payoff rows differ in length", kind=BAD_INPUT)
 
     @staticmethod
     def from_json(text):
-        with reading("game JSON", GameError):
+        with reading("game JSON"):
             # decimals stay text until the shape is checked, then rational converts them
             payoff = json.loads(text, parse_float=str)["payoff"]
             if not (type(payoff) is list and all(type(row) is list for row in payoff)):
                 raise TypeError("payoff is not a list of lists")
             if max([len(payoff), *map(len, payoff)]) > gr.DEFAULT_ORDER_CAP:
-                raise GameError(f"payoff has more than {gr.DEFAULT_ORDER_CAP} rows or columns",
-                                kind=SIZE_GUARD)
+                raise SoldensError(f"payoff has more than {gr.DEFAULT_ORDER_CAP} rows or columns",
+                                   kind=SIZE_GUARD)
             rows = [[rational(v) for v in row] for row in payoff]
         return game(rows)
 
@@ -113,17 +111,17 @@ def _solve(ints, den, certified=None):
         d, x, duals = solve_lp_int([1] * m, [[v + lift for v in col] for col in cols], [den] * n)
     total = sum(x)  # the LP objective is total/d
     if total <= 0:
-        raise GameError("degenerate LP objective")
+        raise SoldensError("degenerate LP objective")
     # Row i plays x_i/total and column j duals_j den/total; the value is top/(total den).
     top = d * den - lift * total
     if any(sum(map(mul, x, col)) > top for col in cols):
-        raise GameError("row strategy fails its guarantee")
+        raise SoldensError("row strategy fails its guarantee")
     if any(den * sum(map(mul, duals, row)) < top for row in ints):
-        raise GameError("column strategy fails its guarantee")
+        raise SoldensError("column strategy fails its guarantee")
     # Both strategies are probability vectors, checked in ints; the entries
     # below are then already the normalized, index-ordered ones.
     if min(x) < 0 or min(duals) < 0 or den * sum(duals) != total:
-        raise GameError("a strategy is not a probability vector")
+        raise SoldensError("a strategy is not a probability vector")
     rows = ms.FinSuppMeasure(None, tuple((i, Fraction(xi, total)) for i, xi in enumerate(x) if xi))
     cols = ms.FinSuppMeasure(
         None, tuple((j, Fraction(yj * den, total)) for j, yj in enumerate(duals) if yj))
@@ -180,7 +178,7 @@ def intersection_number(family, universe=None):
     the game (family member vs point, membership payoff)."""
     family = [frozenset(b) for b in family]
     if not family:
-        raise GameError("empty family", kind=BAD_INPUT)
+        raise SoldensError("empty family", kind=BAD_INPUT)
     if universe is None:
         universe = set().union(*family)
     points = sorted(universe)
@@ -207,7 +205,7 @@ def sigma_R_via_game(group, a):
     minimax = _solve(rows, 1, certified)
     maximin = _solve([rows[group.inverse[x]] for x in range(n)], 1, certified)
     if minimax.value != maximin.value:
-        raise GameError("minimax and maximin values disagree")
+        raise SoldensError("minimax and maximin values disagree")
     return minimax.value, minimax, maximin
 
 
@@ -221,7 +219,7 @@ def sigma_via_game(group, a):
     cols = sorted(masks, key=lambda mask: gr.GroupSubset(group, mask).indices())
     value = _value([[c >> g & 1 for c in cols] for g in group.elements()], 1)
     if value != dn.density_closed_form(group, a):
-        raise GameError("sigma game value differs from closed form")
+        raise SoldensError("sigma game value differs from closed form")
     return value
 
 
@@ -236,20 +234,20 @@ class ExtremalPattern:
     def __post_init__(self):
         n = len(self.quantifiers)
         if n < 1:
-            raise GameError("empty pattern", kind=BAD_INPUT)
+            raise SoldensError("empty pattern", kind=BAD_INPUT)
         if any(q not in "isIS" for q in self.quantifiers):
-            raise GameError("quantifiers must be drawn from i, s, I, S", kind=BAD_INPUT)
+            raise SoldensError("quantifiers must be drawn from i, s, I, S", kind=BAD_INPUT)
         if sum(1 for q in self.quantifiers if q in "IS") > 1:
-            raise GameError("at most one capital quantifier", kind=BAD_INPUT)
+            raise SoldensError("at most one capital quantifier", kind=BAD_INPUT)
         if sorted(self.substitution) != list(range(1, n + 1)):
-            raise GameError("substitution must be a permutation of 1..n", kind=BAD_INPUT)
+            raise SoldensError("substitution must be a permutation of 1..n", kind=BAD_INPUT)
 
     @staticmethod
     def parse(text):
         tail = text.lstrip("isIS")
         head = text[:len(text) - len(tail)]
         if any(c not in "0123456789" for c in tail):  # int takes any Unicode digit
-            raise GameError(f"cannot parse pattern {text!r}", kind=BAD_INPUT)
+            raise SoldensError(f"cannot parse pattern {text!r}", kind=BAD_INPUT)
         return ExtremalPattern(head, tuple(map(int, tail)))
 
     def kinds(self):
@@ -300,7 +298,7 @@ def eval_extremal(pattern, group, a):
     gr.check_carrier(group, a)
     n = len(pattern.quantifiers)
     if n > MAX_PATTERN_LENGTH:
-        raise GameError(f"patterns longer than {MAX_PATTERN_LENGTH} are unsupported", kind=SIZE_GUARD)
+        raise SoldensError(f"patterns longer than {MAX_PATTERN_LENGTH} are unsupported", kind=SIZE_GUARD)
     kinds = pattern.kinds()
     if "s" not in kinds:
         return "exact", Fraction(1) if len(a) == group.order else Fraction(0)
@@ -318,7 +316,7 @@ def eval_extremal(pattern, group, a):
             payload = list(zip(*payload))
         value = _value(payload, 1)
         if value != dn.density_closed_form(group, a):
-            raise GameError("mixed pattern failed the uniform collapse")
+            raise SoldensError("mixed pattern failed the uniform collapse")
         return "exact", value
 
     # Three alternating blocks: certified interval only. Outer block o holds
@@ -346,5 +344,5 @@ def eval_extremal(pattern, group, a):
         hi = min(map(two_block_value, outer, dens))
         lo = max(Fraction(min(block), den) for block, den in zip(middle, dens))
     if lo > hi:
-        raise GameError("interval bounds crossed")
+        raise SoldensError("interval bounds crossed")
     return "interval", (lo, hi)

@@ -18,10 +18,6 @@ MAX_SYMMETRIC_DEGREE = 5  # symmetric(n) refuses a larger n before n! is compute
 MAX_CACHED_GROUPS = 64  # build_group's bound: order-1 factors admit infinitely many specs
 
 
-class GroupError(SoldensError):
-    pass
-
-
 @dataclass(frozen=True)
 class Violation:
     """First failing group axiom, with the witnessing indices."""
@@ -91,10 +87,10 @@ class Group:
 def from_table(table, label=""):
     n = len(table)
     if n > DEFAULT_ORDER_CAP:
-        raise GroupError(f"group order {n} exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
+        raise SoldensError(f"group order {n} exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
     bad = validate_table(table)
     if bad is not None:
-        raise GroupError(f"invalid table: {bad}", kind=BAD_INPUT)
+        raise SoldensError(f"invalid table: {bad}", kind=BAD_INPUT)
     inverse = []
     for g in range(n):
         inverse.append(next(h for h in range(n) if table[g][h] == 0))
@@ -106,21 +102,21 @@ def _check_order(kind, n):
     bad n or an order above DEFAULT_ORDER_CAP, before any table is built."""
     if kind == "cyclic":
         if n < 1:
-            raise GroupError("cyclic order must be positive", kind=BAD_INPUT)
+            raise SoldensError("cyclic order must be positive", kind=BAD_INPUT)
         order = n
     elif kind == "dihedral":
         if n < 1:
-            raise GroupError("dihedral parameter must be positive", kind=BAD_INPUT)
+            raise SoldensError("dihedral parameter must be positive", kind=BAD_INPUT)
         order = 2 * n
     else:
         if n < 1:
-            raise GroupError(f"symmetric group supported for 1 <= n <= {MAX_SYMMETRIC_DEGREE}",
-                             kind=BAD_INPUT)
+            raise SoldensError(f"symmetric group supported for 1 <= n <= {MAX_SYMMETRIC_DEGREE}",
+                               kind=BAD_INPUT)
         if n > MAX_SYMMETRIC_DEGREE:
-            raise GroupError(f"group order {n}! exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
+            raise SoldensError(f"group order {n}! exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
         order = factorial(n)
     if order > DEFAULT_ORDER_CAP:
-        raise GroupError(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
+        raise SoldensError(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}", kind=SIZE_GUARD)
     return order
 
 
@@ -163,7 +159,7 @@ def symmetric(n):
 def direct_product(g1, g2):
     n1, n2 = g1.order, g2.order
     if n1 * n2 > DEFAULT_ORDER_CAP:
-        raise GroupError("product order exceeds cap", kind=SIZE_GUARD)
+        raise SoldensError("product order exceeds cap", kind=SIZE_GUARD)
 
     def mul(a, b):
         a1, a2 = divmod(a, n2)
@@ -214,8 +210,8 @@ class GroupSubset:
     def __post_init__(self):
         m = self.mask
         if type(m) is not int or m < 0 or m >> self.group.order:
-            raise GroupError(f"mask {m!r} is not a subset of a group of order {self.group.order}",
-                             kind=BAD_INPUT)
+            raise SoldensError(f"mask {m!r} is not a subset of a group of order {self.group.order}",
+                               kind=BAD_INPUT)
 
     @property
     def members(self):
@@ -240,7 +236,7 @@ class GroupSubset:
     def _mask_of(self, other):
         """other's mask, once other is a subset of a group equal by value to this one."""
         if other.group != self.group:
-            raise GroupError("subsets of different groups", kind=BAD_INPUT)
+            raise SoldensError("subsets of different groups", kind=BAD_INPUT)
         return other.mask
 
     def complement(self):
@@ -252,7 +248,7 @@ def subset(group, indices):
     mask = 0
     for g in indices:
         if not (isinstance(g, int) and 0 <= g < group.order):
-            raise GroupError(f"index {g} out of range", kind=BAD_INPUT)
+            raise SoldensError(f"index {g} out of range", kind=BAD_INPUT)
         mask |= 1 << g
     return GroupSubset(group, mask)
 
@@ -274,7 +270,7 @@ def _images(maps, members):
 def check_carrier(group, a):
     """Refuse a subset A of a group other than group, by identity first, then by value."""
     if a.group is not group and a.group != group:
-        raise GroupError("subsets of different groups", kind=BAD_INPUT)
+        raise SoldensError("subsets of different groups", kind=BAD_INPUT)
 
 
 def translate_masks(group, a, pattern):
@@ -292,7 +288,7 @@ def translate_masks(group, a, pattern):
     if pattern == "two-sided":
         return [((x, y), mask) for x, row in enumerate(t)
                 for y, mask in enumerate(_images(columns, [row[q] for q in members]))]
-    raise GroupError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
+    raise SoldensError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
 
 
 def translate(group, a, x, y):
@@ -380,7 +376,7 @@ def subgroup_generated(group, s):
     generator; in a finite group every inverse is a positive power."""
     check_carrier(group, s)
     if not s.mask:
-        raise GroupError("cannot generate from an empty set", kind=BAD_INPUT)
+        raise SoldensError("cannot generate from an empty set", kind=BAD_INPUT)
     t, gens = group.table, s.indices()
     closure, queue = 1, [0]
     for g in queue:  # the queue grows while it is read
@@ -414,7 +410,7 @@ def quotient_map(group, n):
     """Quotient by a normal subgroup; coset representatives are least indices,
     sorted so that the identity coset gets index 0."""
     if not is_normal(group, n):
-        raise GroupError("subgroup is not normal", kind=BAD_INPUT)
+        raise SoldensError("subgroup is not normal", kind=BAD_INPUT)
     # the cosets gN are the left translates of N; each is named by its least element
     least = [(mask & -mask).bit_length() - 1 for _, mask in translate_masks(group, n, "left")]
     reps = sorted(set(least))
@@ -436,10 +432,10 @@ def _parse_factor(spec):
         try:
             n = int(arg)
         except ValueError:
-            raise GroupError(f"cannot parse group spec {spec!r}", kind=BAD_INPUT) from None
+            raise SoldensError(f"cannot parse group spec {spec!r}", kind=BAD_INPUT) from None
     build = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}.get(kind)
     if build is None:
-        raise GroupError(f"unknown group kind {kind!r}", kind=BAD_INPUT)
+        raise SoldensError(f"unknown group kind {kind!r}", kind=BAD_INPUT)
     return build, n, _check_order(kind, n)
 
 
@@ -453,7 +449,7 @@ def build_group(spec):
     """
     factors = [_parse_factor(part) for part in spec.split("*")]
     if prod(order for *_, order in factors) > DEFAULT_ORDER_CAP:
-        raise GroupError("product order exceeds cap", kind=SIZE_GUARD)
+        raise SoldensError("product order exceeds cap", kind=SIZE_GUARD)
     return _built(tuple((build, n) for build, n, _ in factors))
 
 

@@ -10,19 +10,15 @@ from .errors import BAD_INPUT, SoldensError
 from .groups import PATTERNS, Group, GroupSubset, subset, translate_masks
 
 
-class MeasureError(SoldensError):
-    pass
-
-
 def _normalize(weights):
     """The sorted nonzero (point, Fraction) entries; the exact weights must sum to 1."""
     exact = {p: Fraction(w) for p, w in weights.items()}
     total = sum(exact.values(), Fraction(0))
     if total != 1:
-        raise MeasureError(f"weights sum to {total}, not 1", kind=BAD_INPUT)
+        raise SoldensError(f"weights sum to {total}, not 1", kind=BAD_INPUT)
     items = tuple(sorted((p, w) for p, w in exact.items() if w != 0))
     if any(w < 0 for _, w in items):
-        raise MeasureError("negative weight", kind=BAD_INPUT)
+        raise SoldensError("negative weight", kind=BAD_INPUT)
     return items
 
 
@@ -63,7 +59,7 @@ def uniform_on(points, carrier=None):
         points = points.indices()
     points = sorted(set(points))
     if not points:
-        raise MeasureError("uniform_on requires a nonempty set", kind=BAD_INPUT)
+        raise SoldensError("uniform_on requires a nonempty set", kind=BAD_INPUT)
     w = Fraction(1, len(points))
     return FinSuppMeasure(carrier, tuple((p, w) for p in points))
 
@@ -75,7 +71,7 @@ def haar_uniform(group):
 
 def convolve(mu, nu):
     if mu.carrier is None or mu.carrier != nu.carrier:
-        raise MeasureError("convolution requires a common group carrier", kind=BAD_INPUT)
+        raise SoldensError("convolution requires a common group carrier", kind=BAD_INPUT)
     g = mu.carrier
     out = {}
     for a, wa in mu.entries:
@@ -103,9 +99,9 @@ def sup_translates(mu, a, pattern="two-sided"):
     """
     g = mu.carrier
     if g is None:
-        raise MeasureError("sup_translates requires a group carrier", kind=BAD_INPUT)
+        raise SoldensError("sup_translates requires a group carrier", kind=BAD_INPUT)
     if pattern not in PATTERNS:
-        raise MeasureError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
+        raise SoldensError(f"unknown pattern {pattern!r}", kind=BAD_INPUT)
     den = lcm(*(w.denominator for _, w in mu.entries))
     weights = [(p, w.numerator * (den // w.denominator)) for p, w in mu.entries]
     best = -1

@@ -12,10 +12,6 @@ from . import groups as gr
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 
-class PartitionError(SoldensError):
-    pass
-
-
 def least_cover(n, translates, covered=0):
     """The first minimum-size cover of the points of range(n) outside the mask
     covered by the given masks, as the tuple of their indices in
@@ -47,7 +43,7 @@ def least_cover(n, translates, covered=0):
             reach[p] |= mask
             rest &= rest - 1
     if any(not covering[p] for p in range(n) if not covered >> p & 1):
-        raise PartitionError("the masks do not cover")
+        raise SoldensError("the masks do not cover")
 
     def need(free):
         count = 0
@@ -118,9 +114,9 @@ def cov(group, a):
     a groups.difference_table; both tables live for one call of theirs only."""
     gr.check_carrier(group, a)
     if not a.mask:
-        raise PartitionError("cov of an empty set", kind=BAD_INPUT)
+        raise SoldensError("cov of an empty set", kind=BAD_INPUT)
     if group.order > MAX_COVER_POINTS:
-        raise PartitionError(f"cov guarded to |G| <= {MAX_COVER_POINTS}", kind=SIZE_GUARD)
+        raise SoldensError(f"cov guarded to |G| <= {MAX_COVER_POINTS}", kind=SIZE_GUARD)
     masks = [mask for _, mask in gr.translate_masks(group, a, "left")]
     f = (0, *(x + 1 for x in least_cover(group.order, masks[1:], masks[0])))
     return len(f), f
@@ -135,9 +131,9 @@ def pack(group, a):
     it never finds a larger packing."""
     gr.check_carrier(group, a)
     if not a.mask:
-        raise PartitionError("pack of an empty set", kind=BAD_INPUT)
+        raise SoldensError("pack of an empty set", kind=BAD_INPUT)
     if group.order > MAX_PACK_ORDER:
-        raise PartitionError(f"pack guarded to |G| <= {MAX_PACK_ORDER}", kind=SIZE_GUARD)
+        raise SoldensError(f"pack guarded to |G| <= {MAX_PACK_ORDER}", kind=SIZE_GUARD)
     d = gr.GroupSubset(group, gr.difference_mask(group, a.mask))
     conflict = [mask & ~(1 << x) for (x,), mask in gr.translate_masks(group, d, "left")]
     best = ()
@@ -161,8 +157,8 @@ def pack(group, a):
 def verify_prop122(group):
     """cov(AA^-1) <= pack(A) <= floor(|G|/|A|) for every nonempty A."""
     if group.order > MAX_PROP122_ORDER:
-        raise PartitionError(f"exhaustive subsets guarded to |G| <= {MAX_PROP122_ORDER}",
-                             kind=SIZE_GUARD)
+        raise SoldensError(f"exhaustive subsets guarded to |G| <= {MAX_PROP122_ORDER}",
+                           kind=SIZE_GUARD)
     tight, diff = [], gr.difference_table(group)
     solved = {}  # mask of AA^-1 -> (cov(AA^-1), pack(A)); both depend on AA^-1 alone
     for bits in range(1, 2 ** group.order):
@@ -173,8 +169,8 @@ def verify_prop122(group):
         c, p = solved[d]
         cap = group.order // bits.bit_count()
         if not c <= p <= cap:
-            raise PartitionError(f"chain broken on {gr.GroupSubset(group, bits).indices()}: "
-                                 f"cov={c}, pack={p}, cap={cap}")
+            raise SoldensError(f"chain broken on {gr.GroupSubset(group, bits).indices()}: "
+                               f"cov={c}, pack={p}, cap={cap}")
         if p == cap and cap > 1:
             tight.append((gr.GroupSubset(group, bits).indices(), c, p, cap))
     return {"group": group.label, "checked": 2 ** group.order - 1, "tight": tight}
@@ -229,9 +225,9 @@ def _scan(group, n):
     """c(A) = cov(AA^-1) and cov's result for A, memoized per mask and solved once per AA^-1,
     after the caps on n and |G|. c is antitone: AA^-1 lies within BB^-1 when A lies within B."""
     if n < 1:
-        raise PartitionError("cell count must be >= 1", kind=BAD_INPUT)
+        raise SoldensError("cell count must be >= 1", kind=BAD_INPUT)
     if n > MAX_SCAN_CELLS or group.order > MAX_SCAN_ORDER:
-        raise PartitionError(
+        raise SoldensError(
             f"partition scan guarded to n <= {MAX_SCAN_CELLS}, |G| <= {MAX_SCAN_ORDER}",
             kind=SIZE_GUARD)
     solved, diff = {}, gr.difference_table(group)  # mask of AA^-1 -> cov(AA^-1)
@@ -256,7 +252,7 @@ def _verify_partition_bound(group, n, bound_of):
         found = _first_partition(group.order, n, c, worst_val + 1)
     worst = tuple(tuple(gr.GroupSubset(group, a).indices()) for a in part)
     if worst_val > bound:
-        raise PartitionError(f"partition {worst} has every cov(A A^-1) > {bound} on {group.label}")
+        raise SoldensError(f"partition {worst} has every cov(A A^-1) > {bound} on {group.label}")
     return PartitionVerdict(group.label, n, bound, True, _partition_count(group.order, n),
                             worst, worst_val)
 
@@ -297,8 +293,8 @@ def odd_group_check(group):
     difference set is the whole group. Checked exhaustively, on an AA^-1
     table that fills as the loop goes, so an early witness stops it early."""
     if group.order > MAX_ODD_CHECK_ORDER:
-        raise PartitionError(f"2-partition scan guarded to |G| <= {MAX_ODD_CHECK_ORDER}",
-                             kind=SIZE_GUARD)
+        raise SoldensError(f"2-partition scan guarded to |G| <= {MAX_ODD_CHECK_ORDER}",
+                           kind=SIZE_GUARD)
     odd = is_odd_group(group)
     witness = None
     full, diff = (1 << group.order) - 1, gr.difference_table(group)
@@ -309,7 +305,7 @@ def odd_group_check(group):
             break
     property_holds = witness is None
     if odd != property_holds:
-        raise PartitionError(
+        raise SoldensError(
             f"oddness ({odd}) disagrees with the partition property ({property_holds})"
         )
     return {"group": group.label, "odd": odd, "property_holds": property_holds, "witness": witness}
@@ -320,7 +316,7 @@ def difference_power_subgroup(group, a, n):
     limit is a subgroup of index <= n reached at exponent <= 4^(n-1)."""
     gr.check_carrier(group, a)
     if n < 1 or not a.mask or len(a) * n < group.order:
-        raise PartitionError("density precondition |A|/|G| >= 1/n violated", kind=BAD_INPUT)
+        raise SoldensError("density precondition |A|/|G| >= 1/n violated", kind=BAD_INPUT)
     d = diff = gr.difference_set(group, a)
     exponent = 1
     while True:
@@ -329,17 +325,17 @@ def difference_power_subgroup(group, a, n):
             break
         d = nxt
         exponent *= 2
-    if exponent > 4 ** (n - 1):
-        raise PartitionError(f"stabilized only at exponent {exponent}")
+    if exponent.bit_length() > 2 * n - 1:
+        raise SoldensError(f"stabilized only at exponent {exponent}")
     if not gr.is_subgroup(group, d):
-        raise PartitionError("stabilized set is not a subgroup")
+        raise SoldensError("stabilized set is not a subgroup")
     assert group.order % len(d) == 0  # Lagrange
     index = group.order // len(d)
     if index > n:
-        raise PartitionError(f"index {index} exceeds {n}")
+        raise SoldensError(f"index {index} exceeds {n}")
     closure = gr.subgroup_generated(group, diff)
     if closure != d:
-        raise PartitionError("stabilized set differs from the generated subgroup")
+        raise SoldensError("stabilized set differs from the generated subgroup")
     return d, exponent, index
 
 
@@ -347,9 +343,9 @@ def thm43_search(group, a):
     """cov-optimal F for A A^-1 with the density cardinality bound."""
     gr.check_carrier(group, a)
     if not a.mask:
-        raise PartitionError("empty set", kind=BAD_INPUT)
+        raise SoldensError("empty set", kind=BAD_INPUT)
     size, f = cov(group, gr.difference_set(group, a))
     cap = group.order // len(a)
     if size > cap:
-        raise PartitionError(f"|F| = {size} exceeds the density bound {cap}")
+        raise SoldensError(f"|F| = {size} exceeds the density bound {cap}")
     return {"f": f, "size": size, "cap": cap, "tight": size == cap}

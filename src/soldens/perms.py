@@ -12,10 +12,6 @@ from itertools import count
 from .errors import BAD_INPUT, SoldensError, reading
 
 
-class PermError(SoldensError):
-    pass
-
-
 @dataclass(frozen=True)
 class FinSuppPermutation:
     """Identity off a finite domain; mapping stored only on non-fixed points."""
@@ -53,23 +49,23 @@ class FinSuppPermutation:
     @staticmethod
     def from_json(text):
         mapping = {}
-        with reading("permutation JSON", PermError):
+        with reading("permutation JSON"):
             for cyc in json.loads(text)["cycles"]:
                 for i, x in enumerate(cyc):
                     if x in mapping:
                         raise ValueError(f"point {x!r} is named twice")
                     mapping[x] = cyc[(i + 1) % len(cyc)]
         if not all(type(x) is int for x in mapping):
-            raise PermError("points must be natural numbers", kind=BAD_INPUT)
+            raise SoldensError("points must be natural numbers", kind=BAD_INPUT)
         return perm(mapping)
 
 
 def perm(mapping):
     mapping = {x: y for x, y in dict(mapping).items() if x != y}
     if sorted(mapping) != sorted(mapping.values()):
-        raise PermError("mapping is not a bijection on its support", kind=BAD_INPUT)
+        raise SoldensError("mapping is not a bijection on its support", kind=BAD_INPUT)
     if any(x < 0 for x in mapping):
-        raise PermError("points must be natural numbers", kind=BAD_INPUT)
+        raise SoldensError("points must be natural numbers", kind=BAD_INPUT)
     return FinSuppPermutation(tuple(sorted(mapping.items())))
 
 
@@ -83,7 +79,7 @@ def perm_conjugate(f, g):
     result = perm({fm.get(x, x): fm.get(y, y) for x, y in g.mapping})
     expected = tuple(sorted(fm.get(x, x) for x, _ in g.mapping))
     if result.support() != expected:
-        raise PermError("conjugation support identity failed")
+        raise SoldensError("conjugation support identity failed")
     return result
 
 
@@ -99,9 +95,9 @@ class TargetPattern:
 
     def __post_init__(self):
         if self.kind not in ("tail", "residue"):
-            raise PermError(f"unknown pattern kind {self.kind!r}", kind=BAD_INPUT)
+            raise SoldensError(f"unknown pattern kind {self.kind!r}", kind=BAD_INPUT)
         if self.modulus < 1:
-            raise PermError("modulus must be >= 1", kind=BAD_INPUT)
+            raise SoldensError("modulus must be >= 1", kind=BAD_INPUT)
         # One normal form, so membership and enumeration agree on the class.
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
@@ -150,8 +146,8 @@ def conjugation_witness(perms, target):
     for s in perms:
         c = perm_conjugate(f, s)
         if not all(x in target for x in c.support()):
-            raise PermError("conjugate escaped the target domain")
+            raise SoldensError("conjugate escaped the target domain")
         if len(c.support()) != len(s.support()):
-            raise PermError("conjugation changed the support size")
+            raise SoldensError("conjugation changed the support size")
         conjugates.append(c)
     return {"f": f, "conjugates": conjugates}

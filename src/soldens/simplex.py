@@ -40,7 +40,7 @@ smaller basic variable label. Ratios are compared by cross-multiplying
 integers, which orders them exactly as the rational tableau does. A basic
 slack has dual 0, and a nonbasic one minus its reduced cost. Since Bland's
 rule never repeats a basis, a pivot count above C(m + n, m), the number of
-bases, means the rule cycles, and the kernel raises SimplexError.
+bases, means the rule cycles, and the kernel raises SoldensError.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import SoldensError
-
-
-class SimplexError(SoldensError):
-    pass
 
 
 def solve_lp_max(c, a_rows, b):
@@ -82,7 +78,7 @@ def solve_lp_int(c, a_rows, b):
     times d."""
     m, n = len(a_rows), len(c)
     if any(bi < 0 for bi in b):
-        raise SimplexError("requires b >= 0")
+        raise SoldensError("requires b >= 0")
     # Rows: [nonbasic columns | rhs], the last one the reduced costs; column j
     # holds variable nb[j], row i < m basic variable basis[i].
     tab = [[*row, bi] for row, bi in zip(a_rows, b)] + [[*c, 0]]
@@ -99,7 +95,7 @@ def solve_lp_int(c, a_rows, b):
         enter = min(ready)[1]
         budget -= 1
         if budget < 0:
-            raise SimplexError(f"more than C({m + n}, {m}) pivots: the pivot rule cycles")
+            raise SoldensError(f"more than C({m + n}, {m}) pivots: the pivot rule cycles")
         leave = None
         for i in range(m):
             col = tab[i][enter]
@@ -113,7 +109,7 @@ def solve_lp_int(c, a_rows, b):
                 if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
                     leave, best_rhs, best_col = i, rhs, col
         if leave is None:
-            raise SimplexError("unbounded LP")
+            raise SoldensError("unbounded LP")
         prow = tab[leave]
         piv = prow[enter]
         for i, row in enumerate(tab):

@@ -42,12 +42,8 @@ _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _NEXT = {x: "".join(c for c in "ABab" if c != _INV.get(x)) for x in ("", *_INV)}
 
 
-class WordError(SoldensError):
-    pass
-
-
 def _too_long():
-    return WordError(f"word length exceeds cap {MAX_WORD_LEN}", kind=SIZE_GUARD)
+    return SoldensError(f"word length exceeds cap {MAX_WORD_LEN}", kind=SIZE_GUARD)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,10 +53,10 @@ class ReducedWord:
     def __post_init__(self):
         for c in self.letters:
             if c not in _INV:
-                raise WordError(f"bad letter {c!r}", kind=BAD_INPUT)
+                raise SoldensError(f"bad letter {c!r}", kind=BAD_INPUT)
         for x, y in zip(self.letters, self.letters[1:]):
             if _INV[x] == y:
-                raise WordError(f"not reduced at {x}{y}", kind=BAD_INPUT)
+                raise SoldensError(f"not reduced at {x}{y}", kind=BAD_INPUT)
         if len(self.letters) > MAX_WORD_LEN:
             raise _too_long()
 
@@ -104,7 +100,7 @@ def word(text):
     out = []
     for c in text:
         if c not in _INV:
-            raise WordError(f"bad letter {c!r}", kind=BAD_INPUT)
+            raise SoldensError(f"bad letter {c!r}", kind=BAD_INPUT)
         if out and _INV[out[-1]] == c:
             out.pop()
         else:
@@ -138,7 +134,7 @@ def word_multiply(u, v):
 def word_power(letter, k):
     """letter^k for k in Z."""
     if letter not in _INV:
-        raise WordError(f"bad letter {letter!r}", kind=BAD_INPUT)
+        raise SoldensError(f"bad letter {letter!r}", kind=BAD_INPUT)
     if abs(k) > MAX_WORD_LEN:
         raise _too_long()
     return _trusted(letter * k if k >= 0 else _INV[letter] * -k)
@@ -207,7 +203,7 @@ def _fgroup_count(y, n, inv, cls, powers):
             if _CLASS[multiply(p, y).letters[:1]] == cls:
                 direct += 1
         if direct != structural:
-            raise WordError(f"case analysis disagrees with direct product at y={y}")
+            raise SoldensError(f"case analysis disagrees with direct product at y={y}")
     return structural
 
 
@@ -215,7 +211,7 @@ def _powers(gen, n, cross_check):
     """Check n, and return gen^1, ..., gen^n for the cross-check, or None
     without one."""
     if n < 1:
-        raise WordError("n must be >= 1", kind=BAD_INPUT)
+        raise SoldensError("n must be >= 1", kind=BAD_INPUT)
     if not cross_check:
         return None
     if n > MAX_WORD_LEN:
@@ -240,24 +236,24 @@ def fgroup_nonsubadditivity_certificate(n, check_len=8):
     reported.
     """
     if n < 1 or check_len < 1:
-        raise WordError("n and check_len must be >= 1", kind=BAD_INPUT)
+        raise SoldensError("n and check_len must be >= 1", kind=BAD_INPUT)
     if check_len > MAX_CHECK_LEN:
-        raise WordError(f"check_len {check_len} exceeds cap {MAX_CHECK_LEN}", kind=SIZE_GUARD)
+        raise SoldensError(f"check_len {check_len} exceeds cap {MAX_CHECK_LEN}", kind=SIZE_GUARD)
     # b^n a^check_len, the longest product the cross-check forms, has n + check_len letters
     if n + check_len > MAX_WORD_LEN:
-        raise WordError(f"n {n} + check_len {check_len} exceeds word-length cap {MAX_WORD_LEN}",
-                        kind=SIZE_GUARD)
+        raise SoldensError(f"n {n} + check_len {check_len} exceeds word-length cap {MAX_WORD_LEN}",
+                           kind=SIZE_GUARD)
     # the cross-check forms n row and n column products for each of the
     # 2*3^check_len - 1 words
     products = 2 * n * (2 * 3 ** check_len - 1)
     if products > MAX_CERT_PRODUCTS:
-        raise WordError(f"n {n} and check_len {check_len} form {products} products, "
-                        f"above cap {MAX_CERT_PRODUCTS}", kind=SIZE_GUARD)
+        raise SoldensError(f"n {n} and check_len {check_len} form {products} products, "
+                           f"above cap {MAX_CERT_PRODUCTS}", kind=SIZE_GUARD)
     rows, cols, worst = _powers("b", n, True), _powers("a", n, True), 0
     for y in all_reduced_words(check_len):
         worst = max(worst, _fgroup_count(y, n, "B", "A", rows), _fgroup_count(y, n, "A", "B", cols))
         if worst > 1:
-            raise WordError(f"row count exceeded 1 at {y}")
+            raise SoldensError(f"row count exceeded 1 at {y}")
     bound = Fraction(1, n)
     f_a = ms.uniform_on([f"b^{i}" for i in range(1, n + 1)])
     f_b = ms.uniform_on([f"a^{i}" for i in range(1, n + 1)])

@@ -19,10 +19,6 @@ from .densities import EXACT, bounded
 from .errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 
-class ZSetError(SoldensError):
-    pass
-
-
 @dataclass(frozen=True)
 class ZSet:
     m: int
@@ -32,11 +28,11 @@ class ZSet:
 
     def __post_init__(self):
         if type(self.m) is not int or self.m < 1:
-            raise ZSetError(f"modulus must be an int >= 1, got {self.m!r}", kind=BAD_INPUT)
+            raise SoldensError(f"modulus must be an int >= 1, got {self.m!r}", kind=BAD_INPUT)
         if not all(type(r) is int and 0 <= r < self.m for r in self.residues):
-            raise ZSetError(f"residues must lie in range({self.m})", kind=BAD_INPUT)
+            raise SoldensError(f"residues must lie in range({self.m})", kind=BAD_INPUT)
         if not all(type(x) is int for x in chain(self.add, self.remove)):
-            raise ZSetError("patch points must be ints", kind=BAD_INPUT)
+            raise SoldensError("patch points must be ints", kind=BAD_INPUT)
 
     def __contains__(self, x):
         if x in self.add:
@@ -58,7 +54,7 @@ def zset(m, residues, add=(), remove=()):
     """Normalized constructor: membership is computed from the raw data and
     the patches are re-derived, so equal sets get equal normal forms."""
     if m < 1:
-        raise ZSetError("modulus must be >= 1", kind=BAD_INPUT)
+        raise SoldensError("modulus must be >= 1", kind=BAD_INPUT)
     res = frozenset(r % m for r in residues)
     raw = ZSet(m, res, frozenset(add), frozenset(remove))
     pts = raw.add | raw.remove
@@ -73,7 +69,7 @@ Z_EMPTY = zset(1, ())
 
 def lift(a, new_m):
     if new_m % a.m != 0:
-        raise ZSetError("can only lift to a multiple of the modulus", kind=BAD_INPUT)
+        raise SoldensError("can only lift to a multiple of the modulus", kind=BAD_INPUT)
     res = frozenset(r + k * a.m for r in a.residues for k in range(new_m // a.m))
     return ZSet(new_m, res, a.add, a.remove)
 
@@ -109,7 +105,7 @@ def folner_density(member, depth):
     at the deepest level and is a float on purpose: this op is the only
     approximate one in the module."""
     if depth < 1:
-        raise ZSetError("depth must be >= 1", kind=BAD_INPUT)
+        raise SoldensError("depth must be >= 1", kind=BAD_INPUT)
     trace = []
     count = 0
     for n in range(1, depth + 1):
@@ -170,7 +166,7 @@ def sumset(a, b):
     h = max(a.patch_span(), b.patch_span()) + 2 * big
     for x in range(-h, h + 1):
         if (x in claimed) != _sumset_member(a, b, x):
-            raise ZSetError(f"sumset window check failed at {x}")
+            raise SoldensError(f"sumset window check failed at {x}")
     return claimed, bounded(h)
 
 
@@ -239,7 +235,7 @@ def _covers_z(f, a):
 def _check_witness_size(a):
     size = a.m * (len(a.remove) + 1)  # of the witnesses of classify and ergodic_sup_check
     if size > MAX_LARGE_WITNESS:
-        raise ZSetError(f"large witness size {size} exceeds cap {MAX_LARGE_WITNESS}", kind=SIZE_GUARD)
+        raise SoldensError(f"large witness size {size} exceeds cap {MAX_LARGE_WITNESS}", kind=SIZE_GUARD)
 
 
 def classify(a):
@@ -255,7 +251,7 @@ def classify(a):
         _check_witness_size(a)
     f = large_witness(a)
     if f is not None and not _covers_z(f, a):
-        raise ZSetError("large witness failed its cover check")
+        raise SoldensError("large witness failed its cover check")
     return {
         "thick": thick,
         "large": large,
@@ -279,7 +275,7 @@ def _min_cover(m, base_residues):
 
 def _check_cover_modulus(m):
     if m > MAX_COVER_MODULUS:
-        raise ZSetError(f"cover modulus {m} exceeds cap {MAX_COVER_MODULUS}", kind=SIZE_GUARD)
+        raise SoldensError(f"cover modulus {m} exceeds cap {MAX_COVER_MODULUS}", kind=SIZE_GUARD)
 
 
 def _ceil_reciprocal(q):
@@ -292,21 +288,21 @@ def jin_witness(a, b):
     bound asserted."""
     da, db = dstar(a), dstar(b)
     if da == 0 or db == 0:
-        raise ZSetError("jin witness needs positive densities", kind=BAD_INPUT)
+        raise SoldensError("jin witness needs positive densities", kind=BAD_INPUT)
     if not (a.is_periodic() and b.is_periodic()):
-        raise ZSetError("jin witness needs exact sumsets (no add or remove patches)", kind=BAD_INPUT)
+        raise SoldensError("jin witness needs exact sumsets (no add or remove patches)", kind=BAD_INPUT)
     _check_cover_modulus(math.lcm(a.m, b.m))  # the sumset's modulus, before the sumset is built
     s, scope = sumset(a, b)
     assert scope == EXACT
     f = _min_cover(s.m, s.residues)
     limit = _ceil_reciprocal(da * db)
     if len(f) > limit:
-        raise ZSetError(f"cover size {len(f)} exceeds the density bound {limit}")
+        raise SoldensError(f"cover size {len(f)} exceeds the density bound {limit}")
     shifted = Z_EMPTY
     for t in f:
         shifted = z_union(shifted, z_shift(s, t))
     if not classify(shifted)["thick"]:
-        raise ZSetError("jin witness failed thickness")
+        raise SoldensError("jin witness failed thickness")
     return {"f": f, "bound": limit, "sumset": s}
 
 
@@ -318,7 +314,7 @@ def lemma163_check(a, b):
     s, scope = sumset(a, b)
     verdict = classify(s)
     if not verdict["thick"]:
-        raise ZSetError("density sum exceeds 1 but the sumset is not thick")
+        raise SoldensError("density sum exceeds 1 but the sumset is not thick")
     return {"applicable": True, "density_sum": da + db, "sumset": s,
             "scope": scope, "thick_witness": verdict["thick_witness"]}
 
@@ -338,14 +334,14 @@ def ergodic_sup_check(a):
     f = _min_cover(a.m, a.residues)
     f = tuple(t + j * a.m for t in f for j in range(len(a.remove) + 1))
     if not _covers_z(f, a):
-        raise ZSetError("ergodic witness failed its cover check")
+        raise SoldensError("ergodic witness failed its cover check")
     return {"value": 1, "f": f, "reciprocal_bound": _ceil_reciprocal(dstar(a))}
 
 
 def bohr_congruence(m, residues):
     """Rational-frequency Bohr set on Z: a union of congruence classes."""
     if not residues:
-        raise ZSetError("a nonempty Bohr set needs residues", kind=BAD_INPUT)
+        raise SoldensError("a nonempty Bohr set needs residues", kind=BAD_INPUT)
     return zset(m, residues)
 
 
@@ -361,7 +357,7 @@ def piecewise_bohr_check(a):
     span = a.patch_span() + 2 * a.m
     for x in range(-span, span + 1):
         if x in u and x in t and x not in a:
-            raise ZSetError(f"Bohr decomposition leaks at {x}")
+            raise SoldensError(f"Bohr decomposition leaks at {x}")
     return {"ok": True, "u": u, "t": t}
 
 
@@ -408,14 +404,14 @@ def primes_bound_table(k_max, verify_horizon=10 ** 6):
     import numpy as np
 
     if k_max < 1:
-        raise ZSetError("k_max must be >= 1", kind=BAD_INPUT)
+        raise SoldensError("k_max must be >= 1", kind=BAD_INPUT)
     if k_max > len(_PRIMES8):
-        raise ZSetError(f"k_max {k_max} exceeds cap {len(_PRIMES8)}", kind=SIZE_GUARD)
+        raise SoldensError(f"k_max {k_max} exceeds cap {len(_PRIMES8)}", kind=SIZE_GUARD)
     if verify_horizon > MAX_VERIFY_HORIZON:
-        raise ZSetError(f"horizon {verify_horizon} exceeds cap {MAX_VERIFY_HORIZON}", kind=SIZE_GUARD)
+        raise SoldensError(f"horizon {verify_horizon} exceeds cap {MAX_VERIFY_HORIZON}", kind=SIZE_GUARD)
     horizon_needed = math.prod(_PRIMES8[:k_max])
     if verify_horizon < horizon_needed:
-        raise ZSetError("horizon too small to cover one full window period", kind=BAD_INPUT)
+        raise SoldensError("horizon too small to cover one full window period", kind=BAD_INPUT)
     flags = _sieve(verify_horizon + horizon_needed)
     counts = np.concatenate(([0], np.cumsum(flags.astype(np.int64))))
     rows = []
@@ -430,16 +426,16 @@ def primes_bound_table(k_max, verify_horizon=10 ** 6):
         for q in _PRIMES8[:k]:
             expected *= Fraction(q - 1, q)
         if Fraction(phi, n) != expected:
-            raise ZSetError("totient product identity failed")
+            raise SoldensError("totient product identity failed")
         bound = Fraction(k + 2 * phi, n)
         if k >= 3 and not bound < prev_bound:
-            raise ZSetError("bound sequence stopped decreasing")
+            raise SoldensError("bound sequence stopped decreasing")
         prev_bound = bound
         # max over y < horizon of primes in the window (y, y + n_k]
         window = counts[n : n + verify_horizon] - counts[:verify_horizon]
         empirical = int(window.max())
         if empirical > k + 2 * phi:
-            raise ZSetError(f"empirical window count {empirical} beats the bound at k={k}")
+            raise SoldensError(f"empirical window count {empirical} beats the bound at k={k}")
         rows.append({"k": k, "n_k": n, "phi": phi, "bound": bound, "empirical_max": empirical})
     return rows
 
@@ -449,9 +445,9 @@ def ip_witness_search(member, k, bound):
     in the set, found depth-first; None means the search space is exhausted,
     not a nonexistence proof."""
     if k < 1:
-        raise ZSetError("k must be >= 1", kind=BAD_INPUT)
+        raise SoldensError("k must be >= 1", kind=BAD_INPUT)
     if k > MAX_IP_GENERATORS:
-        raise ZSetError(f"k {k} exceeds cap {MAX_IP_GENERATORS}", kind=SIZE_GUARD)
+        raise SoldensError(f"k {k} exceeds cap {MAX_IP_GENERATORS}", kind=SIZE_GUARD)
     # each i-subset of [1, bound], C(bound, i) = c of them, is tried at most once,
     # with 2^(i-1) membership tests
     n, c, tests = max(bound, 0), 1, 0
@@ -459,8 +455,8 @@ def ip_witness_search(member, k, bound):
         c = c * (n + 1 - i) // i
         tests += c << (i - 1)
     if tests > MAX_IP_TESTS:
-        raise ZSetError(f"k {k} and bound {bound} allow {tests} membership tests, "
-                        f"above cap {MAX_IP_TESTS}", kind=SIZE_GUARD)
+        raise SoldensError(f"k {k} and bound {bound} allow {tests} membership tests, "
+                           f"above cap {MAX_IP_TESTS}", kind=SIZE_GUARD)
     if not callable(member):
         zs = member
         member = lambda x: x in zs

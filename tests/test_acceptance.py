@@ -4,7 +4,6 @@ These are deliberately heavier than the unit tests; the whole file should
 stay under a few minutes.
 """
 
-import math
 import random
 from fractions import Fraction
 

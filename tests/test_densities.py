@@ -88,7 +88,7 @@ def test_certificate_from_witness_and_post_check():
     cert = dn.certificate_from_witness(g, a, range(6), dn.DensityKind.SIGMA_R)
     assert cert.bound == Fraction(1, 3)
     assert cert.scope == dn.EXACT
-    with pytest.raises(dn.DensityError):
+    with pytest.raises(SoldensError, match="^certificate bound differs from verified supremum$"):
         dn.BoundCertificate(dn.DensityKind.SIGMA, "upper", Fraction(1, 3),
                             cert.witness, dn.EXACT, Fraction(1, 2))
 
@@ -133,6 +133,6 @@ def test_combine_certificates_refuses_what_it_cannot_convolve():
         ("^witness carrier mismatch$", dataclasses.replace(ca, witness=ms.dirac(0, gr.cyclic(3)))),
     ]
     for message, cb in refused:
-        with pytest.raises(dn.DensityError, match=message) as e:
+        with pytest.raises(SoldensError, match=message) as e:
             dn.combine_certificates(g, a, b, ca, cb)
         assert e.value.kind == BAD_INPUT

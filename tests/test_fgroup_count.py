@@ -11,7 +11,7 @@ from test_fgroup_cross_check import WRONG_PRODUCTS
 
 import soldens.cli as cli
 import soldens.words as wd
-from soldens.errors import BAD_INPUT, SIZE_GUARD
+from soldens.errors import BAD_INPUT, SIZE_GUARD, SoldensError
 
 WORDS6 = wd.all_reduced_words(6)
 
@@ -57,7 +57,7 @@ def test_a_word_not_led_by_the_inverse_generator_builds_no_word(monkeypatch):
 @pytest.mark.parametrize("wrong", WRONG_PRODUCTS)
 def test_a_wrong_product_fails_the_certificate(monkeypatch, wrong):
     monkeypatch.setattr(wd, "word_multiply", WRONG_PRODUCTS[wrong])
-    with pytest.raises(wd.WordError, match="disagrees"):
+    with pytest.raises(SoldensError, match="disagrees"):
         wd.fgroup_nonsubadditivity_certificate(2, 3)
 
 
@@ -66,7 +66,7 @@ def test_counts_refuse_n_below_one(n):
     y = wd.word("Ba")
     for count in (wd.fgroup_row_count, fgroup_col_count,
                   lambda y, n: wd.fgroup_row_count(y, n, cross_check=False)):
-        with pytest.raises(wd.WordError, match="n must be >= 1") as err:
+        with pytest.raises(SoldensError, match="n must be >= 1") as err:
             count(y, n)
         assert err.value.kind == BAD_INPUT
 
@@ -79,7 +79,7 @@ def test_certificate_work_cap_fires_before_enumeration(monkeypatch, n, check_len
     monkeypatch.setattr(wd, "all_reduced_words", no_enumeration)
     products = 2 * n * (2 * 3 ** check_len - 1)
     assert products > wd.MAX_CERT_PRODUCTS
-    with pytest.raises(wd.WordError, match=f"form {products} products, above cap") as err:
+    with pytest.raises(SoldensError, match=f"form {products} products, above cap") as err:
         wd.fgroup_nonsubadditivity_certificate(n, check_len)
     assert err.value.kind == SIZE_GUARD
 

@@ -14,6 +14,7 @@ import soldens.cli as cli
 import soldens.densities as dn
 import soldens.games as gm
 import soldens.groups as gr
+from soldens.errors import SoldensError
 from soldens.simplex import solve_lp_int, solve_lp_max
 from test_partitions_properties import _GROUPS, _SPECS
 
@@ -99,7 +100,7 @@ def test_intersection_number_examples():
     assert gm.intersection_number([{1, 2, 3}]) == 1
     assert gm.intersection_number([{1}, {2}]) == Fraction(1, 2)
     assert gm.intersection_number([set()]) == 0
-    with pytest.raises(gm.GameError, match="^empty family$") as e:
+    with pytest.raises(SoldensError, match="^empty family$") as e:
         gm.intersection_number([])
     assert e.value.kind == "bad-input"
 
@@ -135,9 +136,9 @@ def test_sigma_via_game_dedups_columns():
 def test_extremal_pattern_parsing_and_validation():
     p = gm.ExtremalPattern.parse("Ssi231")
     assert p.quantifiers == "Ssi" and p.substitution == (2, 3, 1)
-    with pytest.raises(gm.GameError):
+    with pytest.raises(SoldensError, match="^at most one capital quantifier$"):
         gm.ExtremalPattern.parse("SI12")  # two capitals
-    with pytest.raises(gm.GameError):
+    with pytest.raises(SoldensError, match=r"^substitution must be a permutation of 1\.\.n$"):
         gm.ExtremalPattern.parse("is11")
 
 
@@ -147,14 +148,14 @@ def _join_split_parse(text):
     head = "".join(c for c in text if c in "isIS")
     tail = text[len(head):]
     if any(c not in "0123456789" for c in tail):
-        raise gm.GameError(f"cannot parse pattern {text!r}", kind="bad-input")
+        raise SoldensError(f"cannot parse pattern {text!r}", kind="bad-input")
     return gm.ExtremalPattern(head, tuple(map(int, tail)))
 
 
 def _parsed(parse, text):
     try:
         return parse(text)
-    except gm.GameError as e:
+    except SoldensError as e:
         return str(e), e.kind
 
 
@@ -186,7 +187,7 @@ def test_extremal_refuses_a_pattern_above_its_length_cap():
     g = gr.cyclic(2)
     pattern = gm.ExtremalPattern.parse("ssss1234")
     assert len(pattern.quantifiers) == gm.MAX_PATTERN_LENGTH + 1
-    with pytest.raises(gm.GameError) as e:
+    with pytest.raises(SoldensError) as e:
         gm.eval_extremal(pattern, g, gr.subset(g, [0]))
     assert str(e.value) == "patterns longer than 3 are unsupported" and e.value.kind == "size-guard"
 
@@ -313,7 +314,7 @@ def test_games_refuse_a_subset_of_another_group(spec):
     for call in (lambda: gm.sigma_R_via_game(s3, foreign),
                  lambda: gm.eval_extremal(gm.ExtremalPattern.parse("is12"), s3, foreign),
                  lambda: gm.eval_extremal(gm.ExtremalPattern.parse("ss12"), s3, foreign)):
-        with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
+        with pytest.raises(SoldensError, match="^subsets of different groups$") as e:
             call()
         assert e.value.kind == "bad-input"
 
@@ -336,7 +337,8 @@ def test_game_json_decimals_parse_exactly(text, value):
     '{"payoff": [[1e-5000, 0]]}', '{"payoff": [["1e-5000", 0]]}', '{"payoff": [[1E2]]}',
     '{"payoff": [[true, 0]]}', '{"payoff": [[NaN]]}'])
 def test_game_json_refuses_exponents_booleans_and_floats(text):
-    with pytest.raises(gm.GameError) as e:
+    with pytest.raises(SoldensError,
+                       match=r"^malformed game JSON: ValueError\(.+ is not an exact rational.\)$") as e:
         gm.MatrixGame.from_json(text)
     assert e.value.kind == "bad-input"
 
@@ -348,7 +350,7 @@ def test_game_json_size_guard_runs_before_any_entry_is_converted(monkeypatch):
     monkeypatch.setattr(gm, "rational", rational)
     row = "[" + ", ".join(["0.5"] * 1000) + "]"
     text = '{"payoff": [%s]}' % ", ".join([row] * 1000)  # 1000 x 1000 decimals
-    with pytest.raises(gm.GameError, match="more than 64 rows or columns") as e:
+    with pytest.raises(SoldensError, match="more than 64 rows or columns") as e:
         gm.MatrixGame.from_json(text)
     assert e.value.kind == "size-guard"
 
@@ -398,7 +400,7 @@ def test_both_guarantee_checks_reject_a_wrong_kernel_result(monkeypatch, kernel,
     # the LP of [[2, 0], [0, 1]], unbalanced so it pivots: payoffs lifted by 1, transposed
     assert gm.solve_lp_int([1, 1], [[3, 1], [1, 2]], [1, 1]) == (5, [1, 2], [1, 2])
     monkeypatch.setattr(gm, "solve_lp_int", lambda c, a_rows, b: kernel)
-    with pytest.raises(gm.GameError, match=f"^{message}$"):
+    with pytest.raises(SoldensError, match=f"^{message}$"):
         gm.solve_game(gm.game([[2, 0], [0, 1]]))
 
 
@@ -411,7 +413,7 @@ def test_both_guarantee_checks_reject_a_wrong_kernel_result(monkeypatch, kernel,
 ])
 def test_strategies_must_be_probability_vectors(monkeypatch, payoff, kernel):
     monkeypatch.setattr(gm, "solve_lp_int", lambda c, a_rows, b: kernel)
-    with pytest.raises(gm.GameError, match="^a strategy is not a probability vector$") as e:
+    with pytest.raises(SoldensError, match="^a strategy is not a probability vector$") as e:
         gm.solve_game(gm.game(payoff))
     assert e.value.kind == "invariant-failure"
 

@@ -8,6 +8,7 @@ import pytest
 import soldens.cli as cli
 import soldens.groups as gr
 import soldens.partitions as pt
+from soldens.errors import SoldensError
 
 PARTITIONS_PINNED = Path(__file__).parent / "data" / "partitions_pinned.json"
 
@@ -18,7 +19,7 @@ def test_cov_examples():
     assert pt.cov(c6, gr.subset(c6, range(6)))[0] == 1
     h = gr.subset(c6, [0, 3])
     assert pt.cov(c6, h)[0] == c6.order // len(h)
-    with pytest.raises(pt.PartitionError):
+    with pytest.raises(SoldensError, match="^cov of an empty set$"):
         pt.cov(c6, gr.subset(c6, []))
 
 
@@ -35,7 +36,7 @@ def test_partitions_refuse_a_subset_of_another_group(spec):
     s3, foreign = gr.symmetric(3), gr.subset(gr.build_group(spec), [0, 1, 2])
     for call in (lambda: pt.pack(s3, foreign), lambda: pt.thm43_search(s3, foreign),
                  lambda: pt.difference_power_subgroup(s3, foreign, 2)):
-        with pytest.raises(gr.GroupError, match="^subsets of different groups$") as e:
+        with pytest.raises(SoldensError, match="^subsets of different groups$") as e:
             call()
         assert e.value.kind == "bad-input"
 
@@ -44,7 +45,7 @@ def test_prop122_chain_on_cyclic6():
     rep = pt.verify_prop122(gr.cyclic(6))
     assert rep["checked"] == 63
     assert any(a == [0, 1] for a, *_ in rep["tight"])
-    with pytest.raises(pt.PartitionError) as info:
+    with pytest.raises(SoldensError, match=r"^exhaustive subsets guarded to \|G\| <= 10$") as info:
         pt.verify_prop122(gr.direct_product(gr.cyclic(4), gr.cyclic(4)))
     assert info.value.kind == "size-guard"
 
@@ -60,7 +61,7 @@ def test_partition_verifiers():
     v = pt.verify_thm139(gr.symmetric(3), 3)
     assert v.passed and v.bound == 3
     assert v.partitions_checked > 0
-    with pytest.raises(pt.PartitionError) as info:
+    with pytest.raises(SoldensError, match=r"^partition scan guarded to n <= 4, \|G\| <= 8$") as info:
         pt.verify_thm137(gr.cyclic(6), 5)
     assert info.value.kind == "size-guard"
 
@@ -79,7 +80,7 @@ def test_the_thm139_bound_waits_for_the_scan_guards(monkeypatch, capsys):
                                     (c2, -3, "cell count must be >= 1", "bad-input"),
                                     (c2, 2000, scan_cap, "size-guard"),
                                     (gr.cyclic(9), 2, scan_cap, "size-guard")):
-        with pytest.raises(pt.PartitionError) as info:
+        with pytest.raises(SoldensError) as info:
             pt.verify_thm139(group, n)
         assert (str(info.value), info.value.kind) == (message, kind)
     # the CLI refuses --cells 2000 as fast for 13.9 as for 13.7
@@ -141,7 +142,7 @@ def test_cov_and_pack_size_guards_come_before_any_mask(monkeypatch, solve, order
     monkeypatch.setattr(gr, "difference_mask", built)
     monkeypatch.setattr(gr, "translate_masks", built)
     monkeypatch.setattr(gr, "difference_table", built)
-    with pytest.raises(pt.PartitionError) as info:
+    with pytest.raises(SoldensError, match=rf" guarded to (n <= 4, )?\|G\| <= {order - 1}$") as info:
         solve(g, a)
     assert info.value.kind == "size-guard"
 
@@ -154,7 +155,7 @@ def test_the_scan_guards_name_their_caps():
              (lambda: pt.odd_group_check(gr.cyclic(17)), "2-partition scan guarded to |G| <= 16"),
              (lambda: pt.pack(big, gr.subset(big, [0])), "pack guarded to |G| <= 24")]
     for solve, message in cases:
-        with pytest.raises(pt.PartitionError) as info:
+        with pytest.raises(SoldensError) as info:
             solve()
         assert str(info.value) == message and info.value.kind == "size-guard"
 
@@ -175,7 +176,7 @@ def test_protasov_search_reports_the_first_counterexample(monkeypatch):
 
 def test_partition_verifier_names_its_worst_partition_on_failure(monkeypatch):
     monkeypatch.setattr(pt, "cov", _cov_by_difference_size)
-    with pytest.raises(pt.PartitionError) as info:
+    with pytest.raises(SoldensError) as info:
         pt.verify_thm137(gr.cyclic(6), 3)
     assert str(info.value) == \
         "partition ((0, 3), (1, 4), (2, 5)) has every cov(A A^-1) > 3 on cyclic:6"
@@ -204,8 +205,15 @@ def test_difference_power_subgroup():
     assert index == 3 and exponent == 1
     sub, exponent, index = pt.difference_power_subgroup(c6, gr.subset(c6, [0, 1, 2]), 2)
     assert index == 1 and exponent <= 4
-    with pytest.raises(pt.PartitionError):
+    with pytest.raises(SoldensError, match=r"^density precondition \|A\|/\|G\| >= 1/n violated$"):
         pt.difference_power_subgroup(c6, gr.subset(c6, [0]), 2)
+
+
+def test_difference_power_subgroup_bound_costs_nothing_in_n():
+    # the exponent bound 4^(n-1) is compared in bits, never built: here it has 2 * 10^12 of them
+    c4 = gr.cyclic(4)
+    sub, exponent, index = pt.difference_power_subgroup(c4, gr.subset(c4, [0, 1]), 10**12)
+    assert (sub, exponent, index) == (gr.subset(c4, range(4)), 2, 1)
 
 
 def test_difference_power_subgroup_tests_its_subgroup_once(monkeypatch):

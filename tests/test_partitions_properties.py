@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import soldens.groups as gr
 import soldens.partitions as pt
+from soldens.errors import SoldensError
 
 _SPECS = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "s3",
           "cyclic:7", "cyclic:8", "d4", "cyclic:2*cyclic:2", "cyclic:2*cyclic:4",
@@ -158,7 +159,7 @@ def test_least_cover_is_the_first_minimal_cover_of_any_family(family):
     n, masks = family
     f = _first_least_cover(n, masks)
     if f is None:
-        with pytest.raises(pt.PartitionError, match="do not cover"):
+        with pytest.raises(SoldensError, match="do not cover"):
             pt.least_cover(n, masks)
     else:
         assert pt.least_cover(n, masks) == f
@@ -184,7 +185,7 @@ def test_least_cover_covers_only_the_points_outside_covered(case):
     free = [p for p in range(n) if not covered >> p & 1]
     f = _first_least_cover(len(free), [_restrict(mask, free) for mask in masks])
     if f is None:
-        with pytest.raises(pt.PartitionError, match="do not cover"):
+        with pytest.raises(SoldensError, match="do not cover"):
             pt.least_cover(n, masks, covered)
     else:
         assert pt.least_cover(n, masks, covered) == f
@@ -247,7 +248,7 @@ def _check_scans(g, n, c, cover):
     cells = tuple(tuple(gr.GroupSubset(g, a).indices()) for a in parts[floors.index(worst)])
     for verify, bound in ((pt.verify_thm137, n), (pt.verify_thm139, pt.thm139_bound(n))):
         if worst > bound:
-            with pytest.raises(pt.PartitionError) as info:
+            with pytest.raises(SoldensError) as info:
                 verify(g, n)
             assert str(info.value) == \
                 f"partition {cells} has every cov(A A^-1) > {bound} on {g.label}"

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 import soldens.groups as gr
 import soldens.simplex as sx
-from soldens.simplex import SimplexError, solve_lp_int
+from soldens.errors import SoldensError
+from soldens.simplex import solve_lp_int
 
 LP_INT_PINNED = Path(__file__).parent / "data" / "lp_int_pinned.json"
 
@@ -35,7 +36,7 @@ def _full_tableau_lp_int(c, a_rows, b):
     rule on the whole Bareiss tableau [A | I | b], slack columns included."""
     m, n = len(a_rows), len(c)
     if any(bi < 0 for bi in b):
-        raise SimplexError("requires b >= 0")
+        raise SoldensError("requires b >= 0")
     tab = [[*a_rows[i]] + [int(j == i) for j in range(m)] + [b[i]] for i in range(m)]
     obj = [*c] + [0] * (m + 1)
     basis = [n + i for i in range(m)]
@@ -57,7 +58,7 @@ def _full_tableau_lp_int(c, a_rows, b):
                 if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
                     leave, best_rhs, best_col = i, rhs, col
         if leave is None:
-            raise SimplexError("unbounded LP")
+            raise SoldensError("unbounded LP")
         prow = tab[leave]
         piv = prow[enter]
         support = [j for j, w in enumerate(prow) if w]
@@ -99,14 +100,14 @@ def _expire(signum, frame):
 
 
 def _outcome(kernel, c, a_rows, b):
-    """(d, x, duals), the SimplexError message, or a note that no answer came
+    """(d, x, duals), the SoldensError message, or a note that no answer came
     within 5 s: a broken pivot rule can loop forever, and every LP here takes
     milliseconds."""
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(5)
     try:
         return kernel(c, a_rows, b)
-    except SimplexError as e:
+    except SoldensError as e:
         return str(e)
     except _Cycling:
         return "no answer within 5 s"

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import soldens.cli as cli
 import soldens.games as gm
 import soldens.groups as gr
-from soldens.simplex import SimplexError, solve_lp_int, solve_lp_max
+from soldens.errors import SoldensError
+from soldens.simplex import solve_lp_int, solve_lp_max
 
 _RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 _NONNEG = st.builds(Fraction, st.integers(0, 9), st.integers(1, 6))
@@ -79,13 +80,13 @@ def test_simplex_rejects_negative_rhs_and_unbounded_lps(lp, data):
     c, a_rows, b = lp
     i = data.draw(st.integers(0, len(b) - 1))
     negative = b[:i] + [-data.draw(_POSITIVE)] + b[i + 1:]
-    with pytest.raises(SimplexError, match="b >= 0"):
+    with pytest.raises(SoldensError, match="b >= 0"):
         solve_lp_max(c, a_rows, negative)
     # a column with positive cost and no positive entry can grow forever
     j = data.draw(st.integers(0, len(c) - 1))
     c = c[:j] + [data.draw(_POSITIVE)] + c[j + 1:]
     a_rows = [row[:j] + [-abs(row[j])] + row[j + 1:] for row in a_rows]
-    with pytest.raises(SimplexError, match="unbounded"):
+    with pytest.raises(SoldensError, match="unbounded"):
         solve_lp_max(c, a_rows, b)
 
 

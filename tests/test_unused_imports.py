@@ -1,7 +1,8 @@
-"""Thirteen ast lint rules over src/soldens, since the toolchain has no linter:
+"""Fourteen ast lint rules over src/soldens, since the toolchain has no linter:
 
 - no module keeps a module-level import it never uses (the package
-  __init__ imports its submodules to expose them, so it is exempt);
+  __init__ imports its submodules to expose them, so it is exempt); the
+  test modules are held to the same rule;
 - no module keeps a module-level private function or class (a name that
   starts with one underscore) that no code of the package reads outside
   the definition itself;
@@ -37,10 +38,13 @@
   Reads are resolved by module, so groups.difference_set keeps
   zline.difference_set alive no more than an unrelated name would. The
   definitions in PAPER_CLAIMS are exempt: each states a result of the paper
-  and waits for its command.
+  and waits for its command;
+- no module but errors.py defines an exception class, and errors.py only
+  SoldensError: the kind, not a subclass, says what went wrong.
 """
 
 import ast
+import builtins
 import math
 import re
 from pathlib import Path
@@ -49,6 +53,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "soldens"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -71,7 +76,7 @@ def test_the_rule_sees_a_leftover_import():
     assert unused_imports("import os.path\nos.sep\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -618,3 +623,35 @@ def test_every_public_definition_is_read():
     assert unread_public_definitions(package, outside, exempt) == []
     # the exemption is no wider than what it covers
     assert {*unread_public_definitions(package, outside)} == exempt
+
+
+def exception_classes(source):
+    """The classes of source, by name, that derive from an exception: a
+    builtin one, a name ending in Error or Exception (SoldensError, or
+    errors.SoldensError), or a class of source that itself does."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                _names_exception(base, found) for base in node.bases):
+            found.append(node.name)
+    return found
+
+
+def _names_exception(base, found):
+    name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+    builtin = getattr(builtins, name, None)
+    return (name in found or name.endswith(("Error", "Exception"))
+            or isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+
+def test_the_rule_sees_an_exception_class():
+    source = ("from dataclasses import dataclass\nfrom .errors import SoldensError\n"
+              "class FooError(SoldensError):\n    pass\nclass Bar(ValueError):\n    ...\n"
+              "class Baz(Bar):\n    pass\nclass Qux(errors.SoldensError, KeyError):\n    pass\n"
+              "@dataclass(frozen=True)\nclass Plain:\n    x: int\nclass Kind(Enum):\n    A = 1\n")
+    assert exception_classes(source) == ["FooError", "Bar", "Baz", "Qux"]
+
+
+def test_only_errors_defines_an_exception_class():
+    found = {p.stem: exception_classes(p.read_text()) for p in SRC.glob("*.py")}
+    assert {module: names for module, names in found.items() if names} == {"errors": ["SoldensError"]}

@@ -5,6 +5,7 @@ import pytest
 from helpers import fgroup_col_count, word_invert
 
 import soldens.words as wd
+from soldens.errors import SoldensError
 
 
 def test_free_reduction():
@@ -16,19 +17,19 @@ def test_free_reduction():
 
 
 def test_reduced_word_validation():
-    with pytest.raises(wd.WordError):
+    with pytest.raises(SoldensError, match="^not reduced at aA$"):
         wd.ReducedWord("aA")
-    with pytest.raises(wd.WordError):
+    with pytest.raises(SoldensError, match="^bad letter 'x'$"):
         wd.ReducedWord("xy")
-    with pytest.raises(wd.WordError):
+    with pytest.raises(SoldensError, match="^word length exceeds cap 64$"):
         wd.word("a" * 100)
-    with pytest.raises(wd.WordError, match="bad letter 'x'"):
+    with pytest.raises(SoldensError, match="bad letter 'x'"):
         wd.word("xa")
-    with pytest.raises(wd.WordError, match="bad letter 'x'"):
+    with pytest.raises(SoldensError, match="bad letter 'x'"):
         wd.word_power("x", -2)
-    with pytest.raises(wd.WordError, match="cap 64"):
+    with pytest.raises(SoldensError, match="cap 64"):
         wd.word_power("b", 65)
-    with pytest.raises(wd.WordError, match="cap 64"):
+    with pytest.raises(SoldensError, match="cap 64"):
         wd.word_multiply(wd.word("a" * 40), wd.word("a" * 40))
 
 
@@ -80,7 +81,7 @@ def test_nonsubadditivity_certificate():
 
 def test_nonsubadditivity_certificate_check_len_guard():
     # refused before any word is enumerated
-    with pytest.raises(wd.WordError, match="cap"):
+    with pytest.raises(SoldensError, match="cap"):
         wd.fgroup_nonsubadditivity_certificate(3, check_len=wd.MAX_CHECK_LEN + 1)
     rep = wd.fgroup_nonsubadditivity_certificate(1, check_len=wd.MAX_CHECK_LEN)
     assert rep["max_row_count_checked"] <= 1

@@ -12,7 +12,7 @@ from helpers import fgroup_col_count
 
 import soldens.cli as cli
 import soldens.words as wd
-from soldens.errors import SIZE_GUARD
+from soldens.errors import SIZE_GUARD, SoldensError
 
 
 def _naive_reduced(max_len):
@@ -44,7 +44,7 @@ def test_enumeration_restores_the_collector_state():
 
 
 def test_product_cap_and_cancellation():
-    with pytest.raises(wd.WordError, match="exceeds cap") as err:
+    with pytest.raises(SoldensError, match="exceeds cap") as err:
         wd.word_multiply(wd.word("ab" * 20), wd.word("ba" * 20))
     assert err.value.kind == SIZE_GUARD
     assert wd.word_multiply(wd.word("a" * 40), wd.word("A" * 40)) == wd.EMPTY
@@ -61,7 +61,7 @@ def test_uncancelled_products_concatenate(s, t):
 @pytest.mark.parametrize("count", [wd.fgroup_row_count, fgroup_col_count])
 def test_counts_past_the_powers_table_raise_the_size_guard(count):
     y = wd.word("Ba")
-    with pytest.raises(wd.WordError, match="exceeds cap") as err:
+    with pytest.raises(SoldensError, match="exceeds cap") as err:
         count(y, wd.MAX_WORD_LEN + 1)
     assert err.value.kind == SIZE_GUARD
 
@@ -76,7 +76,7 @@ def test_certificate_guard_fires_before_enumeration(monkeypatch):
         raise AssertionError("enumerated words before the size guard")
 
     monkeypatch.setattr(wd, "all_reduced_words", no_enumeration)
-    with pytest.raises(wd.WordError, match="n 60 \\+ check_len 5") as err:
+    with pytest.raises(SoldensError, match="n 60 \\+ check_len 5") as err:
         wd.fgroup_nonsubadditivity_certificate(60, 5)
     assert err.value.kind == SIZE_GUARD
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import word_invert
 
 import soldens.words as wd
+from soldens.errors import SoldensError
 
 _TEXT = st.text(alphabet="aAbB", max_size=24)
 _WORD = _TEXT.map(wd.word)
@@ -51,8 +52,8 @@ def test_word_rejects_bad_letters(text):
     else:
         try:
             wd.word(text)
-        except wd.WordError as e:
-            assert "bad letter" in str(e)
+        except SoldensError as e:
+            assert "bad letter" in str(e) and e.kind == "bad-input"
         else:
             raise AssertionError(f"word({text!r}) accepted a bad letter")
 

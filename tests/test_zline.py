@@ -7,6 +7,7 @@ from helpers import covers, from_integers, z_equal
 
 import soldens.cli as cli
 import soldens.zline as zl
+from soldens.errors import SoldensError
 
 
 def test_membership_and_normal_form():
@@ -89,10 +90,10 @@ def test_jin_witness_and_bound():
     assert rep["f"] == (0, 1) and rep["bound"] == 4
     rep = zl.jin_witness(zl.zset(3, [0]), zl.zset(3, [1]))
     assert rep["f"] == (0, 1, 2)
-    with pytest.raises(zl.ZSetError):
+    with pytest.raises(SoldensError, match="^jin witness needs positive densities$"):
         zl.jin_witness(from_integers([1]), zl.zset(2, [0]))
     for patched in (zl.zset(4, [0], add=[1]), zl.zset(4, [0], remove=[8])):
-        with pytest.raises(zl.ZSetError, match=r"\(no add or remove patches\)$") as e:
+        with pytest.raises(SoldensError, match=r"\(no add or remove patches\)$") as e:
             zl.jin_witness(patched, zl.zset(2, [0]))
         assert e.value.kind == "bad-input"
 
@@ -139,9 +140,9 @@ def test_primes_table_small():
     rows = zl.primes_bound_table(3, verify_horizon=5000)
     assert [(r["n_k"], r["phi"]) for r in rows] == [(2, 1), (6, 2), (30, 8)]
     assert rows[2]["bound"] == Fraction(19, 30)
-    with pytest.raises(zl.ZSetError):
+    with pytest.raises(SoldensError, match="^k_max 9 exceeds cap 8$"):
         zl.primes_bound_table(9)
-    with pytest.raises(zl.ZSetError):
+    with pytest.raises(SoldensError, match="^horizon too small to cover one full window period$"):
         zl.primes_bound_table(4, verify_horizon=100)
 
 
@@ -184,13 +185,14 @@ def test_a_zset_prints_its_modulus_residues_and_patches():
     (4, frozenset({0}), frozenset(), frozenset({"3"})),
 ])
 def test_hand_built_zset_is_checked(parts):
-    with pytest.raises(zl.ZSetError) as e:
+    with pytest.raises(SoldensError, match=r"^(modulus must be an int >= 1, got .+"
+                                           r"|residues must lie in range\(4\)|patch points must be ints)$") as e:
         zl.ZSet(*parts)
     assert e.value.kind == "bad-input"
 
 
 def test_zset_keeps_its_modulus_check_first():
-    with pytest.raises(zl.ZSetError, match="^modulus must be >= 1$"):
+    with pytest.raises(SoldensError, match="^modulus must be >= 1$"):
         zl.zset(0, [5])
 
 
@@ -198,11 +200,11 @@ def test_ip_search_cap_is_checked_before_any_membership_test():
     def member(x):
         raise AssertionError("membership tested")
 
-    with pytest.raises(zl.ZSetError, match="above cap") as e:
+    with pytest.raises(SoldensError, match="above cap") as e:
         zl.ip_witness_search(member, 2, 1001)
     assert e.value.kind == "size-guard"
     # k is refused before any membership test, even where the count of tests is small
-    with pytest.raises(zl.ZSetError) as e:
+    with pytest.raises(SoldensError) as e:
         zl.ip_witness_search(member, zl.MAX_IP_GENERATORS + 1, 1)
     assert str(e.value) == "k 21 exceeds cap 20" and e.value.kind == "size-guard"
     # k = 2 and bound 1000 allow 1000 + 2 * C(1000, 2) = 10^6 tests, the cap itself
