@@ -111,7 +111,10 @@ def density_bruteforce(group, a, kind=DensityKind.SIGMA):
 def certificate_from_witness(group, a, witness, kind=DensityKind.SIGMA):
     """Upper certificate from a witness measure or finite set on a finite
     group; the complete translate set makes the scope EXACT."""
+    gr.check_carrier(group, a)
     if isinstance(witness, ms.FinSuppMeasure):
+        if witness.carrier != group:
+            raise SoldensError("witness carrier mismatch", kind=BAD_INPUT)
         mu = witness
     else:
         points = list(witness)

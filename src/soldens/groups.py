@@ -401,6 +401,7 @@ class Homomorphism:
         return self.mapping[g]
 
     def preimage(self, b):
+        check_carrier(self.target, b)
         return GroupSubset(
             self.source, _mask(g for g in self.source.elements() if b.mask >> self.mapping[g] & 1)
         )

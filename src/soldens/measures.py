@@ -82,6 +82,8 @@ def convolve(mu, nu):
 
 
 def pushforward(hom, mu):
+    if mu.carrier != hom.source:
+        raise SoldensError("pushforward requires a measure on the map's source", kind=BAD_INPUT)
     out = {}
     for p, w in mu.entries:
         q = hom.apply(p)

@@ -1,5 +1,7 @@
 """Oracles and builders that the tests use and the program does not."""
 
+import math
+
 import soldens.perms as pm
 import soldens.words as wd
 import soldens.zline as zl
@@ -11,8 +13,10 @@ def from_integers(points):
 
 
 def z_equal(a, b):
-    la, lb = zl._common(a, b)
-    return (la.residues, la.add, la.remove) == (lb.residues, lb.add, lb.remove)
+    """Equal normal forms once both residue sets are lifted to the lcm modulus."""
+    big = math.lcm(a.m, b.m)
+    lifted = [{r + k * z.m for r in z.residues for k in range(big // z.m)} for z in (a, b)]
+    return lifted[0] == lifted[1] and (a.add, a.remove) == (b.add, b.remove)
 
 
 def covers(f, a, window):

@@ -525,6 +525,15 @@ def test_jin_cover_cap_is_checked_before_the_sumset(monkeypatch):
     assert info.value.kind == "size-guard"
 
 
+def test_jin_refuses_a_cover_that_misses_a_class(monkeypatch, capsys):
+    real = zl._min_cover
+    monkeypatch.setattr(zl, "_min_cover", lambda m, base: real(m, base)[:-1])
+    code, out = run_capture(capsys, ["zline", "jin", "--m", "6", "--residues", "0",
+                                     "--bm", "4", "--bresidues", "0"])
+    assert code == EXIT_CODES["invariant-failure"] == 1
+    assert json.loads(out) == {"error": "jin witness failed thickness", "kind": "invariant-failure"}
+
+
 def test_new_size_caps_admit_their_bounds():
     # the large witness of residues {0} mod 250 with three removals has 1000 shifts
     assert zl.classify(zl.zset(250, [0], remove=[1, 2, 3]))["large"]

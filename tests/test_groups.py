@@ -257,10 +257,11 @@ def test_closed_form_difference_set_and_subgroup_test_refuse_a_subset_of_another
 
 
 def _carrier_calls(s3, own, foreign):
-    """Every public function that takes a group and a subset, as (function,
-    call): call passes foreign in one subset position, with s3 as the group
-    and own, a subset of s3, in any other."""
+    """Every public function that takes a group and a subset, and the preimage
+    of a homomorphism, as (function, call): call passes foreign in one subset
+    position, with s3 as the group and own, a subset of s3, in any other."""
     cert = dn.certificate_from_witness(s3, own, [0])
+    identity = gr.Homomorphism(s3, s3, tuple(s3.elements()))
     return [
         (gr.check_carrier, lambda: gr.check_carrier(s3, foreign)),
         (gr.translate_masks, lambda: gr.translate_masks(s3, foreign, "left")),
@@ -278,6 +279,8 @@ def _carrier_calls(s3, own, foreign):
         (dn.density_closed_form, lambda: dn.density_closed_form(s3, foreign)),
         (dn.density_bruteforce, lambda: dn.density_bruteforce(s3, foreign)),
         (dn.certificate_from_witness, lambda: dn.certificate_from_witness(s3, foreign, [0])),
+        (dn.certificate_from_witness,
+         lambda: dn.certificate_from_witness(s3, foreign, ms.dirac(0, foreign.group))),
         (dn.combine_certificates, lambda: dn.combine_certificates(s3, foreign, own, cert, cert)),
         (dn.combine_certificates, lambda: dn.combine_certificates(s3, own, foreign, cert, cert)),
         (gm.sigma_R_via_game, lambda: gm.sigma_R_via_game(s3, foreign)),
@@ -287,6 +290,20 @@ def _carrier_calls(s3, own, foreign):
         (pt.pack, lambda: pt.pack(s3, foreign)),
         (pt.difference_power_subgroup, lambda: pt.difference_power_subgroup(s3, foreign, 6)),
         (pt.thm43_search, lambda: pt.thm43_search(s3, foreign)),
+        (gr.Homomorphism.preimage, lambda: identity.preimage(foreign)),
+    ]
+
+
+def _measure_carrier_calls(s3, own, foreign):
+    """Every public function that takes a measure meant for a given group, as
+    (function, call, message): call passes a measure on foreign's group."""
+    identity = gr.Homomorphism(s3, s3, tuple(s3.elements()))
+    elsewhere = ms.dirac(0, foreign.group)
+    return [
+        (dn.certificate_from_witness, lambda: dn.certificate_from_witness(s3, own, elsewhere),
+         "witness carrier mismatch"),
+        (ms.pushforward, lambda: ms.pushforward(identity, elsewhere),
+         "pushforward requires a measure on the map's source"),
     ]
 
 
@@ -314,10 +331,21 @@ def test_every_call_of_a_group_and_a_subset_refuses_a_subset_of_another_group(sp
             pytest.fail(f"{function.__name__} accepted a subset of {spec}")
 
 
+@pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6"])
+def test_every_call_of_a_measure_refuses_a_measure_on_another_group(spec):
+    s3 = gr.symmetric(3)
+    foreign = gr.subset(gr.build_group(spec), [0, 1])
+    for function, call, message in _measure_carrier_calls(s3, gr.subset(s3, [0, 1]), foreign):
+        with pytest.raises(SoldensError, match=f"^{message}$") as e:
+            call()
+        assert e.value.kind == BAD_INPUT, function.__name__
+
+
 def test_the_carrier_table_lists_every_function_of_a_group_and_a_subset():
     s3 = gr.symmetric(3)
     own = gr.subset(s3, [0, 1])
-    listed = {function for function, _ in _carrier_calls(s3, own, own)}  # none is called
+    # none is called
+    listed = {row[0] for row in _carrier_calls(s3, own, own) + _measure_carrier_calls(s3, own, own)}
     found = set()
     for info in pkgutil.iter_modules(soldens.__path__):
         module = importlib.import_module(f"soldens.{info.name}")
@@ -325,11 +353,11 @@ def test_the_carrier_table_lists_every_function_of_a_group_and_a_subset():
             if (not name.startswith("_") and inspect.isfunction(function)
                     and function.__module__ == module.__name__):
                 params = inspect.signature(function).parameters
-                if "group" in params and len(params) > 1:
+                if "group" in params and len(params) > 1 or "hom" in params:
                     found.add(function)
     assert not listed & _TAKES_NO_SUBSET
     assert {f.__qualname__ for f in found - _TAKES_NO_SUBSET - listed} == set()  # missing rows
-    assert listed <= found
+    assert listed - {gr.Homomorphism.preimage} <= found  # the one method the scan cannot see
 
 
 def test_a_suite_builds_each_distinct_spec_once(monkeypatch, capsys, fresh_builds):

@@ -26,13 +26,6 @@ def test_dstar_examples():
     assert zl.dstar(zl.zset(2, [0], add=[1, 3, 5], remove=[0, 2])) == Fraction(1, 2)
 
 
-def test_set_algebra_lifts_to_lcm():
-    a, b = zl.zset(2, [0]), zl.zset(3, [0])
-    u = zl.z_union(a, b)
-    assert u.m == 6 and sorted(u.residues) == [0, 2, 3, 4]
-    assert z_equal(zl.z_shift(a, 3), zl.zset(2, [1]))
-
-
 def test_folner_density_trace():
     evens = zl.zset(2, [0])
     est, trace = zl.folner_density(lambda x: x in evens, 20)
