@@ -91,19 +91,18 @@ def solve_game(g):
     """Exact value and both optimal strategies, verified against the
     minimax inequalities before returning."""
     den = lcm(*(v.denominator for row in g.payoff for v in row))
-    return _solve([[v.numerator * (den // v.denominator) for v in row] for row in g.payoff], den)
+    ints = [[v.numerator * (den // v.denominator) for v in row] for row in g.payoff]
+    return _solve(ints, den, _certified(ints, den))
 
 
-def _solve(ints, den, certified=None):
+def _solve(ints, den, certified):
     """solve_game for the payoff ints/den: int rows and an int den > 0.
-    certified is _certified(ints, den), which None decides here."""
+    certified is _certified(ints, den), or False to pivot."""
     m, n = len(ints), len(ints[0])
     lift = den - min(min(row) for row in ints)  # den * (1 - min payoff)
     # Row player's LP scaled by den: maximize sum(x) s.t. den (M + shift)^T x <= den.
     # Bland's rule pivots as without the scaling, which divides the duals by den.
     cols = list(zip(*ints))
-    if certified is None:
-        certified = _certified(ints, den)
     if certified:
         # The uniform pair, over the lifted row sum: (den, ..., den) and (1, ..., 1).
         d, x, duals = sum(ints[0]) + n * lift, [den] * m, [1] * n
@@ -173,15 +172,13 @@ def _nonsingular(rows):
     return True
 
 
-def intersection_number(family, universe=None):
+def intersection_number(family):
     """Kelley intersection number of a finite family of sets: the value of
     the game (family member vs point, membership payoff)."""
     family = [frozenset(b) for b in family]
     if not family:
         raise SoldensError("empty family", kind=BAD_INPUT)
-    if universe is None:
-        universe = set().union(*family)
-    points = sorted(universe)
+    points = sorted(set().union(*family))
     if not points:
         return Fraction(0)
     return _value([[int(p in b) for p in points] for b in family], 1)
@@ -197,7 +194,7 @@ def sigma_R_via_game(group, a):
     n = group.order
     m = a.mask
     if not m:
-        trivial = _solve([[0]], 1)
+        trivial = _solve([[0]], 1, True)  # [[0]] lifts to the nonsingular [[1]]
         return trivial.value, trivial, trivial
     inside = _bit_bytes(m)
     rows = [row.translate(inside) for row in map(bytes, group.table)]

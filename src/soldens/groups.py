@@ -70,9 +70,6 @@ class Group:
     def mul(self, g, h):
         return self.table[g][h]
 
-    def inv(self, g):
-        return self.inverse[g]
-
     def elements(self):
         return range(self.order)
 
@@ -238,9 +235,6 @@ class GroupSubset:
         if other.group != self.group:
             raise SoldensError("subsets of different groups", kind=BAD_INPUT)
         return other.mask
-
-    def complement(self):
-        return GroupSubset(self.group, ((1 << self.group.order) - 1) ^ self.mask)
 
 
 def subset(group, indices):

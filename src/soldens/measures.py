@@ -35,12 +35,6 @@ class FinSuppMeasure:
         if self.carrier is not None:
             subset(self.carrier, [p for p, _ in self.entries])
 
-    def weight(self, point):
-        for p, w in self.entries:
-            if p == point:
-                return w
-        return Fraction(0)
-
     def support(self):
         return [p for p, _ in self.entries]
 

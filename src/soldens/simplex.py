@@ -1,24 +1,12 @@
 """Exact simplex for small LPs on a condensed fraction-free integer tableau.
 
-Solves  max c.x  s.t.  A x <= b, x >= 0  with b >= 0, which is all the game
-engine ever needs. solve_lp_int is the pivot loop, on ints; the game kernel
-calls it, and it returns the optimal x and duals as ints over the last pivot
-d. solve_lp_max is its Fraction front end, the one place here that forms
-Fractions: it scales the inputs to ints and divides the x and duals by d.
-
-The front end scales the inputs once by the lcm L of all their
-denominators. The LP max (Lc).x s.t. (LA) x <= Lb has the same optimal x and
-the same duals. For any basis, its rational tableau is the unscaled one with
-these factors: in a row whose basic variable is an x, the x columns and the
-rhs times 1 and the slack columns times 1/L; a row whose basic variable is a
-slack, times L throughout; in the objective row, the x columns times L and
-the slack columns times 1. So all ratios of one ratio test share a common
-factor (1 when an x column enters, L when a slack enters), every sign is
-unchanged, and Bland's rule makes the same pivots. The slack reduced costs,
-and with them the duals, are the unscaled ones.
+Solves  max c.x  s.t.  A x <= b, x >= 0  with int c, A and b >= 0, which is
+all the game engine ever needs. solve_lp_int is the pivot loop; the game
+kernel calls it, and it returns the optimal x and duals as ints over the last
+pivot d.
 
 Invariant (Edmonds 1967, Bareiss 1968): the tableau holds Python ints equal
-to d times the rational tableau of the scaled LP, where d > 0 is the last
+to d times the rational tableau of the LP, where d > 0 is the last
 pivot entry (1 before the first pivot) and equals |det| of the current
 basis. The column of the i-th basic variable is then d*e_i, so it is not
 kept: the tableau is condensed, as in Avis's lrs, to one column per
@@ -45,37 +33,15 @@ bases, means the rule cycles, and the kernel raises SoldensError.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import SoldensError
 
 
-def solve_lp_max(c, a_rows, b):
-    """Returns (objective, x, duals), all Fractions.
-
-    Args: c, the rows of a_rows and b hold ints or Fractions (anything with
-    .numerator and .denominator); b >= 0.
-
-    duals[i] is the optimal dual multiplier of constraint i (the reduced cost
-    of its slack variable in the final tableau).
-    """
-    scale = lcm(*(v.denominator for v in c), *(v.denominator for v in b),
-                *(v.denominator for row in a_rows for v in row))
-
-    def scaled(v):
-        return v.numerator * (scale // v.denominator)
-
-    d, x, duals = solve_lp_int([scaled(v) for v in c], [[scaled(v) for v in row] for row in a_rows],
-                               [scaled(v) for v in b])
-    x = [Fraction(v, d) for v in x]
-    return sum(ci * xi for ci, xi in zip(c, x)), x, [Fraction(v, d) for v in duals]
-
-
 def solve_lp_int(c, a_rows, b):
     """max c.x s.t. A x <= b, x >= 0 for int c, A and b >= 0. Returns (d, x,
-    duals), where d > 0 and x and duals are int lists: solve_lp_max's optimum
-    times d."""
+    duals), where d > 0 and x and duals are int lists: the optimal ones times
+    d."""
     m, n = len(a_rows), len(c)
     if any(bi < 0 for bi in b):
         raise SoldensError("requires b >= 0")

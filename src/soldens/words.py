@@ -3,17 +3,16 @@
 class-A / class-B partition and its non-subadditivity exhibit.
 
 Trust boundary: the public ``ReducedWord(...)`` constructor and ``word()``
-validate (letters, reducedness, the ``MAX_WORD_LEN`` cap); ``word_power``
-checks its letter and the cap. The internal builders (``word_multiply``,
-``_prefix_decompose``, the bulk wrap ``_trusted_all`` that
-``all_reduced_words`` applies once to its letter strings, and the ``_POWERS``
-table of generator powers built at import) make words that are reduced by
-construction and skip validation. ``word_multiply`` cancels only at the
-junction, which for two reduced words is the whole free reduction, returns
-``u + v`` at once when the junction does not cancel, checks the cap, and
-allocates its result itself rather than through ``_trusted``, one call fewer
-per product. ``_prefix_decompose`` returns its argument as the rest when
-nothing is stripped; the free-group count calls it only for a word that
+validate (letters, reducedness, the ``MAX_WORD_LEN`` cap). The internal
+builders (``word_multiply``, ``_prefix_decompose``, the bulk wrap
+``_trusted_all`` that ``all_reduced_words`` applies once to its letter
+strings, and the ``_POWERS`` table of generator powers built at import) make
+words that are reduced by construction and skip validation. ``word_multiply``
+cancels only at the junction, which for two reduced words is the whole free
+reduction, returns ``u + v`` at once when the junction does not cancel, checks
+the cap, and allocates its result itself rather than through ``_trusted``, one
+call fewer per product. ``_prefix_decompose`` returns its argument as the rest
+when nothing is stripped; the free-group count calls it only for a word that
 starts with gen^-1, and decides every other word on its first letter alone,
 building no word for it.
 """
@@ -131,15 +130,6 @@ def word_multiply(u, v):
     return w
 
 
-def word_power(letter, k):
-    """letter^k for k in Z."""
-    if letter not in _INV:
-        raise SoldensError(f"bad letter {letter!r}", kind=BAD_INPUT)
-    if abs(k) > MAX_WORD_LEN:
-        raise _too_long()
-    return _trusted(letter * k if k >= 0 else _INV[letter] * -k)
-
-
 # gen^k for gen in "ab" and 0 <= k <= MAX_WORD_LEN, read by the cross-check
 _POWERS = {x: [_trusted(x * k) for k in range(MAX_WORD_LEN + 1)] for x in "ab"}
 
@@ -215,7 +205,7 @@ def _powers(gen, n, cross_check):
     if not cross_check:
         return None
     if n > MAX_WORD_LEN:
-        word_power(gen, n)  # raises the size guard, as the products would
+        raise _too_long()  # as the products would
     return _POWERS[gen][1:n + 1]
 
 

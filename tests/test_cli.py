@@ -45,6 +45,18 @@ def test_game_sigma_prints_the_exact_density(capsys, group, members):
     assert json.loads(out) == json.loads(exact)
 
 
+def test_sigma_r_of_the_empty_set_is_the_trivial_game_with_no_pivot(capsys, monkeypatch):
+    def no_kernel(c, a_rows, b):
+        raise AssertionError("the empty set reached the LP kernel")
+
+    monkeypatch.setattr(gm, "solve_lp_int", no_kernel)
+    code, out = run_capture(capsys, ["game", "sigma-r", "--group", "cyclic:4"])
+    trivial = ('{"col_strategy": {"carrier": null, "entries": [[0, "1/1"]]}, '
+               '"row_strategy": {"carrier": null, "entries": [[0, "1/1"]]}, "value": "0/1"}')
+    assert code == 0
+    assert out == f'{{"maximin": {trivial}, "minimax": {trivial}, "value": "0/1"}}\n'
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
 

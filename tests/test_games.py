@@ -9,13 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import solve_lp_max, weight
 
 import soldens.cli as cli
 import soldens.densities as dn
 import soldens.games as gm
 import soldens.groups as gr
 from soldens.errors import SoldensError
-from soldens.simplex import solve_lp_int, solve_lp_max
+from soldens.simplex import solve_lp_int
 from test_partitions_properties import _GROUPS, _SPECS
 
 LP_PINNED = Path(__file__).parent / "data" / "lp_pinned.json"
@@ -73,8 +74,8 @@ def test_solve_game_pinned_corpus():
 def test_solve_game_matching_pennies_diagonal():
     sol = gm.solve_game(gm.game([[1, 0], [0, 1]]))
     assert sol.value == Fraction(1, 2)
-    assert sol.row_strategy.weight(0) == Fraction(1, 2)
-    assert sol.col_strategy.weight(1) == Fraction(1, 2)
+    assert weight(sol.row_strategy, 0) == Fraction(1, 2)
+    assert weight(sol.col_strategy, 1) == Fraction(1, 2)
 
 
 def test_solve_game_degenerate_shapes():
@@ -108,12 +109,11 @@ def test_intersection_number_examples():
 def test_intersection_number_monotone_under_supersets():
     rng = random.Random(5)
     for _ in range(10):
-        x = set(range(6))
-        family = [set(rng.sample(sorted(x), rng.randint(1, 5))) for _ in range(4)]
-        base = gm.intersection_number(family, x)
+        family = [set(rng.sample(range(6), rng.randint(1, 5))) for _ in range(4)]
+        base = gm.intersection_number(family)
         member = rng.choice(family)
         bigger = member | {rng.randrange(6)}
-        assert gm.intersection_number(family + [bigger], x) >= base
+        assert gm.intersection_number(family + [bigger]) >= base
 
 
 def test_sigma_r_chain_on_examples():
@@ -448,14 +448,17 @@ def test_certified_sigma_r_equals_the_forced_bland_path(case):
 @settings(max_examples=200, deadline=None)
 @given(_permutation_sum(), st.sampled_from([1, 2, 6, 35]))
 def test_certified_solve_equals_the_forced_bland_path(ints, den):
-    assert repr(gm._solve(ints, den)) == repr(_forced_bland(lambda: gm._solve(ints, den)))
+    def solve():
+        return gm._solve(ints, den, gm._certified(ints, den))
+
+    assert repr(solve()) == repr(_forced_bland(solve))
 
 
 def test_sigma_r_payoff_entry_gh_is_the_bit_of_gh_in_a(monkeypatch):
     payoffs = []
     real = gm._solve
 
-    def spy(ints, den, certified=None):
+    def spy(ints, den, certified):
         payoffs.append([list(row) for row in ints])
         return real(ints, den, certified)
 
@@ -465,7 +468,7 @@ def test_sigma_r_payoff_entry_gh_is_the_bit_of_gh_in_a(monkeypatch):
     gm.sigma_R_via_game(s3, a)
     minimax = [[int(s3.mul(g, h) in a) for h in range(6)] for g in range(6)]
     assert minimax != [list(col) for col in zip(*minimax)]  # s3 tells gh from hg here
-    assert payoffs == [minimax, [minimax[s3.inv(x)] for x in range(6)]]
+    assert payoffs == [minimax, [minimax[s3.inverse[x]] for x in range(6)]]
 
 
 def test_only_uncertified_sigma_r_payoffs_reach_the_lp_kernel(monkeypatch):

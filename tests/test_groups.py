@@ -28,7 +28,7 @@ def test_cyclic_table_and_inverse():
     g = gr.cyclic(5)
     assert g.order == 5
     assert g.mul(3, 4) == 2
-    assert g.inv(2) == 3
+    assert g.inverse[2] == 3
     assert g.inverse[0] == 0
 
 

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import solve_lp_max, weight
+
 import soldens.cli as cli
 import soldens.games as gm
 import soldens.groups as gr
 from soldens.errors import SoldensError
-from soldens.simplex import solve_lp_int, solve_lp_max
+from soldens.simplex import solve_lp_int
 
 _RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 _NONNEG = st.builds(Fraction, st.integers(0, 9), st.integers(1, 6))
@@ -56,8 +58,8 @@ def test_game_value_is_the_guarantee_of_both_strategies(payoff):
     sol = gm.solve_game(gm.game(payoff))
     rows, cols = range(len(payoff)), range(len(payoff[0]))
     # the row player minimizes: its worst case over columns is the value
-    assert max(sum(sol.row_strategy.weight(i) * payoff[i][j] for i in rows) for j in cols) == sol.value
-    assert min(sum(sol.col_strategy.weight(j) * payoff[i][j] for j in cols) for i in rows) == sol.value
+    assert max(sum(weight(sol.row_strategy, i) * payoff[i][j] for i in rows) for j in cols) == sol.value
+    assert min(sum(weight(sol.col_strategy, j) * payoff[i][j] for j in cols) for i in rows) == sol.value
 
 
 @settings(max_examples=100, deadline=None)

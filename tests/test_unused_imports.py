@@ -38,7 +38,10 @@
   Reads are resolved by module, so groups.difference_set keeps
   zline.difference_set alive no more than an unrelated name would. The
   definitions in PAPER_CLAIMS are exempt: each states a result of the paper
-  and waits for its command;
+  and waits for its command. Every public method or property of a public
+  top-level class (dunders skipped) is read too, by the same sources, as an
+  attribute outside its own body; an attribute's class is not known
+  statically, so reads match by name;
 - no module but errors.py defines an exception class, and errors.py only
   SoldensError: the kind, not a subclass, says what went wrong.
 """
@@ -47,6 +50,7 @@ import ast
 import builtins
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -615,14 +619,72 @@ def test_the_rule_sees_a_public_definition_nobody_reads():
         "groups.index", "zline.difference_set", "zline.BlockSet"]
 
 
-def test_every_public_definition_is_read():
+def program_sources():
+    """The sources of the program paths: the package's modules by name, and
+    the acceptance criteria and the benchmark, whose reads count, by path."""
     package = {p.stem: p.read_text() for p in MODULES}
     outside = {str(p.relative_to(ROOT)): p.read_text()
                for p in (ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py")))}
+    return package, outside
+
+
+def test_every_public_definition_is_read():
+    package, outside = program_sources()
     exempt = {name for name, _ in PAPER_CLAIMS}
     assert unread_public_definitions(package, outside, exempt) == []
     # the exemption is no wider than what it covers
     assert {*unread_public_definitions(package, outside)} == exempt
+
+
+def unread_public_methods(package, outside):
+    """For package and outside as in unread_public_definitions: the public
+    methods and properties (no leading underscore, so no dunder) of the
+    public top-level classes of the package, as "module.Class.name", that no
+    source reads as an attribute outside the method's own body. Which class
+    an attribute belongs to is not known without running the code, so a read
+    of .name counts for every method of that name."""
+    reads = sum((_attribute_reads(ast.parse(text)) for text in (*package.values(), *outside.values())),
+                Counter())
+    return [
+        f"{module}.{cls.name}.{item.name}"
+        for module, text in package.items()
+        for cls in ast.parse(text).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+        and reads[item.name] == _attribute_reads(item)[item.name]
+    ]
+
+
+def _attribute_reads(tree):
+    """How often tree reads each attribute name."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def test_the_rule_sees_a_public_method_nobody_reads():
+    package = {
+        "groups": "class Group:\n    def mul(self, g, h):\n        return self.table[g][h]\n"
+                  "    def inv(self, g):\n        return self.inv(g)\n"
+                  "    @property\n    def size(self):\n        pass\n"
+                  "    def __len__(self):\n        pass\n    def _memo(self):\n        pass\n"
+                  "class _Cache:\n    def clear(self):\n        pass\n",
+        "measures": "class Measure:\n    def weight(self, p):\n        pass\n"
+                    "    def support(self):\n        pass\n"
+                    "    def table(self):\n        pass\n"
+                    "def total(mu):\n    mu.weight = 1\n    return mu.mul(0, 1)\n",
+    }
+    outside = {"perfbench/workloads.py": "def run(g):\n    return g.size, weight(g)\n",
+               "tests/test_acceptance.py": "import soldens.measures as ms\nms.Measure.support\n"}
+    # a call of itself is no read of Group.inv, a store of .weight and a bare
+    # name weight none of Measure.weight; dunders, private methods and the
+    # methods of a private class are skipped; Group.table's read counts for
+    # Measure.table too, since reads match by name
+    assert unread_public_methods(package, outside) == ["groups.Group.inv", "measures.Measure.weight"]
+
+
+def test_every_public_method_is_read():
+    assert unread_public_methods(*program_sources()) == []
 
 
 def exception_classes(source):
